@@ -61,12 +61,10 @@ from .neuralnet import (
     bce_loss,
     build_lstm,
     build_mlp,
+    forward,
     load_model,
-    lstm_forward,
-    mlp_forward,
     predict,
     predict_proba,
-    relu,
     save_model,
     sigmoid,
     train,
@@ -76,7 +74,6 @@ from .preprocess import (
     SmoteConfig,
     apply_scaler,
     fit_scaler,
-    one_hot_encode,
     smote_resample,
 )
 
@@ -116,23 +113,20 @@ __all__ = [
     "correlation_matrix",
     "drop_columns",
     "fit_scaler",
+    "forward",
     "generate_synthetic_flows",
     "identity_selection",
     "load_dataset",
     "load_model",
     "load_report",
-    "lstm_forward",
     "metrics",
     "mi_rank_select",
-    "mlp_forward",
     "mutual_information",
-    "one_hot_encode",
     "parse_flow_csv",
     "pearson_r",
     "predict",
     "predict_proba",
     "preset",
-    "relu",
     "run_experiment",
     "save_dataset",
     "save_model",

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -365,18 +366,32 @@ def generate_synthetic_flows(spec: SynthesisSpec) -> FlowDataset:
     return FlowDataset(columns=columns, matrix=matrix, labels=labels, strings={})
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write via temp file + rename so readers never observe partial files."""
+@contextmanager
+def _atomic_open(path: str | os.PathLike, mode: str = "wb", **open_args):
+    """Yield a temp file beside path, renamed over it when the block succeeds,
+    so readers never observe partial files.
+
+    mkstemp creates the file with mode 0600; it gets 0666 minus the umask,
+    as open() would give it.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with os.fdopen(fd, mode, **open_args) as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
@@ -477,16 +492,8 @@ def write_flow_csv(
         header.append(label_column)
         getters.append(lambda i: positive_label if ds.labels[i] else negative_label)
 
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(ds.row_count):
-                writer.writerow([get(i) for get in getters])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(ds.row_count):
+            writer.writerow([get(i) for get in getters])

@@ -3,7 +3,9 @@
 Everything is plain numpy: forward passes, exact analytic backpropagation for
 binary cross-entropy, Adam updates, and a seeded mini-batch training loop.
 Flows are independent records, so the LSTM consumes each row as a length-1
-sequence with zero initial hidden and cell state.
+sequence with zero initial hidden and cell state. From that state only the
+input-side weights of the input, candidate and output gates reach the output,
+so LSTM layers store just those.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .flow_data import FlowDataset, atomic_write_text
 from .preprocess import ScalerParams, scale_columns
 
 MODEL_FORMAT = "nfdlm.model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 BCE_EPS = 1e-12
 
@@ -31,13 +33,6 @@ def sigmoid(x):
     arr = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(arr))
     out = np.where(arr >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return float(out) if arr.ndim == 0 else out
-
-
-def relu(x):
-    """max(0, x)."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.maximum(0.0, arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -68,38 +63,31 @@ class DenseLayer:
 
 @dataclass
 class LstmCell:
-    """One LSTM layer. Gate matrices are (hidden, input + hidden): the input
-    slice first, then the recurrent slice."""
+    """One LSTM layer for length-1 sequences from zero initial state.
 
-    w_in: np.ndarray
-    w_forget: np.ndarray
-    w_cand: np.ndarray
-    w_out: np.ndarray
-    b_in: np.ndarray
-    b_forget: np.ndarray
-    b_cand: np.ndarray
-    b_out: np.ndarray
+    Rows of weights (3 * hidden, in) and bias (3 * hidden,) hold the input,
+    candidate and output gates, in that order.
+    """
+
+    weights: np.ndarray
+    bias: np.ndarray
     hidden_size: int
 
     def __post_init__(self) -> None:
-        for name in ("w_in", "w_forget", "w_cand", "w_out"):
-            setattr(self, name, np.array(getattr(self, name), dtype=np.float64))
-        for name in ("b_in", "b_forget", "b_cand", "b_out"):
-            setattr(self, name, np.array(getattr(self, name), dtype=np.float64))
-        h = self.hidden_size
-        shape = self.w_in.shape
-        if shape[0] != h or shape[1] <= h:
-            raise DataError("LSTM gate matrices must be (hidden, input + hidden)")
-        for name in ("w_in", "w_forget", "w_cand", "w_out"):
-            if getattr(self, name).shape != shape:
-                raise DataError("LSTM gate blocks must share one shape")
-        for name in ("b_in", "b_forget", "b_cand", "b_out"):
-            if getattr(self, name).shape != (h,):
-                raise DataError("LSTM gate biases must have hidden_size entries")
+        self.weights = np.array(self.weights, dtype=np.float64)
+        self.bias = np.array(self.bias, dtype=np.float64)
+        rows = 3 * self.hidden_size
+        shape = self.weights.shape
+        if rows < 3 or len(shape) != 2 or shape[0] != rows or shape[1] < 1:
+            raise DataError("LSTM weights must be (3 * hidden_size, input), hidden_size >= 1")
+        if self.bias.shape != (rows,):
+            raise DataError("LSTM bias must have 3 * hidden_size entries")
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
+            raise DataError("LSTM layer parameters must be finite")
 
     @property
     def input_size(self) -> int:
-        return self.w_in.shape[1] - self.hidden_size
+        return self.weights.shape[1]
 
     @property
     def output_size(self) -> int:
@@ -124,8 +112,11 @@ class Model:
             raise DataError(f"unknown model kind: {self.kind!r}")
         if not self.layers:
             raise DataError("model needs at least one layer")
-        if self.layers[0].input_size != len(self.input_features):
-            raise DataError("first layer width must equal the input feature count")
+        width = len(self.input_features)
+        for pos, layer in enumerate(self.layers, 1):
+            if layer.input_size != width:
+                raise DataError(f"layer {pos} takes {layer.input_size} inputs but gets {width}")
+            width = layer.output_size
         head = self.layers[-1]
         if not isinstance(head, DenseLayer) or head.output_size != 1 or head.activation != "sigmoid":
             raise DataError("last layer must be one sigmoid unit")
@@ -202,27 +193,17 @@ def build_lstm(
 ) -> Model:
     """Stacked LSTM layers plus a dense sigmoid head.
 
-    Gate weights are Glorot-initialized in order input, forget, candidate,
-    output; forget-gate biases start at 1.
+    Each layer draws the four Glorot blocks of a full LSTM cell in the usual
+    gate order (fan-in width + hidden) and keeps the input columns of the
+    first, third and fourth: the input, candidate and output gates. A seed
+    thus starts from the weights a full cell would use. Biases start at zero.
     """
     rng = np.random.default_rng(seed)
     layers: list[Layer] = []
     width = len(input_features)
     for h in hidden:
-        cols = width + h
-        layers.append(
-            LstmCell(
-                w_in=_glorot(rng, h, cols),
-                w_forget=_glorot(rng, h, cols),
-                w_cand=_glorot(rng, h, cols),
-                w_out=_glorot(rng, h, cols),
-                b_in=np.zeros(h),
-                b_forget=np.ones(h),
-                b_cand=np.zeros(h),
-                b_out=np.zeros(h),
-                hidden_size=h,
-            )
-        )
+        w_i, _, w_g, w_o = [_glorot(rng, h, width + h)[:, :width] for _ in range(4)]
+        layers.append(LstmCell(np.vstack([w_i, w_g, w_o]), np.zeros(3 * h), h))
         width = h
     layers.append(DenseLayer(_glorot(rng, 1, width), np.zeros(1), "sigmoid"))
     return Model(kind="lstm", layers=layers, input_features=list(input_features), init_seed=seed)
@@ -240,23 +221,17 @@ def _dense_apply(layer: DenseLayer, x: np.ndarray):
 
 
 def lstm_cell_forward(cell: LstmCell, x: np.ndarray):
-    """Single-step cell pass from zero initial state.
-
-    Gate pre-activations use only the input slice of each gate matrix: the
-    recurrent slice multiplies the zero initial hidden state. With zero
-    initial cell state, c = i * g (the forget term f * c0 vanishes) and
-    h = o * tanh(c).
+    """Single-step cell pass from zero initial state: c = i * g, h = o * tanh(c).
 
     Returns (h, cache) where cache carries what backward needs.
     """
-    n_in = cell.input_size
-    i = sigmoid(x @ cell.w_in[:, :n_in].T + cell.b_in)
-    g = np.tanh(x @ cell.w_cand[:, :n_in].T + cell.b_cand)
-    o = sigmoid(x @ cell.w_out[:, :n_in].T + cell.b_out)
-    c = i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return h, (x, i, g, o, tc)
+    n = cell.hidden_size
+    z = x @ cell.weights.T + cell.bias
+    i = sigmoid(z[:, :n])
+    g = np.tanh(z[:, n : 2 * n])
+    o = sigmoid(z[:, 2 * n :])
+    tc = np.tanh(i * g)
+    return o * tc, (x, i, g, o, tc)
 
 
 def _forward_cached(model: Model, batch: np.ndarray):
@@ -279,23 +254,8 @@ def _forward_cached(model: Model, batch: np.ndarray):
     return x[:, 0], caches
 
 
-def mlp_forward(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Per-row attack probabilities from a dense stack."""
-    if model.kind != "mlp":
-        raise DataError(f"mlp_forward called on a {model.kind} model")
-    probs, _ = _forward_cached(model, batch)
-    return probs
-
-
-def lstm_forward(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Per-row attack probabilities; each row is a length-1 sequence."""
-    if model.kind != "lstm":
-        raise DataError(f"lstm_forward called on a {model.kind} model")
-    probs, _ = _forward_cached(model, batch)
-    return probs
-
-
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
+    """Per-row attack probabilities for an already scaled (rows, features) batch."""
     probs, _ = _forward_cached(model, batch)
     return probs
 
@@ -312,16 +272,7 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def model_params(model: Model) -> list[np.ndarray]:
     """Trainable arrays in canonical order (mirrors backward()'s gradients)."""
-    params: list[np.ndarray] = []
-    for layer in model.layers:
-        if isinstance(layer, DenseLayer):
-            params += [layer.weights, layer.bias]
-        else:
-            params += [
-                layer.w_in, layer.w_forget, layer.w_cand, layer.w_out,
-                layer.b_in, layer.b_forget, layer.b_cand, layer.b_out,
-            ]
-    return params
+    return [p for layer in model.layers for p in (layer.weights, layer.bias)]
 
 
 def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.ndarray):
@@ -340,40 +291,21 @@ def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.nd
                     delta = delta * (z > 0)
                 elif layer.activation == "sigmoid":
                     delta = delta * a * (1.0 - a)
-            dw = delta.T @ x
-            db = delta.sum(axis=0)
-            delta = delta @ layer.weights
-            grads_rev += [db, dw]
+            dz = delta
+            delta = dz @ layer.weights
         else:
             x, i, g, o, tc = cache
-            n_in = layer.input_size
             h = layer.hidden_size
-            dh = delta
-            do = dh * tc
-            dzo = do * o * (1.0 - o)
-            dc = dh * o * (1.0 - tc * tc)
+            dc = delta * o * (1.0 - tc * tc)
             dzi = dc * g * i * (1.0 - i)
             dzg = dc * i * (1.0 - g * g)
-
-            def full(dz):
-                # Recurrent slice saw only the zero initial state: zero grad.
-                grad = np.zeros((h, n_in + h))
-                grad[:, :n_in] = dz.T @ x
-                return grad
-
-            # Forget-gate grads are exactly zero: its output multiplies the
-            # zero initial cell state. Reverse canonical order.
-            grads_rev += [
-                dzo.sum(axis=0),        # b_out
-                dzg.sum(axis=0),        # b_cand
-                np.zeros(h),            # b_forget
-                dzi.sum(axis=0),        # b_in
-                full(dzo),              # w_out
-                full(dzg),              # w_cand
-                np.zeros((h, n_in + h)),  # w_forget
-                full(dzi),              # w_in
-            ]
-            delta = dzi @ layer.w_in[:, :n_in] + dzg @ layer.w_cand[:, :n_in] + dzo @ layer.w_out[:, :n_in]
+            dzo = delta * tc * o * (1.0 - o)
+            dz = np.hstack((dzi, dzg, dzo))
+            w = layer.weights
+            # One product per gate, not dz @ w: this summation order gives,
+            # bit for bit, the weights that format-v1 code trained.
+            delta = dzi @ w[:h] + dzg @ w[h : 2 * h] + dzo @ w[2 * h :]
+        grads_rev += [dz.sum(axis=0), dz.T @ x]
     return list(reversed(grads_rev))
 
 
@@ -486,42 +418,30 @@ def predict(
 
 def _layer_to_dict(layer: Layer) -> dict:
     if isinstance(layer, DenseLayer):
-        return {
-            "type": "dense",
-            "activation": layer.activation,
-            "weights": layer.weights.tolist(),
-            "bias": layer.bias.tolist(),
-        }
-    return {
-        "type": "lstm",
-        "hidden_size": layer.hidden_size,
-        "w_in": layer.w_in.tolist(),
-        "w_forget": layer.w_forget.tolist(),
-        "w_cand": layer.w_cand.tolist(),
-        "w_out": layer.w_out.tolist(),
-        "b_in": layer.b_in.tolist(),
-        "b_forget": layer.b_forget.tolist(),
-        "b_cand": layer.b_cand.tolist(),
-        "b_out": layer.b_out.tolist(),
-    }
+        head = {"type": "dense", "activation": layer.activation}
+    else:
+        head = {"type": "lstm", "hidden_size": layer.hidden_size}
+    return {**head, "weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
 
 
-def _layer_from_dict(d: dict) -> Layer:
+def _layer_from_dict(d: dict, version: int) -> Layer:
     if d["type"] == "dense":
-        return DenseLayer(np.array(d["weights"]), np.array(d["bias"]), d["activation"])
-    if d["type"] == "lstm":
-        return LstmCell(
-            w_in=np.array(d["w_in"]),
-            w_forget=np.array(d["w_forget"]),
-            w_cand=np.array(d["w_cand"]),
-            w_out=np.array(d["w_out"]),
-            b_in=np.array(d["b_in"]),
-            b_forget=np.array(d["b_forget"]),
-            b_cand=np.array(d["b_cand"]),
-            b_out=np.array(d["b_out"]),
-            hidden_size=int(d["hidden_size"]),
-        )
-    raise DataError(f"unknown layer type: {d.get('type')!r}")
+        return DenseLayer(d["weights"], d["bias"], d["activation"])
+    if d["type"] != "lstm":
+        raise DataError(f"unknown layer type: {d['type']!r}")
+    h = int(d["hidden_size"])
+    if version == 1:
+        # v1 stored all four gates, each (hidden, input + hidden); only the
+        # input columns of the input, candidate and output gates are live.
+        gates = [np.array(d[k], dtype=np.float64) for k in ("w_in", "w_cand", "w_out")]
+        biases = [np.array(d[k], dtype=np.float64) for k in ("b_in", "b_cand", "b_out")]
+        cols = gates[0].shape[-1]
+        if cols <= h or any(w.shape != (h, cols) for w in gates):
+            raise DataError("v1 LSTM gate matrices must be (hidden, input + hidden)")
+        if any(b.shape != (h,) for b in biases):
+            raise DataError("v1 LSTM gate biases must have hidden_size entries")
+        return LstmCell(np.vstack([w[:, : cols - h] for w in gates]), np.concatenate(biases), h)
+    return LstmCell(d["weights"], d["bias"], h)
 
 
 def save_model(model: Model, path) -> None:
@@ -543,6 +463,7 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """Read a model file of format version 2 or the older version 1."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -550,20 +471,26 @@ def load_model(path) -> Model:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: bad model file: {exc}") from exc
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise DataError(f"{path}: not a {MODEL_FORMAT} file")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format version {doc.get('format_version')}")
-    return Model(
-        kind=doc["kind"],
-        layers=[_layer_from_dict(d) for d in doc["layers"]],
-        input_features=list(doc["input_features"]),
-        scaler=None if doc["scaler"] is None else ScalerParams.from_dict(doc["scaler"]),
-        selection=None
-        if doc["selection"] is None
-        else SelectedFeatures.from_dict(doc["selection"]),
-        training_config=None
-        if doc["training_config"] is None
-        else TrainingConfig.from_dict(doc["training_config"]),
-        init_seed=doc["init_seed"],
-    )
+    version = doc.get("format_version")
+    if version not in (1, MODEL_FORMAT_VERSION):
+        raise DataError(f"{path}: unsupported format version {version}")
+    try:
+        return Model(
+            kind=doc["kind"],
+            layers=[_layer_from_dict(d, version) for d in doc["layers"]],
+            input_features=list(doc["input_features"]),
+            scaler=None if doc["scaler"] is None else ScalerParams.from_dict(doc["scaler"]),
+            selection=None
+            if doc["selection"] is None
+            else SelectedFeatures.from_dict(doc["selection"]),
+            training_config=None
+            if doc["training_config"] is None
+            else TrainingConfig.from_dict(doc["training_config"]),
+            init_seed=doc["init_seed"],
+        )
+    except KeyError as exc:
+        raise DataError(f"{path}: model file lacks key {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise DataError(f"{path}: bad model file: {exc}") from exc

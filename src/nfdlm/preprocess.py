@@ -1,4 +1,4 @@
-"""Class rebalancing (SMOTE), standard scaling, and one-hot encoding."""
+"""Class rebalancing (SMOTE) and standard scaling."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .flow_data import CATEGORICAL, NUMERIC, ColumnDescriptor, FlowDataset, _reindexed
+from .flow_data import FlowDataset
 
 
 @dataclass
@@ -108,7 +108,7 @@ def smote_resample(train: FlowDataset, cfg: SmoteConfig) -> FlowDataset:
     if train.strings:
         raise DataError(
             "smote_resample requires numeric features only; "
-            "drop or one-hot encode categorical columns first"
+            "drop categorical columns first"
         )
     n_pos = int(train.labels.sum())
     n_neg = train.row_count - n_pos
@@ -161,38 +161,3 @@ def smote_resample(train: FlowDataset, cfg: SmoteConfig) -> FlowDataset:
         strings={},
     )
 
-
-def one_hot_encode(ds: FlowDataset, column: str) -> FlowDataset:
-    """Replace a categorical column with one 0/1 indicator column per value.
-
-    Indicator columns are named `column=value` and inserted at the original
-    column's position, ordered lexicographically by value.
-    """
-    desc = ds.column(column)
-    if desc.kind != CATEGORICAL:
-        raise DataError(f"one_hot_encode requires a categorical-string column, "
-                        f"'{column}' is {desc.kind}")
-    values = ds.strings[column]
-    distinct = sorted(set(values))
-    indicators = np.zeros((ds.row_count, len(distinct)))
-    position = {v: j for j, v in enumerate(distinct)}
-    for i, v in enumerate(values):
-        indicators[i, position[v]] = 1.0
-
-    new_columns: list[ColumnDescriptor] = []
-    numeric_before = 0  # numeric columns preceding the encoded one
-    for c in ds.columns:
-        if c.name == column:
-            for v in distinct:
-                new_columns.append(ColumnDescriptor(f"{column}={v}", NUMERIC, 0))
-        else:
-            if c.kind == NUMERIC and c.index < desc.index:
-                numeric_before += 1
-            new_columns.append(c)
-    matrix = np.hstack(
-        [ds.matrix[:, :numeric_before], indicators, ds.matrix[:, numeric_before:]]
-    )
-    strings = {n: v for n, v in ds.strings.items() if n != column}
-    return FlowDataset(
-        columns=_reindexed(new_columns), matrix=matrix, labels=ds.labels, strings=strings
-    )

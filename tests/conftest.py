@@ -41,7 +41,8 @@ def max_relative_gradient_error(model, x, y, h: float = 1e-5) -> float:
     """Central finite differences against backward(), one parameter at a time.
 
     Errors are measured relative to the gradient's overall scale so that
-    exactly-zero gradients (e.g. LSTM forget gates) compare cleanly.
+    exactly-zero gradients (e.g. of a ReLU unit that never fires) compare
+    cleanly.
     """
     from nfdlm.neuralnet import forward, model_params
 
@@ -94,7 +95,7 @@ def random_checkable_model(kind: str, seed: int, n_rows: int = 6):
             features = [f"x{i}" for i in range(4)]
             model = nf.build_mlp(features, hidden=(5, 4), seed=seed * 11 + attempt)
         else:
-            # 172 parameters, under the 200-parameter checking budget.
+            # 76 parameters, under the 200-parameter checking budget.
             features = [f"x{i}" for i in range(3)]
             model = nf.build_lstm(features, hidden=(3, 3), seed=seed * 11 + attempt)
         for layer in model.layers:

@@ -327,6 +327,30 @@ class TestCli:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("breakage,reason", [
+        ("missing_kind", "lacks key 'kind'"),
+        ("narrow_middle_layer", "layer 2 takes 5 inputs but gets 6"),
+    ], ids=["missing_kind", "narrow_middle_layer"])
+    def test_hostile_model_file_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
+        data, model = tmp_path / "flows.ds", tmp_path / "m.json"
+        nf.save_dataset(small_ds, data)
+        nf.save_model(nf.build_mlp(small_ds.feature_names, seed=0), model)
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        if breakage == "missing_kind":
+            del doc["kind"]
+        else:
+            middle = doc["layers"][1]
+            middle["weights"] = [row[:-1] for row in middle["weights"]]
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main([
+            "evaluate", "--model", str(model), "--data", str(data),
+            "--report-out", str(tmp_path / "eval.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
+        assert reason in err
+
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         ds_path = tmp_path / "flows.ds"
         nf.save_dataset(nf.generate_synthetic_flows(SMALL_SPEC), ds_path)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -263,6 +266,19 @@ class TestDatasetFile:
         path.write_text('{"format": "other"}\n', encoding="utf-8")
         with pytest.raises(nf.DataError, match="not a nfdlm.dataset"):
             nf.load_dataset(path)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_files_follow_umask(self, tmp_path, umask):
+        ds = nf.generate_synthetic_flows(nf.SynthesisSpec(8, 4, 2, 0, 2.0, seed=1))
+        old = os.umask(umask)
+        try:
+            nf.save_model(nf.build_mlp(ds.feature_names, seed=0), tmp_path / "m.json")
+            nf.write_flow_csv(ds, tmp_path / "flows.csv")
+        finally:
+            os.umask(old)
+        assert sorted(os.listdir(tmp_path)) == ["flows.csv", "m.json"]
+        for name in ("m.json", "flows.csv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
 
     def test_csv_round_trip_is_bitwise_on_numeric(self, tmp_path):
         rng = np.random.default_rng(11)

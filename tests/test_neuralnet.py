@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from nfdlm.flow_data import NUMERIC
 from nfdlm.neuralnet import AdamState, DenseLayer, LstmCell, Model, lstm_cell_forward, model_params
 
 from conftest import max_relative_gradient_error, random_checkable_model
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def numeric_ds(matrix, labels=None, names=None):
@@ -39,17 +43,13 @@ class TestActivations:
             out = nf.sigmoid(np.array([-800.0, 800.0]))
         assert np.isfinite(out).all()
 
-    @pytest.mark.parametrize("x,expected", [(-3.0, 0.0), (2.0, 2.0), (0.0, 0.0)])
-    def test_relu(self, x, expected):
-        assert nf.relu(x) == expected
-
 
 class TestMlpForward:
     def test_zero_parameters_give_half(self):
         model = nf.build_mlp(["a", "b"], hidden=(3,), seed=0)
         for p in model_params(model):
             p[...] = 0.0
-        probs = nf.mlp_forward(model, np.random.default_rng(0).standard_normal((5, 2)))
+        probs = nf.forward(model, np.random.default_rng(0).standard_normal((5, 2)))
         assert (probs == 0.5).all()
 
     def test_hand_computed_single_layer(self):
@@ -58,44 +58,32 @@ class TestMlpForward:
             layers=[DenseLayer(np.array([[2.0, -1.0]]), np.array([0.5]), "sigmoid")],
             input_features=["a", "b"],
         )
-        probs = nf.mlp_forward(model, np.array([[1.0, 3.0], [0.0, 0.0]]))
+        probs = nf.forward(model, np.array([[1.0, 3.0], [0.0, 0.0]]))
         expected = [1.0 / (1.0 + math.exp(-(2.0 - 3.0 + 0.5))), 1.0 / (1.0 + math.exp(-0.5))]
         assert np.abs(probs - expected).max() < 1e-15
 
     def test_output_shape_and_range(self):
         model = nf.build_mlp(["a", "b", "c"], seed=1)
-        probs = nf.mlp_forward(model, np.random.default_rng(1).standard_normal((17, 3)))
+        probs = nf.forward(model, np.random.default_rng(1).standard_normal((17, 3)))
         assert probs.shape == (17,)
         assert ((probs > 0.0) & (probs < 1.0)).all()
 
     def test_width_mismatch(self):
         model = nf.build_mlp(["a", "b"], seed=0)
         with pytest.raises(nf.DataError, match="width"):
-            nf.mlp_forward(model, np.zeros((4, 3)))
+            nf.forward(model, np.zeros((4, 3)))
 
 
 class TestLstmForward:
-    def scalar_cell(self):
-        # One unit, one input; recurrent slices are arbitrary since h0 = 0.
-        return LstmCell(
-            w_in=np.array([[0.5, 0.25]]),
-            w_forget=np.array([[1.0, -1.0]]),
-            w_cand=np.array([[0.3, 0.7]]),
-            w_out=np.array([[-0.4, 0.2]]),
-            b_in=np.array([0.1]),
-            b_forget=np.array([1.0]),
-            b_cand=np.array([-0.2]),
-            b_out=np.array([0.05]),
-            hidden_size=1,
-        )
-
     def test_scalar_cell_matches_hand_evaluation(self):
+        # One unit, one input; rows are the input, candidate and output gates.
+        cell = LstmCell(np.array([[0.5], [0.3], [-0.4]]), np.array([0.1, -0.2, 0.05]), 1)
         x = 0.8
         i = 1.0 / (1.0 + math.exp(-(0.5 * x + 0.1)))
         g = math.tanh(0.3 * x - 0.2)
         o = 1.0 / (1.0 + math.exp(-(-0.4 * x + 0.05)))
         expected = o * math.tanh(i * g)
-        h, _ = lstm_cell_forward(self.scalar_cell(), np.array([[x]]))
+        h, _ = lstm_cell_forward(cell, np.array([[x]]))
         assert abs(h[0, 0] - expected) < 1e-15
 
     def test_zero_parameters_give_sigmoid_of_head_bias(self):
@@ -103,34 +91,26 @@ class TestLstmForward:
         for p in model_params(model):
             p[...] = 0.0
         model.layers[-1].bias[...] = 0.7
-        probs = nf.lstm_forward(model, np.random.default_rng(2).standard_normal((6, 2)))
+        probs = nf.forward(model, np.random.default_rng(2).standard_normal((6, 2)))
         assert np.abs(probs - nf.sigmoid(0.7)).max() < 1e-15
-
-    def test_saturated_forget_gate_keeps_zero_cell_state(self):
-        cell = self.scalar_cell()
-        cell.b_forget[...] = 500.0  # forget -> 1
-        cell.b_in[...] = -500.0  # input gate -> 0
-        h, _ = lstm_cell_forward(cell, np.array([[2.0]]))
-        assert abs(h[0, 0]) < 1e-15
 
     def test_width_mismatch(self):
         model = nf.build_lstm(["a"], hidden=(2, 2), seed=0)
         with pytest.raises(nf.DataError, match="width"):
-            nf.lstm_forward(model, np.zeros((3, 2)))
+            nf.forward(model, np.zeros((3, 2)))
 
-    def test_gate_blocks_must_share_shape(self):
-        with pytest.raises(nf.DataError, match="share one shape"):
-            LstmCell(
-                w_in=np.zeros((2, 3)),
-                w_forget=np.zeros((2, 4)),
-                w_cand=np.zeros((2, 3)),
-                w_out=np.zeros((2, 3)),
-                b_in=np.zeros(2),
-                b_forget=np.zeros(2),
-                b_cand=np.zeros(2),
-                b_out=np.zeros(2),
-                hidden_size=2,
-            )
+    def test_packed_gate_matrix_shape(self):
+        cell = LstmCell(np.zeros((6, 3)), np.zeros(6), hidden_size=2)
+        assert (cell.input_size, cell.output_size) == (3, 2)
+        bad = [
+            (np.zeros((4, 3)), np.zeros(6)),  # rows for two gates, not three
+            (np.zeros(6), np.zeros(6)),
+            (np.zeros((6, 0)), np.zeros(6)),
+            (np.zeros((6, 3)), np.zeros(4)),
+        ]
+        for weights, bias in bad:
+            with pytest.raises(nf.DataError, match=r"3 \* hidden_size"):
+                LstmCell(weights, bias, hidden_size=2)
 
 
 class TestBceLoss:
@@ -177,21 +157,6 @@ class TestBackward:
         twice = nf.backward(model, np.vstack([x, x]), np.concatenate([y, y]))
         for a, b in zip(once, twice):
             assert np.abs(a - b).max() < 1e-12
-
-    def test_lstm_forget_gate_and_recurrent_grads_are_zero(self):
-        model, x, y = random_checkable_model("lstm", 3)
-        grads = nf.backward(model, x, y)
-        params = model_params(model)
-        for layer_index, layer in enumerate(model.layers):
-            if not isinstance(layer, LstmCell):
-                continue
-            offset = 8 * layer_index
-            n_in = layer.input_size
-            assert (grads[offset + 1] == 0.0).all()  # w_forget
-            assert (grads[offset + 5] == 0.0).all()  # b_forget
-            for gate in (0, 2, 3):  # recurrent slices of in/cand/out
-                assert (grads[offset + gate][:, n_in:] == 0.0).all()
-        assert len(grads) == len(params)
 
     def test_shape_mismatch(self):
         model = nf.build_mlp(["a", "b"], seed=0)
@@ -396,6 +361,44 @@ class TestModelFile:
         assert loaded.selection == model.selection
         assert loaded.training_config == model.training_config
         assert loaded.init_seed == model.init_seed
+
+    def v1_lstm_fixture(self):
+        """A format-v1 LSTM file with nonzero forget-gate and recurrent
+        weights, plus rows and the probabilities v1 code gave for them."""
+        doc = json.loads((FIXTURES / "lstm_v1_expected.json").read_text(encoding="utf-8"))
+        return FIXTURES / "lstm_v1.model.json", doc
+
+    def test_v1_lstm_file_gives_identical_probabilities(self, tmp_path):
+        path, expected = self.v1_lstm_fixture()
+        model = nf.load_model(path)
+        probs = nf.forward(model, np.array(expected["rows"]))
+        assert (probs == np.array(expected["probabilities"])).all()
+        nf.save_model(model, tmp_path / "v2.model.json")
+        doc = json.loads((tmp_path / "v2.model.json").read_text(encoding="utf-8"))
+        assert doc["format_version"] == 2
+        assert {k for layer in doc["layers"][:-1] for k in layer} == {
+            "type", "hidden_size", "weights", "bias"
+        }
+
+    def test_malformed_v1_lstm_gates_rejected(self, tmp_path):
+        path, _ = self.v1_lstm_fixture()
+        bad = tmp_path / "bad.model.json"
+        for key, value in [("w_cand", [[0.0]]), ("b_out", [0.0]), ("w_in", 1.0)]:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc["layers"][0][key] = value
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(nf.DataError, match="bad model file"):
+                nf.load_model(bad)
+
+    def test_training_reproduces_v1_lstm_fixture(self):
+        path, expected = self.v1_lstm_fixture()
+        v1 = nf.load_model(path)
+        raw = nf.generate_synthetic_flows(nf.SynthesisSpec(**expected["synthesis_spec"]))
+        ds = nf.apply_scaler(nf.fit_scaler(raw), raw)
+        model = nf.build_lstm(ds.feature_names, hidden=tuple(expected["hidden"]), seed=v1.init_seed)
+        nf.train(model, ds, v1.training_config)
+        probs = nf.forward(model, np.array(expected["rows"]))
+        assert np.abs(probs - np.array(expected["probabilities"])).max() < 1e-12
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"

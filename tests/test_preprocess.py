@@ -1,4 +1,4 @@
-"""Standard scaling, SMOTE rebalancing, and one-hot encoding."""
+"""Standard scaling and SMOTE rebalancing."""
 
 from __future__ import annotations
 
@@ -166,43 +166,3 @@ class TestSmote:
         with pytest.raises(nf.DataError, match="categorical"):
             nf.smote_resample(ds, nf.SmoteConfig(seed=0))
 
-
-def categorical_ds(values, extra_numeric=True):
-    cols = [nf.ColumnDescriptor("n0", NUMERIC, 0), nf.ColumnDescriptor("proto", CATEGORICAL, 1)]
-    if extra_numeric:
-        cols.append(nf.ColumnDescriptor("n1", NUMERIC, 2))
-    n = len(values)
-    matrix = np.arange(n * (2 if extra_numeric else 1), dtype=float).reshape(n, -1)
-    return nf.FlowDataset(cols, matrix, strings={"proto": list(values)})
-
-
-class TestOneHot:
-    def test_two_values_give_two_indicators(self):
-        out = nf.one_hot_encode(categorical_ds(["tcp", "udp", "tcp"]), "proto")
-        assert out.feature_names == ["n0", "proto=tcp", "proto=udp", "n1"]
-        block = out.matrix[:, 1:3]
-        assert (block.sum(axis=1) == 1.0).all()
-        assert (block[:, 0] == [1.0, 0.0, 1.0]).all()
-
-    def test_single_value_gives_all_ones(self):
-        out = nf.one_hot_encode(categorical_ds(["arp", "arp"]), "proto")
-        assert (out.feature_column("proto=arp") == 1.0).all()
-
-    def test_cardinality(self):
-        values = ["a", "b", "c", "b", "d", "a"]
-        out = nf.one_hot_encode(categorical_ds(values), "proto")
-        added = [n for n in out.feature_names if n.startswith("proto=")]
-        assert added == sorted(f"proto={v}" for v in set(values))
-
-    def test_numeric_column_rejected(self):
-        with pytest.raises(nf.DataError, match="categorical"):
-            nf.one_hot_encode(categorical_ds(["x", "y"]), "n0")
-
-    def test_row_sums_always_one(self):
-        rng = np.random.default_rng(6)
-        values = [f"v{rng.integers(0, 5)}" for _ in range(40)]
-        out = nf.one_hot_encode(categorical_ds(values), "proto")
-        block = np.column_stack(
-            [out.feature_column(n) for n in out.feature_names if n.startswith("proto=")]
-        )
-        assert (block.sum(axis=1) == 1.0).all()
