@@ -15,7 +15,7 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 
 from .errors import DataError, NumericError
-from .evaluate import ConfusionMatrix, Metrics, PhaseTimer, confusion, metrics, time_phase
+from .evaluate import ConfusionMatrix, Metrics, confusion, metrics
 from .experiment import (
     ComparisonTable,
     ExperimentConfig,
@@ -93,7 +93,6 @@ __all__ = [
     "Metrics",
     "Model",
     "NumericError",
-    "PhaseTimer",
     "REFERENCE_RESULTS",
     "ScalerParams",
     "SelectedFeatures",
@@ -135,7 +134,6 @@ __all__ = [
     "sigmoid",
     "smote_resample",
     "stratified_split",
-    "time_phase",
     "train",
     "write_flow_csv",
 ]

@@ -1,16 +1,12 @@
-"""Classification metrics, confusion matrices, and phase timing."""
+"""Classification metrics and confusion matrices."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -43,10 +39,6 @@ class Metrics:
             "train_seconds": self.train_seconds,
             "mean_epoch_seconds": self.mean_epoch_seconds,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Metrics":
-        return cls(**d)
 
 
 def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
@@ -84,22 +76,3 @@ def metrics(
         train_seconds=train_seconds,
         mean_epoch_seconds=mean_epoch_seconds,
     )
-
-
-def time_phase(label: str, thunk: Callable[[], T]) -> tuple[T, float]:
-    """Run a thunk and return (result, wall seconds on the monotonic clock)."""
-    started = time.perf_counter()
-    result = thunk()
-    return result, time.perf_counter() - started
-
-
-@dataclass
-class PhaseTimer:
-    """Collects labeled wall times; not reentrant for the same label."""
-
-    seconds: dict[str, float] = field(default_factory=dict)
-
-    def run(self, label: str, thunk: Callable[[], T]) -> T:
-        result, elapsed = time_phase(label, thunk)
-        self.seconds[label] = elapsed
-        return result

@@ -12,11 +12,13 @@ The five presets cross two filter selectors with two classifier families:
 from __future__ import annotations
 
 import json
+import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import DataError, NumericError
-from .evaluate import Metrics, PhaseTimer, confusion, metrics
+from .evaluate import Metrics, confusion, metrics
 from .feature_select import (
     CORRELATION,
     MUTUAL_INFORMATION,
@@ -82,19 +84,12 @@ class ExperimentConfig:
     split_fraction: float = 0.2
     seed: int = 0
     smote_before_split: bool = False  # literal pipeline: resample, then split
-    select_before_smote: bool = False  # fit the selector on pre-SMOTE train rows
-    smote_on_scaled: bool = False  # SMOTE distances in standardized space
 
     def __post_init__(self) -> None:
         if self.classifier not in ("mlp", "lstm"):
             raise ValueError(f"unknown classifier: {self.classifier!r}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must be in (0, 1)")
-        if self.smote_before_split and (self.select_before_smote or self.smote_on_scaled):
-            raise ValueError(
-                "smote_before_split cannot be combined with select_before_smote "
-                "or smote_on_scaled"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -118,8 +113,6 @@ def preset(
     split_fraction: float = 0.2,
     smote_k: int = 5,
     smote_before_split: bool = False,
-    select_before_smote: bool = False,
-    smote_on_scaled: bool = False,
     selector: SelectorSpec | None = None,
     classifier: str | None = None,
     batch_size: int | None = None,
@@ -160,8 +153,6 @@ def preset(
         split_fraction=split_fraction,
         seed=seed,
         smote_before_split=smote_before_split,
-        select_before_smote=select_before_smote,
-        smote_on_scaled=smote_on_scaled,
     )
 
 
@@ -206,16 +197,24 @@ def load_report(path) -> dict:
     if not path.exists():
         raise DataError(f"no such file: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: bad report file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: a report file must hold a JSON object")
+    return doc
 
 
-def _stage(name: str, thunk):
+@contextmanager
+def _stage(name: str, seconds: dict[str, float]):
+    """Time one pipeline stage into seconds[name] and prefix the data and
+    numeric errors it raises with the stage name."""
+    started = time.perf_counter()
     try:
-        return thunk()
+        yield
     except (DataError, NumericError) as exc:
         raise type(exc)(f"{name}: {exc}") from exc
+    seconds[name] = time.perf_counter() - started
 
 
 def _fit_selection(cfg: ExperimentConfig, train_ds: FlowDataset) -> SelectedFeatures:
@@ -237,88 +236,70 @@ def run_experiment(
     Stage order: drop remaining string columns, stratified split, SMOTE on
     the training rows, standard scaling fitted on the training rows, feature
     selection fitted on the training rows, classifier training, evaluation on
-    the held-out test rows. Scaler and selector never see test rows (unless
-    smote_before_split reproduces the literal leaky pipeline). Deterministic
-    given cfg and the dataset bytes; only wall times vary.
+    the held-out test rows, and saving the model when model_path is given.
+    Scaler and selector never see test rows (unless smote_before_split
+    reproduces the literal leaky pipeline). Every stage is timed into
+    phase_seconds. Deterministic given cfg and the dataset bytes; only wall
+    times vary.
     """
     if ds.labels is None:
         raise DataError("run_experiment requires a labeled dataset")
-    timer = PhaseTimer()
+    seconds: dict[str, float] = {}
 
-    work = _stage("drop", lambda: drop_columns(ds, [], drop_string_columns=True))
-    rows_total = work.row_count
-    class_counts = {
-        "benign": int((work.labels == 0).sum()),
-        "attack": int((work.labels == 1).sum()),
-    }
+    with _stage("drop", seconds):
+        work = drop_columns(ds, [], drop_string_columns=True)
 
     if cfg.smote_before_split:
-        resampled = _stage("smote", lambda: smote_resample(work, cfg.smote))
-        train_raw, test_raw = _stage(
-            "split", lambda: stratified_split(resampled, cfg.split_fraction, cfg.seed)
-        )
+        with _stage("smote", seconds):
+            resampled = smote_resample(work, cfg.smote)
+        with _stage("split", seconds):
+            train_res, test_raw = stratified_split(resampled, cfg.split_fraction, cfg.seed)
         rows_train_pre_smote = None  # resampling happened before the split
-        train_res = train_raw
-        select_source_raw = train_raw
     else:
-        train_raw, test_raw = _stage(
-            "split", lambda: stratified_split(work, cfg.split_fraction, cfg.seed)
-        )
+        with _stage("split", seconds):
+            train_raw, test_raw = stratified_split(work, cfg.split_fraction, cfg.seed)
         rows_train_pre_smote = train_raw.row_count
-        if cfg.smote_on_scaled:
-            scaler = _stage("scale", lambda: fit_scaler(train_raw))
-            train_scaled_pre = apply_scaler(scaler, train_raw)
-            train_res = _stage("smote", lambda: smote_resample(train_scaled_pre, cfg.smote))
-        else:
-            train_res = _stage("smote", lambda: smote_resample(train_raw, cfg.smote))
-        select_source_raw = train_raw
+        with _stage("smote", seconds):
+            train_res = smote_resample(train_raw, cfg.smote)
 
-    if cfg.smote_on_scaled and not cfg.smote_before_split:
-        train_scaled = train_res  # already standardized above
-        test_scaled = _stage("scale", lambda: apply_scaler(scaler, test_raw))
-    else:
-        scaler = _stage("scale", lambda: fit_scaler(train_res))
+    with _stage("scale", seconds):
+        scaler = fit_scaler(train_res)
         train_scaled = apply_scaler(scaler, train_res)
         test_scaled = apply_scaler(scaler, test_raw)
 
-    if cfg.select_before_smote:
-        select_source = apply_scaler(scaler, select_source_raw)
-    else:
-        select_source = train_scaled
-    selection = timer.run(
-        "selection", lambda: _stage("selection", lambda: _fit_selection(cfg, select_source))
-    )
+    with _stage("selection", seconds):
+        selection = _fit_selection(cfg, train_scaled)
+        train_input = select_features(train_scaled, selection.kept)
 
-    build = build_mlp if cfg.classifier == "mlp" else build_lstm
-    model = build(selection.kept, seed=cfg.seed + 3)
-    model.scaler = scaler
-    model.selection = selection
-    train_input = select_features(train_scaled, selection.kept)
-    _, history = timer.run(
-        "training", lambda: _stage("training", lambda: train(model, train_input, cfg.training))
-    )
-    train_seconds = timer.seconds["training"]
+    with _stage("training", seconds):
+        build = build_mlp if cfg.classifier == "mlp" else build_lstm
+        model = build(selection.kept, seed=cfg.seed + 3)
+        model.scaler = scaler
+        model.selection = selection
+        _, history = train(model, train_input, cfg.training)
+    train_seconds = seconds["training"]
 
-    preds = timer.run(
-        "evaluation",
-        lambda: _stage("evaluation", lambda: predict(model, test_scaled, prescaled=True)),
-    )
-    cm = confusion(preds, test_raw.labels)
-    result = metrics(
-        cm,
-        train_seconds=train_seconds,
-        mean_epoch_seconds=train_seconds / cfg.training.epochs,
-    )
+    with _stage("evaluation", seconds):
+        preds = predict(model, test_scaled, prescaled=True)
+        result = metrics(
+            confusion(preds, test_raw.labels),
+            train_seconds=train_seconds,
+            mean_epoch_seconds=train_seconds / cfg.training.epochs,
+        )
 
     if model_path is not None:
-        save_model(model, model_path)
+        with _stage("save", seconds):
+            save_model(model, model_path)
 
     return ExperimentReport(
         config=cfg.to_dict(),
         provenance={
             "source": source,
-            "rows_total": rows_total,
-            "class_counts": class_counts,
+            "rows_total": work.row_count,
+            "class_counts": {
+                "benign": int((work.labels == 0).sum()),
+                "attack": int((work.labels == 1).sum()),
+            },
             "rows_train_pre_smote": rows_train_pre_smote,
             "rows_train_post_smote": train_res.row_count,
             "rows_test": test_raw.row_count,
@@ -326,7 +307,7 @@ def run_experiment(
         selection=selection,
         metrics=result,
         history=history,
-        phase_seconds=dict(timer.seconds),
+        phase_seconds=seconds,
         metrics_split="test",
         model_path=None if model_path is None else str(model_path),
     )
@@ -386,6 +367,19 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
+def _report_value(doc, dotted_key: str, kind):
+    """The value at a dotted key of a report dict; DataError naming the key
+    when it is missing or not an instance of kind."""
+    value = doc
+    for key in dotted_key.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise DataError(f"report lacks key '{dotted_key}'")
+        value = value[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DataError(f"report key '{dotted_key}' has the wrong type: {type(value).__name__}")
+    return value
+
+
 def compare(reports) -> ComparisonTable:
     """One row per report, ordered by experiment name.
 
@@ -396,17 +390,22 @@ def compare(reports) -> ComparisonTable:
     rows = []
     for rep in reports:
         doc = rep.to_dict() if isinstance(rep, ExperimentReport) else rep
-        selector = doc["config"]["selector"]
-        spec = SelectorSpec(
-            selector["method"], threshold=selector.get("threshold"), k=selector.get("k")
-        )
+        selector = _report_value(doc, "config.selector", dict)
+        try:
+            spec = SelectorSpec(
+                _report_value(doc, "config.selector.method", str),
+                threshold=selector.get("threshold"),
+                k=selector.get("k"),
+            )
+        except ValueError as exc:
+            raise DataError(f"report key 'config.selector': {exc}") from None
         rows.append(
             ComparisonRow(
-                name=doc["config"]["name"],
-                accuracy=doc["metrics"]["accuracy"],
-                train_seconds=doc["metrics"]["train_seconds"],
-                features=doc["feature_count"],
-                classifier=doc["config"]["classifier"],
+                name=_report_value(doc, "config.name", str),
+                accuracy=_report_value(doc, "metrics.accuracy", (int, float)),
+                train_seconds=_report_value(doc, "metrics.train_seconds", (int, float)),
+                features=_report_value(doc, "feature_count", int),
+                classifier=_report_value(doc, "config.classifier", str),
                 selector=spec.describe(),
             )
         )

@@ -23,6 +23,7 @@ from .errors import DataError
 NUMERIC = "numeric"
 CATEGORICAL = "categorical-string"
 META = "meta"
+COLUMN_KINDS = (NUMERIC, CATEGORICAL, META)
 
 # Flow identifiers and timestamps carry no detection signal.
 DEFAULT_DROP_COLUMNS = ("pkSeqID", "stime", "ltime")
@@ -419,6 +420,26 @@ def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
     atomic_write_bytes(path, json.dumps(header).encode("utf-8") + b"\n" + payload)
 
 
+def _is_column_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(c, dict) and isinstance(c.get("name"), str) and c.get("kind") in COLUMN_KINDS
+        for c in value
+    )
+
+
+# (key, what it must hold, check) for every dataset header key load_dataset reads.
+_HEADER_FIELDS = (
+    ("columns", "a list of {name, kind} objects", _is_column_list),
+    ("row_count", "a non-negative integer", lambda v: type(v) is int and v >= 0),
+    ("labels", "a list or null", lambda v: v is None or isinstance(v, list)),
+    (
+        "strings",
+        "an object of lists",
+        lambda v: isinstance(v, dict) and all(isinstance(s, list) for s in v.values()),
+    ),
+)
+
+
 def load_dataset(path: str | os.PathLike) -> FlowDataset:
     path = Path(path)
     if not path.exists():
@@ -431,15 +452,20 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: bad dataset header: {exc}") from exc
-    if header.get("format") != DATASET_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise DataError(f"{path}: not a {DATASET_FORMAT} file")
     if header.get("format_version") != DATASET_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format version {header.get('format_version')}")
+    for key, wanted, valid in _HEADER_FIELDS:
+        if key not in header:
+            raise DataError(f"{path}: dataset header lacks key '{key}'")
+        if not valid(header[key]):
+            raise DataError(f"{path}: dataset header '{key}' must be {wanted}")
 
     columns = [
         ColumnDescriptor(c["name"], c["kind"], i) for i, c in enumerate(header["columns"])
     ]
-    n = int(header["row_count"])
+    n = header["row_count"]
     n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
     payload = blob[nl + 1 :]
     if len(payload) != 8 * n * n_numeric:
@@ -447,12 +473,15 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
     flat = np.frombuffer(payload, dtype="<f8")
     matrix = flat.reshape(n_numeric, n).T if n_numeric else np.empty((n, 0))
     labels = header["labels"]
-    return FlowDataset(
-        columns=columns,
-        matrix=matrix,
-        labels=None if labels is None else np.asarray(labels, dtype=np.int64),
-        strings={k: list(v) for k, v in header["strings"].items()},
-    )
+    try:
+        return FlowDataset(
+            columns=columns,
+            matrix=matrix,
+            labels=None if labels is None else np.asarray(labels, dtype=np.int64),
+            strings=header["strings"],
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad dataset file: {exc}") from exc
 
 
 def write_flow_csv(

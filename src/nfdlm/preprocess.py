@@ -42,14 +42,11 @@ class ScalerParams:
 @dataclass
 class SmoteConfig:
     k_neighbors: int = 5
-    target: str = "majority"  # upsample the minority to the majority count
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
-        if self.target != "majority":
-            raise ValueError(f"unsupported SMOTE target: {self.target!r}")
 
 
 def fit_scaler(train: FlowDataset) -> ScalerParams:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -35,10 +36,9 @@ def preset_runs(surrogate_ds):
     """FS1-FS4 once each on the surrogate, with measured wall times."""
     runs = {}
     for name in ("FS1", "FS2", "FS3", "FS4"):
-        report, wall = nf.time_phase(
-            name, lambda name=name: nf.run_experiment(nf.preset(name, seed=7), surrogate_ds)
-        )
-        runs[name] = (report, wall)
+        started = time.perf_counter()
+        report = nf.run_experiment(nf.preset(name, seed=7), surrogate_ds)
+        runs[name] = (report, time.perf_counter() - started)
     return runs
 
 

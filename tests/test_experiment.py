@@ -82,10 +82,6 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             nf.preset("FS9", seed=0)
 
-    def test_incompatible_switches(self):
-        with pytest.raises(ValueError, match="smote_before_split"):
-            nf.preset("FS2", seed=0, smote_before_split=True, smote_on_scaled=True)
-
 
 class TestRunExperiment:
     def test_fs2_pipeline_end_to_end(self, small_ds, tmp_path):
@@ -172,31 +168,33 @@ class TestRunExperiment:
         ] == 2 * 2000
         assert report.metrics.accuracy >= 0.99
 
-    def test_select_before_smote_switch(self, small_ds):
-        base = nf.run_experiment(nf.preset("FS2", seed=51), small_ds)
-        ablation = nf.run_experiment(
-            nf.preset("FS2", seed=51, select_before_smote=True), small_ds
+    @pytest.mark.parametrize("save", [True, False], ids=["with_model", "without_model"])
+    def test_every_stage_is_timed(self, small_ds, tmp_path, save):
+        model_path = tmp_path / "m.json" if save else None
+        report = nf.run_experiment(
+            nf.preset("BASE", seed=51, epochs=1), small_ds, model_path=model_path
         )
-        assert len(ablation.selection.kept) == len(base.selection.kept) == 11
-        assert ablation.metrics.accuracy >= 0.99
-
-    def test_smote_on_scaled_switch(self, small_ds):
-        report = nf.run_experiment(nf.preset("FS2", seed=61, smote_on_scaled=True), small_ds)
-        assert report.metrics.accuracy >= 0.99
+        stages = {"drop", "split", "smote", "scale", "selection", "training", "evaluation"}
+        assert set(report.phase_seconds) == (stages | {"save"} if save else stages)
+        assert all(seconds >= 0.0 for seconds in report.phase_seconds.values())
+        assert report.metrics.train_seconds == report.phase_seconds["training"]
 
     def test_unlabeled_dataset_rejected(self, small_ds):
         bare = nf.FlowDataset(list(small_ds.columns), small_ds.matrix)
         with pytest.raises(nf.DataError, match="labeled"):
             nf.run_experiment(nf.preset("FS2", seed=0), bare)
 
-    def test_stage_name_attached_to_errors(self):
-        one_class = nf.FlowDataset(
+    @pytest.mark.parametrize("stage", ["split", "selection"])
+    def test_stage_name_attached_to_errors(self, stage):
+        # One class cannot be split; MI k=11 cannot be met by two features.
+        labels = np.ones(50, dtype=int) if stage == "split" else np.arange(50) % 2
+        two_features = nf.FlowDataset(
             [nf.ColumnDescriptor("a", NUMERIC, 0), nf.ColumnDescriptor("b", NUMERIC, 1)],
             np.random.default_rng(0).standard_normal((50, 2)),
-            labels=np.ones(50, dtype=int),
+            labels=labels,
         )
-        with pytest.raises(nf.DataError, match="split:"):
-            nf.run_experiment(nf.preset("FS2", seed=0), one_class)
+        with pytest.raises(nf.DataError, match=f"^{stage}:"):
+            nf.run_experiment(nf.preset("FS2", seed=0), two_features)
 
 
 class TestCompare:
@@ -346,6 +344,48 @@ class TestCli:
             "evaluate", "--model", str(model), "--data", str(data),
             "--report-out", str(tmp_path / "eval.json"),
         ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
+        assert reason in err
+
+    @pytest.mark.parametrize("breakage,reason", [
+        ("columns", "lacks key 'columns'"),
+        ("row_count", "lacks key 'row_count'"),
+        ("labels", "lacks key 'labels'"),
+        ("strings", "lacks key 'strings'"),
+        ("negative_row_count", "'row_count' must be a non-negative integer"),
+    ], ids=["columns", "row_count", "labels", "strings", "negative_row_count"])
+    def test_bad_dataset_header_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
+        data = tmp_path / "flows.ds"
+        nf.save_dataset(small_ds, data)
+        head, payload = data.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        if breakage == "negative_row_count":
+            header["row_count"] = -1
+        else:
+            del header[breakage]
+        data.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        rc = main([
+            "select", "--data", str(data), "--method", "mi", "--out", str(tmp_path / "s.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
+        assert reason in err
+
+    @pytest.mark.parametrize("breakage,reason", [
+        ("missing_selector", "lacks key 'config.selector'"),
+        ("json_list", "must hold a JSON object"),
+    ], ids=["missing_selector", "json_list"])
+    def test_unreadable_report_exits_2(self, tmp_path, capsys, breakage, reason):
+        report = tmp_path / "r.json"
+        if breakage == "missing_selector":
+            doc = {"config": {"name": "FS2"}, "metrics": {"accuracy": 0.99}}
+        else:
+            doc = [{"config": {"name": "FS2"}}]
+        report.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["compare", "--reports", str(report), "--out", str(tmp_path / "t.md")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
