@@ -113,42 +113,24 @@ def preset(
     split_fraction: float = 0.2,
     smote_k: int = 5,
     smote_before_split: bool = False,
-    selector: SelectorSpec | None = None,
-    classifier: str | None = None,
-    batch_size: int | None = None,
     epochs: int | None = None,
-    learning_rate: float = 1e-3,
 ) -> ExperimentConfig:
     """Build a named preset configuration.
 
-    Overriding any frozen preset hyperparameter (selector, classifier, batch
-    size, epochs) reclassifies the config as `custom`. Sub-seeds are derived
-    from the experiment seed: SMOTE uses seed+1, training shuffles use seed+2,
-    and weight initialization uses seed+3.
+    Overriding the frozen epoch count reclassifies the config as `custom`.
+    Sub-seeds are derived from the experiment seed: SMOTE uses seed+1,
+    training shuffles use seed+2, and weight initialization uses seed+3.
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {list(_PRESETS)}")
-    frozen_selector, frozen_classifier, frozen_batch, frozen_epochs = _PRESETS[name]
-    resolved_selector = selector if selector is not None else frozen_selector
-    resolved_classifier = classifier if classifier is not None else frozen_classifier
-    resolved_batch = batch_size if batch_size is not None else frozen_batch
-    resolved_epochs = epochs if epochs is not None else frozen_epochs
-    overridden = (
-        resolved_selector != frozen_selector
-        or resolved_classifier != frozen_classifier
-        or resolved_batch != frozen_batch
-        or resolved_epochs != frozen_epochs
-    )
+    selector, classifier, batch_size, frozen_epochs = _PRESETS[name]
+    if epochs is None:
+        epochs = frozen_epochs
     return ExperimentConfig(
-        name="custom" if overridden else name,
-        selector=resolved_selector,
-        classifier=resolved_classifier,
-        training=TrainingConfig(
-            epochs=resolved_epochs,
-            batch_size=resolved_batch,
-            learning_rate=learning_rate,
-            seed=seed + 2,
-        ),
+        name=name if epochs == frozen_epochs else "custom",
+        selector=selector,
+        classifier=classifier,
+        training=TrainingConfig(epochs=epochs, batch_size=batch_size, seed=seed + 2),
         smote=SmoteConfig(k_neighbors=smote_k, seed=seed + 1),
         split_fraction=split_fraction,
         seed=seed,

@@ -74,11 +74,13 @@ class FlowDataset:
         if not np.isfinite(self.matrix).all():
             raise DataError("matrix contains NaN or Inf values")
         if self.labels is not None:
-            self.labels = np.array(self.labels, dtype=np.int64)
+            # Checked before the integer cast, which would truncate 0.9 to 0.
+            labels = np.asarray(self.labels)
+            if labels.size and not np.isin(labels, (0, 1)).all():
+                raise DataError("labels must be 0 or 1")
+            self.labels = labels.astype(np.int64)
             if self.labels.shape != (self.row_count,):
                 raise DataError("labels length does not match row count")
-            if self.labels.size and not np.isin(self.labels, (0, 1)).all():
-                raise DataError("labels must be 0 or 1")
             self.labels.flags.writeable = False
         expected_strings = {c.name for c in self.columns if c.kind == CATEGORICAL}
         if set(self.strings) != expected_strings:
@@ -472,12 +474,11 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
         raise DataError(f"{path}: payload size mismatch")
     flat = np.frombuffer(payload, dtype="<f8")
     matrix = flat.reshape(n_numeric, n).T if n_numeric else np.empty((n, 0))
-    labels = header["labels"]
     try:
         return FlowDataset(
             columns=columns,
             matrix=matrix,
-            labels=None if labels is None else np.asarray(labels, dtype=np.int64),
+            labels=header["labels"],
             strings=header["strings"],
         )
     except (TypeError, ValueError) as exc:

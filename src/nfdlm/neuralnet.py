@@ -2,6 +2,8 @@
 
 Everything is plain numpy: forward passes, exact analytic backpropagation for
 binary cross-entropy, Adam updates, and a seeded mini-batch training loop.
+All of a model's parameters live in one float64 vector that layers view, and
+gradients share its layout, so Adam updates a model with a few ufunc calls.
 Flows are independent records, so the LSTM consumes each row as a length-1
 sequence with zero initial hidden and cell state. From that state only the
 input-side weights of the input, candidate and output gates reach the output,
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,12 @@ MODEL_FORMAT = "nfdlm.model"
 MODEL_FORMAT_VERSION = 2
 
 BCE_EPS = 1e-12
+
+# Adam's moment decays and denominator guard, at the usual defaults. Older
+# model files also store them, and "shuffle", in their training_config.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_FIXED_TRAINING_KEYS = {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
+                        "shuffle": True}
 
 
 def sigmoid(x):
@@ -49,8 +57,6 @@ class DenseLayer:
             raise DataError(f"unknown activation: {self.activation!r}")
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise DataError("dense layer shape mismatch")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise DataError("dense layer parameters must be finite")
 
     @property
     def input_size(self) -> int:
@@ -82,8 +88,6 @@ class LstmCell:
             raise DataError("LSTM weights must be (3 * hidden_size, input), hidden_size >= 1")
         if self.bias.shape != (rows,):
             raise DataError("LSTM bias must have 3 * hidden_size entries")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise DataError("LSTM layer parameters must be finite")
 
     @property
     def input_size(self) -> int:
@@ -106,6 +110,7 @@ class Model:
     selection: SelectedFeatures | None = None
     training_config: "TrainingConfig | None" = None
     init_seed: int | None = None
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("mlp", "lstm"):
@@ -120,6 +125,26 @@ class Model:
         head = self.layers[-1]
         if not isinstance(head, DenseLayer) or head.output_size != 1 or head.activation != "sigmoid":
             raise DataError("last layer must be one sigmoid unit")
+        self.params = np.empty(sum(l.weights.size + l.bias.size for l in self.layers))
+        for layer, (w, b) in zip(self.layers, _param_views(self.layers, self.params)):
+            w[...], b[...] = layer.weights, layer.bias
+            layer.weights, layer.bias = w, b
+        if not np.isfinite(self.params).all():
+            raise DataError("model parameters must be finite")
+
+
+def _param_views(layers: list[Layer], flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The one parameter layout: per layer, (weights, bias) views into flat,
+    which holds each layer's row-major weights and then its bias, in layer
+    order. Model.params and the gradient vector both follow it."""
+    views, pos = [], 0
+    for layer in layers:
+        rows, cols = layer.weights.shape
+        w = flat[pos : pos + rows * cols].reshape(rows, cols)
+        pos += rows * cols
+        views.append((w, flat[pos : pos + rows]))
+        pos += rows
+    return views
 
 
 @dataclass
@@ -127,11 +152,7 @@ class TrainingConfig:
     epochs: int
     batch_size: int
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -142,31 +163,29 @@ class TrainingConfig:
             raise ValueError("learning_rate must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-            "shuffle": self.shuffle,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
+        """Older files' Adam and shuffle keys must hold the fixed values, so
+        that retraining from the config reproduces the model."""
+        d = dict(d)
+        for key, fixed in _FIXED_TRAINING_KEYS.items():
+            value = d.pop(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise DataError(f"training_config '{key}' must be {fixed!r}")
         return cls(**d)
 
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -270,17 +289,12 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def model_params(model: Model) -> list[np.ndarray]:
-    """Trainable arrays in canonical order (mirrors backward()'s gradients)."""
-    return [p for layer in model.layers for p in (layer.weights, layer.bias)]
-
-
 def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.ndarray):
     y = np.asarray(labels, dtype=np.float64)
-    n = y.size
-    grads_rev: list[np.ndarray] = []
+    grads = np.empty_like(model.params)
+    views = _param_views(model.layers, grads)
     # Sigmoid head fused with BCE: dL/dz = (p - y) / n.
-    delta = ((probs - y) / n)[:, None]
+    delta = ((probs - y) / y.size)[:, None]
     for pos in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[pos]
         cache = caches[pos]
@@ -305,12 +319,14 @@ def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.nd
             # One product per gate, not dz @ w: this summation order gives,
             # bit for bit, the weights that format-v1 code trained.
             delta = dzi @ w[:h] + dzg @ w[h : 2 * h] + dzo @ w[2 * h :]
-        grads_rev += [dz.sum(axis=0), dz.T @ x]
-    return list(reversed(grads_rev))
+        dw, db = views[pos]
+        np.matmul(dz.T, x, out=dw)
+        np.sum(dz, axis=0, out=db)
+    return grads
 
 
-def backward(model: Model, batch: np.ndarray, labels: np.ndarray):
-    """Exact gradients of bce_loss w.r.t. every parameter, in canonical order."""
+def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Exact gradient of bce_loss, laid out like model.params."""
     y = np.asarray(labels)
     x = np.asarray(batch)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -320,24 +336,17 @@ def backward(model: Model, batch: np.ndarray, labels: np.ndarray):
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    cfg: TrainingConfig,
+    params: np.ndarray, grads: np.ndarray, state: AdamState, learning_rate: float
 ) -> None:
     """One in-place Adam update with bias-corrected moment estimates."""
-    if not (len(params) == len(grads) == len(state.m) == len(state.v)):
-        raise DataError("params, grads, and state lengths disagree")
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (grads * grads)
+    params -= learning_rate * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -365,14 +374,13 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
     y = train_ds.labels.astype(np.float64)
     n = x.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    params = model_params(model)
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(model.params)
     model.training_config = cfg
 
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
@@ -384,7 +392,7 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
                     f"non-finite loss at epoch {epoch + 1}, batch {start // cfg.batch_size + 1}"
                 )
             grads = _backward_from_caches(model, caches, probs, yb)
-            adam_step(params, grads, state, cfg)
+            adam_step(model.params, grads, state, cfg.learning_rate)
             loss_sum += loss * rows.size
         history.append(EpochStats(loss=loss_sum / n, seconds=time.perf_counter() - started))
     return model, history

@@ -24,6 +24,8 @@ class ScalerParams:
         self.stdevs = np.asarray(self.stdevs, dtype=np.float64)
         if not (len(self.column_names) == self.means.size == self.stdevs.size):
             raise DataError("scaler parameter lengths disagree")
+        if not (np.isfinite(self.means).all() and np.isfinite(self.stdevs).all()):
+            raise DataError("scaler means and stdevs must be finite")
         if (self.stdevs < 0).any():
             raise DataError("stdev must be non-negative")
 

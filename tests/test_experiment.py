@@ -64,11 +64,7 @@ class TestPresets:
 
     def test_override_reclassifies_as_custom(self):
         assert nf.preset("FS2", seed=0, epochs=5).name == "custom"
-        assert nf.preset("FS2", seed=0, batch_size=64).name == "custom"
-        assert nf.preset("FS1", seed=0, classifier="lstm").name == "custom"
-        assert (
-            nf.preset("FS1", seed=0, selector=nf.SelectorSpec("none")).name == "custom"
-        )
+        assert nf.preset("FS2", seed=0, epochs=20).name == "FS2"
         # Seeds, split, and SMOTE k are run parameters, not preset identity.
         assert nf.preset("FS2", seed=5, split_fraction=0.3, smote_k=3).name == "FS2"
 
@@ -328,7 +324,8 @@ class TestCli:
     @pytest.mark.parametrize("breakage,reason", [
         ("missing_kind", "lacks key 'kind'"),
         ("narrow_middle_layer", "layer 2 takes 5 inputs but gets 6"),
-    ], ids=["missing_kind", "narrow_middle_layer"])
+        ("nan_scaler_mean", "scaler means and stdevs must be finite"),
+    ], ids=["missing_kind", "narrow_middle_layer", "nan_scaler_mean"])
     def test_hostile_model_file_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data, model = tmp_path / "flows.ds", tmp_path / "m.json"
         nf.save_dataset(small_ds, data)
@@ -336,6 +333,13 @@ class TestCli:
         doc = json.loads(model.read_text(encoding="utf-8"))
         if breakage == "missing_kind":
             del doc["kind"]
+        elif breakage == "nan_scaler_mean":
+            width = len(small_ds.feature_names)
+            doc["scaler"] = {
+                "column_names": small_ds.feature_names,
+                "means": [float("nan")] + [0.0] * (width - 1),
+                "stdevs": [1.0] * width,
+            }
         else:
             middle = doc["layers"][1]
             middle["weights"] = [row[:-1] for row in middle["weights"]]
@@ -355,7 +359,9 @@ class TestCli:
         ("labels", "lacks key 'labels'"),
         ("strings", "lacks key 'strings'"),
         ("negative_row_count", "'row_count' must be a non-negative integer"),
-    ], ids=["columns", "row_count", "labels", "strings", "negative_row_count"])
+        ("fractional_labels", "labels must be 0 or 1"),
+    ], ids=["columns", "row_count", "labels", "strings", "negative_row_count",
+            "fractional_labels"])
     def test_bad_dataset_header_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data = tmp_path / "flows.ds"
         nf.save_dataset(small_ds, data)
@@ -363,6 +369,8 @@ class TestCli:
         header = json.loads(head)
         if breakage == "negative_row_count":
             header["row_count"] = -1
+        elif breakage == "fractional_labels":
+            header["labels"] = [0.9] * header["row_count"]
         else:
             del header[breakage]
         data.write_bytes(json.dumps(header).encode() + b"\n" + payload)
@@ -406,3 +414,7 @@ class TestCli:
         ])
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in nf.__all__ if not hasattr(nf, name)] == []

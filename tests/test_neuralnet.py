@@ -11,11 +11,17 @@ import pytest
 
 import nfdlm as nf
 from nfdlm.flow_data import NUMERIC
-from nfdlm.neuralnet import AdamState, DenseLayer, LstmCell, Model, lstm_cell_forward, model_params
+from nfdlm.neuralnet import AdamState, DenseLayer, LstmCell, Model, lstm_cell_forward
 
 from conftest import max_relative_gradient_error, random_checkable_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# tests/fixtures/mlp_v2.model.json holds build_mlp(seed=3) with its scaler,
+# trained on this spec, standard-scaled, by the per-array Adam code that came
+# before the parameter vector. Its training_config still carries the
+# adam_beta1, adam_beta2, adam_eps and shuffle keys that code wrote.
+MLP_FIXTURE_SPEC = nf.SynthesisSpec(300, 60, 8, 1, 4.0, seed=13)
 
 
 def numeric_ds(matrix, labels=None, names=None):
@@ -47,8 +53,7 @@ class TestActivations:
 class TestMlpForward:
     def test_zero_parameters_give_half(self):
         model = nf.build_mlp(["a", "b"], hidden=(3,), seed=0)
-        for p in model_params(model):
-            p[...] = 0.0
+        model.params[...] = 0.0
         probs = nf.forward(model, np.random.default_rng(0).standard_normal((5, 2)))
         assert (probs == 0.5).all()
 
@@ -88,8 +93,7 @@ class TestLstmForward:
 
     def test_zero_parameters_give_sigmoid_of_head_bias(self):
         model = nf.build_lstm(["a", "b"], hidden=(3, 2), seed=0)
-        for p in model_params(model):
-            p[...] = 0.0
+        model.params[...] = 0.0
         model.layers[-1].bias[...] = 0.7
         probs = nf.forward(model, np.random.default_rng(2).standard_normal((6, 2)))
         assert np.abs(probs - nf.sigmoid(0.7)).max() < 1e-15
@@ -111,6 +115,15 @@ class TestLstmForward:
         for weights, bias in bad:
             with pytest.raises(nf.DataError, match=r"3 \* hidden_size"):
                 LstmCell(weights, bias, hidden_size=2)
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("build", [nf.build_mlp, nf.build_lstm])
+    def test_layers_are_views_of_the_vector(self, build):
+        model = build(["a", "b", "c"], hidden=(4, 3), seed=0)
+        model.params[...] = np.arange(model.params.size)
+        flat = [a.ravel() for layer in model.layers for a in (layer.weights, layer.bias)]
+        assert (np.concatenate(flat) == model.params).all()
 
 
 class TestBceLoss:
@@ -149,14 +162,13 @@ class TestBackward:
                 input_features=["a"],
             )
             grads = nf.backward(model, np.zeros((1, 1)), np.zeros(1))
-            assert abs(grads[1][0] - nf.sigmoid(b)) < 1e-12
+            assert abs(grads[-1] - nf.sigmoid(b)) < 1e-12  # the bias comes last
 
     def test_duplicated_rows_leave_mean_gradient_unchanged(self):
         model, x, y = random_checkable_model("mlp", 5)
         once = nf.backward(model, x, y)
         twice = nf.backward(model, np.vstack([x, x]), np.concatenate([y, y]))
-        for a, b in zip(once, twice):
-            assert np.abs(a - b).max() < 1e-12
+        assert np.abs(once - twice).max() < 1e-12
 
     def test_shape_mismatch(self):
         model = nf.build_mlp(["a", "b"], seed=0)
@@ -165,38 +177,34 @@ class TestBackward:
 
 
 class TestAdamStep:
+    LEARNING_RATE = 1e-3
+
     def setup_case(self):
-        params = [np.array([1.0, -2.0]), np.array([[0.5]])]
-        cfg = nf.TrainingConfig(epochs=1, batch_size=1, learning_rate=1e-3)
-        return params, AdamState.for_params(params), cfg
+        params = np.array([1.0, -2.0, 0.5])
+        return params, AdamState.for_params(params)
 
     def test_zero_gradient_fixed_point(self):
-        params, state, cfg = self.setup_case()
-        before = [p.copy() for p in params]
-        nf.adam_step(params, [np.zeros_like(p) for p in params], state, cfg)
-        for p, b in zip(params, before):
-            assert (p == b).all()
+        params, state = self.setup_case()
+        before = params.copy()
+        nf.adam_step(params, np.zeros_like(params), state, self.LEARNING_RATE)
+        assert (params == before).all()
         assert state.t == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
-        params, state, cfg = self.setup_case()
-        before = [p.copy() for p in params]
-        grads = [np.full_like(p, 0.3) for p in params]
-        nf.adam_step(params, grads, state, cfg)
-        for p, b in zip(params, before):
-            assert np.abs(np.abs(b - p) - cfg.learning_rate).max() < 1e-9
+        params, state = self.setup_case()
+        before = params.copy()
+        nf.adam_step(params, np.full_like(params, 0.3), state, self.LEARNING_RATE)
+        assert np.abs(np.abs(before - params) - self.LEARNING_RATE).max() < 1e-9
 
     def test_deterministic_across_runs(self):
         results = []
         for _ in range(2):
-            params, state, cfg = self.setup_case()
+            params, state = self.setup_case()
             rng = np.random.default_rng(7)
             for _ in range(25):
-                grads = [rng.standard_normal(p.shape) for p in params]
-                nf.adam_step(params, grads, state, cfg)
-            results.append([p.copy() for p in params])
-        for a, b in zip(*results):
-            assert (a == b).all()
+                nf.adam_step(params, rng.standard_normal(params.shape), state, self.LEARNING_RATE)
+            results.append(params)
+        assert (results[0] == results[1]).all()
 
 
 def separable_blobs(seed=39, n_per_class=300):
@@ -266,9 +274,8 @@ class TestTrain:
             ds = separable_blobs(seed=25, n_per_class=80)
             model = nf.build_mlp(ds.feature_names, seed=4)
             nf.train(model, ds, nf.TrainingConfig(epochs=5, batch_size=16, seed=9))
-            weights.append([p.copy() for p in model_params(model)])
-        for a, b in zip(*weights):
-            assert (a == b).all()
+            weights.append(model.params)
+        assert (weights[0] == weights[1]).all()
 
     def test_history_records_positive_times(self):
         ds = separable_blobs(seed=26, n_per_class=50)
@@ -280,8 +287,7 @@ class TestTrain:
 class TestPredict:
     def half_probability_model(self):
         model = nf.build_mlp(["c0", "c1"], hidden=(2,), seed=0)
-        for p in model_params(model):
-            p[...] = 0.0
+        model.params[...] = 0.0
         return model
 
     def test_tie_at_threshold_classifies_benign(self):
@@ -349,8 +355,7 @@ class TestModelFile:
         loaded = nf.load_model(path)
         assert (nf.predict_proba(loaded, ds, prescaled=True)
                 == nf.predict_proba(model, ds, prescaled=True)).all()
-        for a, b in zip(model_params(model), model_params(loaded)):
-            assert (a == b).all()
+        assert (model.params == loaded.params).all()
 
     def test_metadata_round_trip(self, tmp_path):
         model, path, _ = self.trained_model(tmp_path)
@@ -399,6 +404,29 @@ class TestModelFile:
         nf.train(model, ds, v1.training_config)
         probs = nf.forward(model, np.array(expected["rows"]))
         assert np.abs(probs - np.array(expected["probabilities"])).max() < 1e-12
+
+    def test_training_reproduces_v2_mlp_fixture(self):
+        fixture = nf.load_model(FIXTURES / "mlp_v2.model.json")
+        raw = nf.generate_synthetic_flows(MLP_FIXTURE_SPEC)
+        model = nf.build_mlp(fixture.input_features, seed=fixture.init_seed)
+        nf.train(model, nf.apply_scaler(nf.fit_scaler(raw), raw), fixture.training_config)
+        assert np.abs(model.params - fixture.params).max() < 1e-12
+
+    def test_saving_drops_fixed_training_keys(self, tmp_path):
+        nf.save_model(nf.load_model(FIXTURES / "mlp_v2.model.json"), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        assert set(doc["training_config"]) == {"epochs", "batch_size", "learning_rate", "seed"}
+
+    @pytest.mark.parametrize("key,value", [
+        ("adam_beta1", 0.8), ("adam_beta2", 0.99), ("adam_eps", 1e-7), ("shuffle", False),
+    ])
+    def test_fixed_training_key_with_other_value_rejected(self, tmp_path, key, value):
+        doc = json.loads((FIXTURES / "mlp_v2.model.json").read_text(encoding="utf-8"))
+        doc["training_config"][key] = value
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(nf.DataError, match=f"'{key}' must be"):
+            nf.load_model(bad)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
