@@ -154,7 +154,7 @@ def _cmd_train(args) -> None:
     save_report(report, args.report_out)
     print(
         f"{cfg.name}: test accuracy {report.metrics.accuracy:.4f}, "
-        f"{report.feature_count} features, trained in {report.metrics.train_seconds:.1f} s; "
+        f"{report.feature_count} features, trained in {report.phase_seconds['training']:.1f} s; "
         f"model -> {args.model_out}, report -> {args.report_out}"
     )
 

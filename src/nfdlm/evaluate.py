@@ -27,8 +27,6 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-    train_seconds: float = 0.0
-    mean_epoch_seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -36,8 +34,6 @@ class Metrics:
             "precision": self.precision,
             "recall": self.recall,
             "f1": self.f1,
-            "train_seconds": self.train_seconds,
-            "mean_epoch_seconds": self.mean_epoch_seconds,
         }
 
 
@@ -55,9 +51,7 @@ def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
     )
 
 
-def metrics(
-    cm: ConfusionMatrix, train_seconds: float = 0.0, mean_epoch_seconds: float = 0.0
-) -> Metrics:
+def metrics(cm: ConfusionMatrix) -> Metrics:
     """Accuracy, precision, recall, and F1 from a confusion matrix.
 
     Zero-denominator cases yield 0 (not NaN) so reports always serialize.
@@ -73,6 +67,4 @@ def metrics(
         precision=precision,
         recall=recall,
         f1=f1,
-        train_seconds=train_seconds,
-        mean_epoch_seconds=mean_epoch_seconds,
     )

@@ -41,7 +41,6 @@ SIGNAL_DIMS = 11
 class ColumnDescriptor:
     name: str
     kind: str  # numeric | categorical-string | meta
-    index: int
 
 
 @dataclass
@@ -128,10 +127,6 @@ class FlowDataset:
         return np.ascontiguousarray(self.matrix[:, idx])
 
 
-def _reindexed(descriptors: list[ColumnDescriptor]) -> list[ColumnDescriptor]:
-    return [ColumnDescriptor(c.name, c.kind, i) for i, c in enumerate(descriptors)]
-
-
 def take_rows(ds: FlowDataset, rows: np.ndarray) -> FlowDataset:
     """Row subset in the given order; column structure unchanged."""
     rows = np.asarray(rows, dtype=np.int64)
@@ -146,7 +141,7 @@ def take_rows(ds: FlowDataset, rows: np.ndarray) -> FlowDataset:
 def select_features(ds: FlowDataset, names: list[str]) -> FlowDataset:
     """Modeling view keeping only the named numeric columns (plus labels)."""
     matrix = ds.feature_matrix(names)
-    columns = [ColumnDescriptor(name, NUMERIC, i) for i, name in enumerate(names)]
+    columns = [ColumnDescriptor(name, NUMERIC) for name in names]
     return FlowDataset(columns=columns, matrix=matrix, labels=ds.labels, strings={})
 
 
@@ -204,7 +199,7 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
             if not cell.strip():
                 raise DataError(f"{path}: row {i}: missing value in column '{name}'")
         if j == label_idx:
-            columns.append(ColumnDescriptor(name, META, j))
+            columns.append(ColumnDescriptor(name, META))
             continue
         values = np.empty(len(cells))
         numeric = True
@@ -218,10 +213,10 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
             bad = int(np.flatnonzero(~np.isfinite(values))[0]) + 1
             raise DataError(f"{path}: row {bad}: non-finite value in column '{name}'")
         if numeric:
-            columns.append(ColumnDescriptor(name, NUMERIC, j))
+            columns.append(ColumnDescriptor(name, NUMERIC))
             numeric_cols.append(values)
         else:
-            columns.append(ColumnDescriptor(name, CATEGORICAL, j))
+            columns.append(ColumnDescriptor(name, CATEGORICAL))
             strings[name] = cells
 
     matrix = np.column_stack(numeric_cols) if numeric_cols else np.empty((len(rows), 0))
@@ -253,7 +248,7 @@ def drop_columns(
     kept = [c for c in ds.columns if c.name not in to_drop]
     kept_numeric = [i for i, name in enumerate(ds.feature_names) if name not in to_drop]
     return FlowDataset(
-        columns=_reindexed(kept),
+        columns=kept,
         matrix=ds.matrix[:, kept_numeric],
         labels=ds.labels,
         strings={n: v for n, v in ds.strings.items() if n not in to_drop},
@@ -363,9 +358,7 @@ def generate_synthetic_flows(spec: SynthesisSpec) -> FlowDataset:
         matrix[:, dst] = scale * matrix[:, src] + offset + noise
 
     width = max(2, len(str(spec.feature_count - 1)))
-    columns = [
-        ColumnDescriptor(f"f{j:0{width}d}", NUMERIC, j) for j in range(spec.feature_count)
-    ]
+    columns = [ColumnDescriptor(f"f{j:0{width}d}", NUMERIC) for j in range(spec.feature_count)]
     return FlowDataset(columns=columns, matrix=matrix, labels=labels, strings={})
 
 
@@ -464,9 +457,7 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
         if not valid(header[key]):
             raise DataError(f"{path}: dataset header '{key}' must be {wanted}")
 
-    columns = [
-        ColumnDescriptor(c["name"], c["kind"], i) for i, c in enumerate(header["columns"])
-    ]
+    columns = [ColumnDescriptor(c["name"], c["kind"]) for c in header["columns"]]
     n = header["row_count"]
     n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
     payload = blob[nl + 1 :]

@@ -48,13 +48,11 @@ def sigmoid(x):
 class DenseLayer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-    activation: str  # relu | sigmoid | linear
+    activation: str  # relu (hidden) | sigmoid (head)
 
     def __post_init__(self) -> None:
         self.weights = np.array(self.weights, dtype=np.float64)
         self.bias = np.array(self.bias, dtype=np.float64)
-        if self.activation not in ("relu", "sigmoid", "linear"):
-            raise DataError(f"unknown activation: {self.activation!r}")
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise DataError("dense layer shape mismatch")
 
@@ -125,6 +123,8 @@ class Model:
         head = self.layers[-1]
         if not isinstance(head, DenseLayer) or head.output_size != 1 or head.activation != "sigmoid":
             raise DataError("last layer must be one sigmoid unit")
+        if any(isinstance(l, DenseLayer) and l.activation != "relu" for l in self.layers[:-1]):
+            raise DataError("hidden dense layers must be relu")
         self.params = np.empty(sum(l.weights.size + l.bias.size for l in self.layers))
         for layer, (w, b) in zip(self.layers, _param_views(self.layers, self.params)):
             w[...], b[...] = layer.weights, layer.bias
@@ -230,13 +230,7 @@ def build_lstm(
 
 def _dense_apply(layer: DenseLayer, x: np.ndarray):
     z = x @ layer.weights.T + layer.bias
-    if layer.activation == "relu":
-        a = np.maximum(0.0, z)
-    elif layer.activation == "sigmoid":
-        a = sigmoid(z)
-    else:
-        a = z
-    return z, a
+    return z, np.maximum(0.0, z) if layer.activation == "relu" else sigmoid(z)
 
 
 def lstm_cell_forward(cell: LstmCell, x: np.ndarray):
@@ -264,7 +258,7 @@ def _forward_cached(model: Model, batch: np.ndarray):
     for layer in model.layers:
         if isinstance(layer, DenseLayer):
             z, a = _dense_apply(layer, x)
-            caches.append((x, z, a))
+            caches.append((x, z))
             x = a
         else:
             h, cache = lstm_cell_forward(layer, x)
@@ -299,12 +293,9 @@ def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.nd
         layer = model.layers[pos]
         cache = caches[pos]
         if isinstance(layer, DenseLayer):
-            x, z, a = cache
-            if pos != len(model.layers) - 1:
-                if layer.activation == "relu":
-                    delta = delta * (z > 0)
-                elif layer.activation == "sigmoid":
-                    delta = delta * a * (1.0 - a)
+            x, z = cache
+            if pos != len(model.layers) - 1:  # hidden layers are ReLU
+                delta = delta * (z > 0)
             dz = delta
             delta = dz @ layer.weights
         else:
@@ -380,11 +371,12 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
+        # One shuffled copy per epoch makes each batch a slice, not a gather.
         order = rng.permutation(n)
+        xs, ys = x[order], y[order]
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            xb, yb = x[rows], y[rows]
+            xb, yb = xs[start : start + cfg.batch_size], ys[start : start + cfg.batch_size]
             probs, caches = _forward_cached(model, xb)
             loss = bce_loss(probs, yb)
             if not np.isfinite(loss):
@@ -393,35 +385,36 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
                 )
             grads = _backward_from_caches(model, caches, probs, yb)
             adam_step(model.params, grads, state, cfg.learning_rate)
-            loss_sum += loss * rows.size
+            loss_sum += loss * yb.size
         history.append(EpochStats(loss=loss_sum / n, seconds=time.perf_counter() - started))
     return model, history
 
 
-def predict_proba(model: Model, ds: FlowDataset, prescaled: bool = False) -> np.ndarray:
+def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
     """Attack probabilities for a dataset that contains the model's features.
 
-    Columns are selected by name and scaled with the stored ScalerParams;
-    pass prescaled=True for data that has already been standardized.
+    Columns are selected by name and scaled with the stored ScalerParams,
+    if the model has them. Raises DataError if the scaled inputs are not
+    finite.
     """
     x = ds.feature_matrix(model.input_features)
-    if not prescaled and model.scaler is not None:
+    if model.scaler is not None:
         positions = []
         for name in model.input_features:
             try:
                 positions.append(model.scaler.column_names.index(name))
             except ValueError:
                 raise DataError(f"scaler has no parameters for column '{name}'") from None
-        x = scale_columns(x, model.scaler.means[positions], model.scaler.stdevs[positions])
+        with np.errstate(over="ignore"):  # reported as the DataError below
+            x = scale_columns(x, model.scaler.means[positions], model.scaler.stdevs[positions])
+        if not np.isfinite(x).all():
+            raise DataError("scaled inputs are not finite")
     return forward(model, x)
 
 
-def predict(
-    model: Model, ds: FlowDataset, threshold: float = 0.5, prescaled: bool = False
-) -> np.ndarray:
-    """Binary decisions: 1 where probability strictly exceeds the threshold."""
-    probs = predict_proba(model, ds, prescaled=prescaled)
-    return (probs > threshold).astype(np.int64)
+def predict(model: Model, ds: FlowDataset) -> np.ndarray:
+    """Binary decisions: 1 where the attack probability is strictly above 0.5."""
+    return (predict_proba(model, ds) > 0.5).astype(np.int64)
 
 
 def _layer_to_dict(layer: Layer) -> dict:
@@ -485,10 +478,15 @@ def load_model(path) -> Model:
     if version not in (1, MODEL_FORMAT_VERSION):
         raise DataError(f"{path}: unsupported format version {version}")
     try:
+        features, seed = doc["input_features"], doc["init_seed"]
+        if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
+            raise DataError("'input_features' must be a list of strings")
+        if isinstance(seed, bool) or not isinstance(seed, (int, type(None))):
+            raise DataError("'init_seed' must be an integer or null")
         return Model(
             kind=doc["kind"],
             layers=[_layer_from_dict(d, version) for d in doc["layers"]],
-            input_features=list(doc["input_features"]),
+            input_features=features,
             scaler=None if doc["scaler"] is None else ScalerParams.from_dict(doc["scaler"]),
             selection=None
             if doc["selection"] is None
@@ -496,7 +494,7 @@ def load_model(path) -> Model:
             training_config=None
             if doc["training_config"] is None
             else TrainingConfig.from_dict(doc["training_config"]),
-            init_seed=doc["init_seed"],
+            init_seed=seed,
         )
     except KeyError as exc:
         raise DataError(f"{path}: model file lacks key {exc}") from None

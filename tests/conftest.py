@@ -25,9 +25,7 @@ def surrogate() -> nf.FlowDataset:
 
 
 def assert_datasets_equal(a: nf.FlowDataset, b: nf.FlowDataset) -> None:
-    assert [(c.name, c.kind, c.index) for c in a.columns] == [
-        (c.name, c.kind, c.index) for c in b.columns
-    ]
+    assert a.columns == b.columns
     assert a.matrix.shape == b.matrix.shape
     assert (a.matrix == b.matrix).all()
     if a.labels is None:

@@ -62,8 +62,8 @@ class TestCriterion1SurrogateAccuracy:
 
 class TestCriterion2TimingOrdering:
     def test_mlp_presets_train_faster_than_lstm_presets(self, preset_runs):
-        mlp_times = [preset_runs[n][0].metrics.train_seconds for n in ("FS1", "FS2")]
-        lstm_times = [preset_runs[n][0].metrics.train_seconds for n in ("FS3", "FS4")]
+        mlp_times = [preset_runs[n][0].phase_seconds["training"] for n in ("FS1", "FS2")]
+        lstm_times = [preset_runs[n][0].phase_seconds["training"] for n in ("FS3", "FS4")]
         assert max(mlp_times) < min(lstm_times)
         passline(
             2,
@@ -103,7 +103,7 @@ class TestCriterion4MiRanking:
         labels = rng.permutation(np.repeat([0, 1], self.N // 2))
         matrix = rng.standard_normal((self.N, 5))
         matrix[:, 2] = labels  # planted label copy
-        cols = [nf.ColumnDescriptor(f"c{j}", "numeric", j) for j in range(5)]
+        cols = [nf.ColumnDescriptor(f"c{j}", "numeric") for j in range(5)]
         return nf.FlowDataset(cols, matrix, labels=labels), labels
 
     def test_label_copy_ranks_first_with_closed_form_score(self):
@@ -201,7 +201,7 @@ class TestCriterion7ScalerProperties:
     def test_train_fit_train_apply(self, surrogate_ds):
         train, _ = nf.stratified_split(surrogate_ds, 0.2, seed=7)
         constant = nf.FlowDataset(
-            train.columns + [nf.ColumnDescriptor("const", "numeric", len(train.columns))],
+            train.columns + [nf.ColumnDescriptor("const", "numeric")],
             np.hstack([train.matrix, np.full((train.row_count, 1), 4.2)]),
             labels=train.labels,
         )
@@ -226,7 +226,7 @@ class TestCriterion8RoundTrips:
         model = nf.load_model(path)
 
         rng = np.random.default_rng(80)
-        cols = [nf.ColumnDescriptor(n, "numeric", j) for j, n in enumerate(surrogate_ds.feature_names)]
+        cols = [nf.ColumnDescriptor(n, "numeric") for n in surrogate_ds.feature_names]
         probe = nf.FlowDataset(cols, rng.standard_normal((1000, len(cols))))
         roundtrip = tmp_path / "fs2.model.roundtrip.json"
         nf.save_model(model, roundtrip)

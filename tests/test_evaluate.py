@@ -62,10 +62,9 @@ class TestMetrics:
         rng = np.random.default_rng(1)
         for _ in range(25):
             pred, truth = rng.integers(0, 2, (2, 40))
-            m = nf.metrics(nf.confusion(pred, truth), train_seconds=1.2, mean_epoch_seconds=0.3)
+            m = nf.metrics(nf.confusion(pred, truth))
             for value in (m.accuracy, m.precision, m.recall, m.f1):
                 assert 0.0 <= value <= 1.0
-            assert m.train_seconds >= 0.0 and m.mean_epoch_seconds >= 0.0
 
     def test_accuracy_invariant_under_row_permutation(self):
         rng = np.random.default_rng(2)
@@ -74,11 +73,6 @@ class TestMetrics:
         a = nf.metrics(nf.confusion(pred, truth)).accuracy
         b = nf.metrics(nf.confusion(pred[perm], truth[perm])).accuracy
         assert a == b
-
-    def test_timings_are_echoed(self):
-        m = nf.metrics(nf.ConfusionMatrix(1, 0, 1, 0), train_seconds=944.0, mean_epoch_seconds=47.2)
-        assert m.train_seconds == 944.0
-        assert m.mean_epoch_seconds == 47.2
 
 
 class TestTiming:

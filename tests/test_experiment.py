@@ -32,8 +32,6 @@ def small_ds():
 def strip_timings(doc: dict) -> dict:
     """Remove wall-clock fields so reports can be compared byte for byte."""
     doc = copy.deepcopy(doc)
-    doc["metrics"]["train_seconds"] = None
-    doc["metrics"]["mean_epoch_seconds"] = None
     doc["phase_seconds"] = None
     for entry in doc["history"]:
         entry["seconds"] = None
@@ -102,6 +100,15 @@ class TestRunExperiment:
         model = nf.load_model(tmp_path / "m.json")
         assert model.input_features == report.selection.kept
 
+    def test_report_scores_like_the_saved_model(self, small_ds, tmp_path):
+        # The pipeline's held-out metrics are those of `nfdlm evaluate`'s
+        # path: the loaded model scoring raw test rows through its scaler.
+        cfg = nf.preset("FS2", seed=13, epochs=2)
+        report = nf.run_experiment(cfg, small_ds, model_path=tmp_path / "m.json")
+        _, test = nf.stratified_split(small_ds, cfg.split_fraction, cfg.seed)
+        preds = nf.predict(nf.load_model(tmp_path / "m.json"), test)
+        assert report.metrics == nf.metrics(nf.confusion(preds, test.labels))
+
     def test_fs1_drops_planted_duplicates(self, small_ds):
         report = nf.run_experiment(nf.preset("FS1", seed=4), small_ds)
         assert report.config["selector"]["method"] == "correlation"
@@ -132,7 +139,7 @@ class TestRunExperiment:
         # The split depends only on labels and seed, so a carrier dataset
         # whose single feature is the row index reveals the test partition.
         carrier = nf.FlowDataset(
-            [nf.ColumnDescriptor("idx", NUMERIC, 0)],
+            [nf.ColumnDescriptor("idx", NUMERIC)],
             np.arange(small_ds.row_count, dtype=float)[:, None],
             labels=small_ds.labels,
         )
@@ -173,7 +180,6 @@ class TestRunExperiment:
         stages = {"drop", "split", "smote", "scale", "selection", "training", "evaluation"}
         assert set(report.phase_seconds) == (stages | {"save"} if save else stages)
         assert all(seconds >= 0.0 for seconds in report.phase_seconds.values())
-        assert report.metrics.train_seconds == report.phase_seconds["training"]
 
     def test_unlabeled_dataset_rejected(self, small_ds):
         bare = nf.FlowDataset(list(small_ds.columns), small_ds.matrix)
@@ -185,7 +191,7 @@ class TestRunExperiment:
         # One class cannot be split; MI k=11 cannot be met by two features.
         labels = np.ones(50, dtype=int) if stage == "split" else np.arange(50) % 2
         two_features = nf.FlowDataset(
-            [nf.ColumnDescriptor("a", NUMERIC, 0), nf.ColumnDescriptor("b", NUMERIC, 1)],
+            [nf.ColumnDescriptor("a", NUMERIC), nf.ColumnDescriptor("b", NUMERIC)],
             np.random.default_rng(0).standard_normal((50, 2)),
             labels=labels,
         )
@@ -201,7 +207,8 @@ class TestCompare:
                 "classifier": classifier,
                 "selector": selector,
             },
-            "metrics": {"accuracy": accuracy, "train_seconds": seconds},
+            "metrics": {"accuracy": accuracy},
+            "phase_seconds": {"training": seconds},
             "feature_count": features,
         }
 
@@ -325,21 +332,34 @@ class TestCli:
         ("missing_kind", "lacks key 'kind'"),
         ("narrow_middle_layer", "layer 2 takes 5 inputs but gets 6"),
         ("nan_scaler_mean", "scaler means and stdevs must be finite"),
-    ], ids=["missing_kind", "narrow_middle_layer", "nan_scaler_mean"])
+        ("subnormal_scaler_stdev", "scaled inputs are not finite"),
+        ("hidden_sigmoid_layer", "hidden dense layers must be relu"),
+        ("string_input_features", "'input_features' must be a list of strings"),
+        ("string_init_seed", "'init_seed' must be an integer or null"),
+    ], ids=["missing_kind", "narrow_middle_layer", "nan_scaler_mean", "subnormal_scaler_stdev",
+            "hidden_sigmoid_layer", "string_input_features", "string_init_seed"])
     def test_hostile_model_file_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data, model = tmp_path / "flows.ds", tmp_path / "m.json"
         nf.save_dataset(small_ds, data)
         nf.save_model(nf.build_mlp(small_ds.feature_names, seed=0), model)
         doc = json.loads(model.read_text(encoding="utf-8"))
+        width = len(small_ds.feature_names)
         if breakage == "missing_kind":
             del doc["kind"]
-        elif breakage == "nan_scaler_mean":
-            width = len(small_ds.feature_names)
+        elif breakage in ("nan_scaler_mean", "subnormal_scaler_stdev"):
+            # A 1e-320 stdev loads, but scales every nonzero value to +-inf.
+            nan_mean = breakage == "nan_scaler_mean"
             doc["scaler"] = {
                 "column_names": small_ds.feature_names,
-                "means": [float("nan")] + [0.0] * (width - 1),
-                "stdevs": [1.0] * width,
+                "means": [float("nan") if nan_mean else 0.0] + [0.0] * (width - 1),
+                "stdevs": [1.0 if nan_mean else 1e-320] + [1.0] * (width - 1),
             }
+        elif breakage == "hidden_sigmoid_layer":
+            doc["layers"][0]["activation"] = "sigmoid"
+        elif breakage == "string_input_features":
+            doc["input_features"] = "abc"
+        elif breakage == "string_init_seed":
+            doc["init_seed"] = "x"
         else:
             middle = doc["layers"][1]
             middle["weights"] = [row[:-1] for row in middle["weights"]]

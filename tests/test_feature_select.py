@@ -15,7 +15,7 @@ from nfdlm.flow_data import NUMERIC
 def numeric_ds(matrix, labels=None, names=None):
     matrix = np.asarray(matrix, dtype=float)
     names = names or [f"c{j}" for j in range(matrix.shape[1])]
-    cols = [nf.ColumnDescriptor(n, NUMERIC, j) for j, n in enumerate(names)]
+    cols = [nf.ColumnDescriptor(n, NUMERIC) for n in names]
     return nf.FlowDataset(cols, matrix, labels=labels)
 
 

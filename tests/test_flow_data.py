@@ -149,7 +149,7 @@ class TestDropColumns:
 class TestStratifiedSplit:
     def make(self, n_pos, n_neg, seed=0):
         rng = np.random.default_rng(seed)
-        cols = [nf.ColumnDescriptor("a", NUMERIC, 0), nf.ColumnDescriptor("b", NUMERIC, 1)]
+        cols = [nf.ColumnDescriptor("a", NUMERIC), nf.ColumnDescriptor("b", NUMERIC)]
         labels = np.concatenate([np.ones(n_pos, dtype=int), np.zeros(n_neg, dtype=int)])
         return nf.FlowDataset(cols, rng.standard_normal((n_pos + n_neg, 2)), labels)
 
@@ -237,7 +237,7 @@ class TestGenerateSyntheticFlows:
         scaler = nf.fit_scaler(train)
         model = nf.build_mlp(ds.feature_names, seed=5)
         nf.train(model, nf.apply_scaler(scaler, train), nf.TrainingConfig(epochs=5, batch_size=20, seed=5))
-        preds = nf.predict(model, nf.apply_scaler(scaler, test), prescaled=True)
+        preds = nf.predict(model, nf.apply_scaler(scaler, test))
         accuracy = float((preds == test.labels).mean())
         assert 0.45 <= accuracy <= 0.55
 
@@ -246,9 +246,9 @@ class TestDatasetFile:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(3)
         cols = [
-            nf.ColumnDescriptor("a", NUMERIC, 0),
-            nf.ColumnDescriptor("proto", CATEGORICAL, 1),
-            nf.ColumnDescriptor("b", NUMERIC, 2),
+            nf.ColumnDescriptor("a", NUMERIC),
+            nf.ColumnDescriptor("proto", CATEGORICAL),
+            nf.ColumnDescriptor("b", NUMERIC),
         ]
         matrix = np.column_stack(
             [rng.standard_normal(5) * 1e300, rng.standard_normal(5) * 1e-300]
@@ -285,7 +285,7 @@ class TestDatasetFile:
         values = np.concatenate(
             [rng.standard_normal(20), [1 / 3, 1e-308, 7.2e250, -0.0, 123456789.123456789]]
         )
-        cols = [nf.ColumnDescriptor("v", NUMERIC, 0)]
+        cols = [nf.ColumnDescriptor("v", NUMERIC)]
         ds = nf.FlowDataset(cols, values[:, None], labels=(np.arange(25) % 2))
         path = tmp_path / "flows.csv"
         nf.write_flow_csv(ds, path)

@@ -27,7 +27,7 @@ MLP_FIXTURE_SPEC = nf.SynthesisSpec(300, 60, 8, 1, 4.0, seed=13)
 def numeric_ds(matrix, labels=None, names=None):
     matrix = np.asarray(matrix, dtype=float)
     names = names or [f"c{j}" for j in range(matrix.shape[1])]
-    cols = [nf.ColumnDescriptor(n, NUMERIC, j) for j, n in enumerate(names)]
+    cols = [nf.ColumnDescriptor(n, NUMERIC) for n in names]
     return nf.FlowDataset(cols, matrix, labels=labels)
 
 
@@ -236,7 +236,7 @@ class TestTrain:
         model, history = nf.train(
             model, ds, nf.TrainingConfig(epochs=20, batch_size=20, learning_rate=0.01, seed=0)
         )
-        preds = nf.predict(model, ds, prescaled=True)
+        preds = nf.predict(model, ds)
         assert (preds == ds.labels).all()
         assert len(history) == 20
 
@@ -250,7 +250,7 @@ class TestTrain:
         ds = separable_blobs(seed=23, n_per_class=120)
         model = nf.build_lstm(ds.feature_names, hidden=(8, 8), seed=2)
         _, history = nf.train(model, ds, nf.TrainingConfig(epochs=10, batch_size=16, seed=2))
-        preds = nf.predict(model, ds, prescaled=True)
+        preds = nf.predict(model, ds)
         assert float((preds == ds.labels).mean()) > 0.99
         assert history[-1].loss < history[0].loss
 
@@ -295,17 +295,12 @@ class TestPredict:
         preds = nf.predict(self.half_probability_model(), ds)  # p == 0.5 everywhere
         assert (preds == 0).all()
 
-    def test_zero_threshold_flags_everything(self):
-        ds = numeric_ds(np.random.default_rng(1).standard_normal((6, 2)))
-        preds = nf.predict(self.half_probability_model(), ds, threshold=0.0)
-        assert (preds == 1).all()
-
     def test_recovers_training_labels_on_blobs(self):
         ds = separable_blobs(seed=53)
         assert_linearly_separable(ds)
         model = nf.build_mlp(ds.feature_names, seed=6)
         nf.train(model, ds, nf.TrainingConfig(epochs=20, batch_size=20, learning_rate=0.01, seed=6))
-        assert (nf.predict(model, ds, prescaled=True) == ds.labels).all()
+        assert (nf.predict(model, ds) == ds.labels).all()
 
     def test_missing_feature_column_errors(self):
         model = nf.build_mlp(["a", "zz"], seed=0)
@@ -323,7 +318,7 @@ class TestPredict:
         model.scaler = scaler
         nf.train(model, scaled, nf.TrainingConfig(epochs=5, batch_size=16, seed=7))
         via_raw = nf.predict_proba(model, raw)
-        via_scaled = nf.predict_proba(model, scaled, prescaled=True)
+        via_scaled = nf.forward(model, scaled.matrix)
         assert (via_raw == via_scaled).all()
 
     def test_feature_order_follows_model(self):
@@ -353,8 +348,7 @@ class TestModelFile:
     def test_save_load_predict_bitwise(self, tmp_path, kind):
         model, path, ds = self.trained_model(tmp_path, kind)
         loaded = nf.load_model(path)
-        assert (nf.predict_proba(loaded, ds, prescaled=True)
-                == nf.predict_proba(model, ds, prescaled=True)).all()
+        assert (nf.predict_proba(loaded, ds) == nf.predict_proba(model, ds)).all()
         assert (model.params == loaded.params).all()
 
     def test_metadata_round_trip(self, tmp_path):

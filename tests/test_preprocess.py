@@ -16,7 +16,7 @@ from conftest import assert_datasets_equal
 def numeric_ds(matrix, labels=None, names=None):
     matrix = np.asarray(matrix, dtype=float)
     names = names or [f"c{j}" for j in range(matrix.shape[1])]
-    cols = [nf.ColumnDescriptor(n, NUMERIC, j) for j, n in enumerate(names)]
+    cols = [nf.ColumnDescriptor(n, NUMERIC) for n in names]
     return nf.FlowDataset(cols, matrix, labels=labels)
 
 
@@ -154,8 +154,8 @@ class TestSmote:
 
     def test_categorical_columns_rejected(self):
         cols = [
-            nf.ColumnDescriptor("a", NUMERIC, 0),
-            nf.ColumnDescriptor("proto", CATEGORICAL, 1),
+            nf.ColumnDescriptor("a", NUMERIC),
+            nf.ColumnDescriptor("proto", CATEGORICAL),
         ]
         ds = nf.FlowDataset(
             cols,
