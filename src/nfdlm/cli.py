@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
+import time
 
 from .errors import DataError, NumericError
 from .evaluate import confusion, metrics
@@ -100,8 +102,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size; Linux reports it in KiB, macOS in bytes."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def _cmd_ingest(args) -> None:
+    started = time.perf_counter()
     ds = parse_flow_csv(args.input, args.label_column, args.positive)
+    parse_seconds = time.perf_counter() - started
     if args.drop is None:
         drop = None
     else:
@@ -110,7 +120,8 @@ def _cmd_ingest(args) -> None:
     save_dataset(ds, args.out)
     print(
         f"ingested {ds.row_count} rows, {len(ds.feature_names)} numeric features, "
-        f"{int(ds.labels.sum())} attack / {int((ds.labels == 0).sum())} benign -> {args.out}"
+        f"{int(ds.labels.sum())} attack / {int((ds.labels == 0).sum())} benign -> {args.out} "
+        f"(parsed in {parse_seconds:.2f} s, peak RSS {_peak_rss_mb():.1f} MB)"
     )
 
 

@@ -8,9 +8,11 @@ feature matrix plus column descriptors, optional binary labels (0 = benign,
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -27,6 +29,10 @@ COLUMN_KINDS = (NUMERIC, CATEGORICAL, META)
 
 # Flow identifiers and timestamps carry no detection signal.
 DEFAULT_DROP_COLUMNS = ("pkSeqID", "stime", "ltime")
+
+# Records parse_flow_csv converts at a time. A chunk's cells are the only
+# strings the parse holds for numeric columns.
+PARSE_CHUNK_ROWS = 4096
 
 DATASET_FORMAT = "nfdlm.dataset"
 DATASET_FORMAT_VERSION = 1
@@ -51,6 +57,9 @@ class FlowDataset:
     kind=numeric descriptor, in descriptor order). Categorical-string columns
     keep their raw cell values in `strings`; meta columns (e.g. the consumed
     label column) keep descriptors only.
+
+    A C-contiguous float64 matrix is adopted, not copied, and frozen: the
+    caller's array becomes read-only. Any other array-like is converted.
     """
 
     columns: list[ColumnDescriptor]
@@ -59,7 +68,7 @@ class FlowDataset:
     strings: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.matrix = np.array(self.matrix, dtype=np.float64, order="C")
+        self.matrix = np.asarray(self.matrix, dtype=np.float64, order="C")
         if self.matrix.ndim != 2:
             raise DataError("matrix must be 2-dimensional")
         names = [c.name for c in self.columns]
@@ -148,19 +157,49 @@ def select_features(ds: FlowDataset, names: list[str]) -> FlowDataset:
 def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: str) -> FlowDataset:
     """Load a header-bearing CSV of flow records.
 
-    Column kinds are inferred per column: if every cell parses as a finite
-    number the column is numeric, otherwise categorical-string. The label
-    column is consumed into the 0/1 label vector (1 where the cell equals
-    positive_label) and kept as a kind=meta descriptor so it can never leak
-    into a feature matrix.
+    Column kinds are inferred per column: if every cell parses with float()
+    as a finite number the column is numeric, otherwise categorical-string.
+    The label column is consumed into the 0/1 label vector (1 where the cell
+    equals positive_label) and kept as a kind=meta descriptor so it can never
+    leak into a feature matrix.
 
     Hard errors: missing file or label column, duplicate header names, ragged
     rows, empty cells, non-finite numeric cells, and more than two distinct
-    label values (filter the file down to two classes first).
+    label values (filter the file down to two classes first). Row numbers
+    count records after the header.
+
+    The file is read PARSE_CHUNK_ROWS records at a time and numeric columns
+    are converted chunk by chunk, so memory is the matrix plus one chunk of
+    cells, plus the kept cells of categorical columns (interned, so a
+    repeated value is stored once).
+
+    A file with a single fault gives the same message as a whole-file parse.
+    A file with several faults reports the first one in file order, except
+    that a non-finite cell is reported only once the whole file is read: a
+    later non-numeric cell would make its column categorical, which is no
+    fault. A column that first fails to parse after the first chunk has lost
+    its earlier cells, so the file is read once more with that column (and
+    any other that failed late) kept as strings from the start.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    categorical: set[int] = set()
+    while True:
+        ds, late = _parse_pass(path, label_column, positive_label, categorical)
+        if ds is not None:
+            return ds
+        categorical |= late
+
+
+def _parse_pass(
+    path: Path, label_column: str, positive_label: str, categorical: set[int]
+) -> tuple[FlowDataset | None, set[int]]:
+    """Read the file once, keeping the columns in `categorical` as strings.
+
+    Returns (dataset, empty set), or (None, late) where `late` holds the
+    columns that stopped parsing as numbers after the first chunk.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -170,57 +209,134 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
             raise DataError(f"{path}: duplicate column names in header")
         if label_column not in header:
             raise DataError(f"{path}: label column '{label_column}' not in header")
-        rows: list[list[str]] = []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+        width = len(header)
+        label_idx = header.index(label_column)
+        strings: dict[int, list[str]] = {j: [] for j in categorical}
+        late: set[int] = set()
+        non_finite: dict[int, int] = {}  # numeric column -> first row holding inf or nan
+        # The numeric columns in matrix order; fixed once the first chunk is read.
+        slots = [j for j in range(width) if j != label_idx and j not in categorical]
+        matrix = None
+        label_parts: list[np.ndarray] = []
+        seen_labels: set[str] = set()
+        done = 0
+        while chunk := list(itertools.islice(reader, PARSE_CHUNK_ROWS)):
+            ragged = next((i for i, row in enumerate(chunk) if len(row) != width), None)
+            ragged_cells = None if ragged is None else len(chunk[ragged])
+            cols = list(zip(*chunk[:ragged]))
+            del chunk
+            n = len(cols[0]) if cols else 0
+            values: dict[int, np.ndarray] = {}
+            faults: list[tuple[int, int, int]] = []  # (row, rank, column); labels rank first
+            for j, cells in enumerate(cols):
+                if j == label_idx:
+                    blank = _first_blank(cells)
+                    third = _third_label_row(cells, seen_labels)
+                    if third is not None:
+                        faults.append((done + third + 1, 0, j))
+                    label_parts.append(
+                        np.fromiter(map(positive_label.__eq__, cells), dtype=bool, count=n)
+                    )
+                elif j in strings or j in late:
+                    if j in strings:
+                        strings[j].extend(map(sys.intern, cells))
+                    blank = _first_blank(cells)
+                else:
+                    try:
+                        values[j] = np.fromiter(map(float, cells), dtype=np.float64, count=n)
+                    except ValueError:
+                        bad = next(i for i, cell in enumerate(cells) if not _is_number(cell))
+                        if cells[bad].strip():  # a non-number: the column is categorical
+                            if done:
+                                late.add(j)
+                                non_finite.pop(j, None)
+                            else:
+                                strings[j] = list(map(sys.intern, cells))
+                        blank = _first_blank(cells)
+                    else:
+                        blank = None
+                        if j not in non_finite and not np.isfinite(values[j]).all():
+                            non_finite[j] = done + int(np.argmin(np.isfinite(values[j]))) + 1
+                if blank is not None:
+                    faults.append((done + blank + 1, 1, j))
+            if faults:
+                row, rank, j = min(faults)
+                if rank == 0:
+                    seen_labels.update(r[label_idx] for r in reader if len(r) == width)
+                    distinct = sorted(seen_labels)
+                    raise DataError(
+                        f"{path}: label column '{label_column}' has {len(distinct)} distinct "
+                        f"values {distinct}; filter to two classes before ingesting"
+                    )
+                raise DataError(f"{path}: row {row}: missing value in column '{header[j]}'")
+            if ragged is not None:
                 raise DataError(
-                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: row {done + ragged + 1} has {ragged_cells} cells, expected {width}"
                 )
-            rows.append(row)
+            if matrix is None:
+                slots = [j for j in slots if j not in strings]
+                matrix = np.empty((max(n, PARSE_CHUNK_ROWS), len(slots)))
+            elif done + n > matrix.shape[0]:
+                # Growth reallocates in place where it can; the trim below
+                # gives back what the last growth overshot.
+                rows = max(done + n, matrix.shape[0] * 5 // 4)
+                matrix.resize((rows, len(slots)), refcheck=False)
+            for k, j in enumerate(slots):
+                if j in values:
+                    matrix[done : done + n, k] = values[j]
+            done += n
 
-    label_idx = header.index(label_column)
-    label_values = [row[label_idx] for row in rows]
-    distinct = sorted(set(label_values))
-    if len(distinct) > 2:
-        raise DataError(
-            f"{path}: label column '{label_column}' has {len(distinct)} distinct "
-            f"values {distinct}; filter to two classes before ingesting"
-        )
-    labels = np.fromiter(
-        (1 if v == positive_label else 0 for v in label_values), dtype=np.int64, count=len(rows)
+    if late:
+        return None, late
+    if non_finite:
+        row, j = min((row, j) for j, row in non_finite.items())
+        raise DataError(f"{path}: row {row}: non-finite value in column '{header[j]}'")
+    if matrix is None:
+        matrix = np.empty((0, len(slots)))
+    else:
+        matrix.resize((done, len(slots)), refcheck=False)
+    labels = (
+        np.concatenate(label_parts).astype(np.int64) if label_parts else np.empty(0, np.int64)
     )
+    columns = [
+        ColumnDescriptor(name, META if j == label_idx else CATEGORICAL if j in strings else NUMERIC)
+        for j, name in enumerate(header)
+    ]
+    ds = FlowDataset(
+        columns=columns,
+        matrix=matrix,
+        labels=labels,
+        strings={header[j]: strings[j] for j in sorted(strings)},
+    )
+    return ds, set()
 
-    columns: list[ColumnDescriptor] = []
-    numeric_cols: list[np.ndarray] = []
-    strings: dict[str, list[str]] = {}
-    for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
-        for i, cell in enumerate(cells, start=1):
-            if not cell.strip():
-                raise DataError(f"{path}: row {i}: missing value in column '{name}'")
-        if j == label_idx:
-            columns.append(ColumnDescriptor(name, META))
-            continue
-        values = np.empty(len(cells))
-        numeric = True
-        for i, cell in enumerate(cells):
-            try:
-                values[i] = float(cell)
-            except ValueError:
-                numeric = False
-                break
-        if numeric and len(cells) and not np.isfinite(values).all():
-            bad = int(np.flatnonzero(~np.isfinite(values))[0]) + 1
-            raise DataError(f"{path}: row {bad}: non-finite value in column '{name}'")
-        if numeric:
-            columns.append(ColumnDescriptor(name, NUMERIC))
-            numeric_cols.append(values)
-        else:
-            columns.append(ColumnDescriptor(name, CATEGORICAL))
-            strings[name] = cells
 
-    matrix = np.column_stack(numeric_cols) if numeric_cols else np.empty((len(rows), 0))
-    return FlowDataset(columns=columns, matrix=matrix, labels=labels, strings=strings)
+def _first_blank(cells: tuple[str, ...]) -> int | None:
+    """Index of the first empty or whitespace-only cell, if any."""
+    if all(value.strip() for value in set(cells)):
+        return None
+    return next(i for i, cell in enumerate(cells) if not cell.strip())
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _third_label_row(cells: tuple[str, ...], seen: set[str]) -> int | None:
+    """Add the chunk's label values to `seen`; return the index of the cell
+    that brings a third distinct value, if one does."""
+    so_far = set(seen)
+    seen.update(cells)
+    if len(seen) <= 2:
+        return None
+    for i, cell in enumerate(cells):
+        so_far.add(cell)
+        if len(so_far) > 2:
+            return i
 
 
 def drop_columns(
@@ -408,11 +524,12 @@ def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
         "labels": None if ds.labels is None else ds.labels.tolist(),
         "strings": ds.strings,
     }
-    payload = b"".join(
-        np.ascontiguousarray(ds.matrix[:, j], dtype="<f8").tobytes()
-        for j in range(ds.matrix.shape[1])
-    )
-    atomic_write_bytes(path, json.dumps(header).encode("utf-8") + b"\n" + payload)
+    # The transpose in C order is the columns one after another; it is
+    # written as it is, without a bytes copy.
+    payload = np.ascontiguousarray(ds.matrix.T, dtype="<f8")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        fh.write(payload)
 
 
 def _is_column_list(value) -> bool:
@@ -460,7 +577,7 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
     columns = [ColumnDescriptor(c["name"], c["kind"]) for c in header["columns"]]
     n = header["row_count"]
     n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
-    payload = blob[nl + 1 :]
+    payload = memoryview(blob)[nl + 1 :]  # a view: the payload is not copied
     if len(payload) != 8 * n * n_numeric:
         raise DataError(f"{path}: payload size mismatch")
     flat = np.frombuffer(payload, dtype="<f8")

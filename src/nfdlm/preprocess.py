@@ -10,6 +10,9 @@ import numpy as np
 from .errors import DataError
 from .flow_data import FlowDataset
 
+# Minority rows whose neighbor distances are sorted at a time.
+SMOTE_BLOCK_ROWS = 512
+
 
 @dataclass
 class ScalerParams:
@@ -73,7 +76,8 @@ def fit_scaler(train: FlowDataset) -> ScalerParams:
 def scale_columns(x: np.ndarray, means: np.ndarray, stdevs: np.ndarray) -> np.ndarray:
     """(x - mean) / stdev per column; constant columns (stdev 0) map to zeros."""
     safe = np.where(stdevs == 0.0, 1.0, stdevs)
-    scaled = (x - means) / safe
+    scaled = x - means
+    scaled /= safe  # in place: one full-size array, not two
     scaled[:, stdevs == 0.0] = 0.0
     return scaled
 
@@ -98,9 +102,10 @@ def smote_resample(train: FlowDataset, cfg: SmoteConfig) -> FlowDataset:
     Each synthetic row is m + u * (n - m) for a minority row m, one of its k
     nearest minority neighbors n (Euclidean distance on the feature matrix),
     and u uniform in [0, 1). Original rows are preserved verbatim and the
-    synthetic block is appended. Each minority row draws from its own RNG
-    stream derived from (seed, row position), so output is reproducible
-    bitwise regardless of how the work might be scheduled.
+    synthetic block is appended, both written into one new matrix. Each
+    minority row draws from its own RNG stream derived from (seed, row
+    position), so output is reproducible bitwise regardless of how the work
+    might be scheduled.
     """
     if train.labels is None:
         raise DataError("smote_resample requires labels")
@@ -129,16 +134,14 @@ def smote_resample(train: FlowDataset, cfg: SmoteConfig) -> FlowDataset:
         )
 
     minority = train.matrix[minority_idx]
-    # Pairwise squared distances among minority rows; self excluded by index.
-    sq = np.einsum("ij,ij->i", minority, minority)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (minority @ minority.T)
-    np.fill_diagonal(d2, np.inf)
-    neighbor_ids = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    neighbor_ids = _nearest_neighbors(minority, k)
 
     need = majority_count - minority_count
     base, extra = divmod(need, minority_count)
-    synthetic = np.empty((need, train.matrix.shape[1]))
-    out = 0
+    n = train.row_count
+    matrix = np.empty((n + need, train.matrix.shape[1]))
+    matrix[:n] = train.matrix
+    out = n
     for i in range(minority_count):
         count = base + (1 if i < extra else 0)
         if count == 0:
@@ -148,15 +151,35 @@ def smote_resample(train: FlowDataset, cfg: SmoteConfig) -> FlowDataset:
         u = rng.random(count)
         m = minority[i]
         neighbors = minority[neighbor_ids[i][picks]]
-        synthetic[out : out + count] = m + u[:, None] * (neighbors - m)
+        matrix[out : out + count] = m + u[:, None] * (neighbors - m)
         out += count
 
     return FlowDataset(
         columns=list(train.columns),
-        matrix=np.vstack([train.matrix, synthetic]),
+        matrix=matrix,
         labels=np.concatenate(
             [train.labels, np.full(need, minority_label, dtype=np.int64)]
         ),
         strings={},
     )
 
+
+def _nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
+    """Ids of each row's k nearest other rows by squared Euclidean distance,
+    nearest first; ties keep the lower id.
+
+    The Gram product is taken once, whole, and the distances and the stable
+    sort a block of rows at a time. Each distance is the same elementwise
+    arithmetic as in the full m x m matrix, so the ids are too, while the
+    temporary memory beyond the Gram product stays one block.
+    """
+    m = rows.shape[0]
+    sq = np.einsum("ij,ij->i", rows, rows)
+    gram = rows @ rows.T
+    ids = np.empty((m, k), dtype=np.int64)
+    for start in range(0, m, SMOTE_BLOCK_ROWS):
+        stop = min(start + SMOTE_BLOCK_ROWS, m)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram[start:stop]
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # self excluded
+        ids[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return ids

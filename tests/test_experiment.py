@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -288,6 +289,8 @@ class TestCli:
         assert "| FS2" in table.read_text()
         out = capsys.readouterr().out
         assert "ingested 2100 rows" in out
+        fields = re.search(r"\(parsed in (\d+\.\d\d) s, peak RSS (\d+\.\d) MB\)", out)
+        assert fields and float(fields[2]) > 0.0
 
     def test_synthetic_csv_matches_library_output(self, tmp_path):
         csv = tmp_path / "flows.csv"

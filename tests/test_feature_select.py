@@ -95,6 +95,20 @@ class TestCorrelationMatrix:
                 if i != j:
                     assert m[i, j] == nf.pearson_r(ds.matrix[:, i], ds.matrix[:, j])
 
+    def test_column_sliced_matrix_with_constant_column_bitwise(self):
+        rng = np.random.default_rng(13)
+        wide = rng.standard_normal((1001, 14)) * rng.uniform(0.01, 1e4, 14) + 3.0
+        wide[:, 6] = 4.2  # constant, but its mean leaves rounding residue
+        wide[:, 10] = 7.0  # constant, centres to exact zeros
+        source = wide[:, ::2]  # a strided view: no column is contiguous
+        assert not source.flags.c_contiguous and not source.flags.f_contiguous
+        m = nf.correlation_matrix(numeric_ds(source))
+        oracle = np.array(
+            [[nf.pearson_r(source[:, i], source[:, j]) for j in range(7)] for i in range(7)]
+        )
+        assert m.tobytes() == oracle.tobytes()
+        assert (m[5] == 0.0).all() and (m[:, 5] == 0.0).all()
+
 
 def brute_force_filter(ds, threshold):
     """Independent oracle: the drop rule replayed on np.corrcoef values."""

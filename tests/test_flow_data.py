@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import csv
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nfdlm as nf
-from nfdlm.flow_data import CATEGORICAL, META, NUMERIC, SIGNAL_DIMS, synthetic_signal_columns
+from nfdlm import flow_data
+from nfdlm.flow_data import (
+    CATEGORICAL,
+    META,
+    NUMERIC,
+    PARSE_CHUNK_ROWS,
+    SIGNAL_DIMS,
+    synthetic_signal_columns,
+)
 
 from conftest import SURROGATE_SPEC, assert_datasets_equal
 
@@ -77,6 +87,13 @@ class TestParseFlowCsv:
         with pytest.raises(nf.DataError, match="non-finite"):
             nf.parse_flow_csv(path, "category", "DDoS")
 
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("a,proto,category\n", encoding="utf-8")
+        ds = nf.parse_flow_csv(path, "category", "DDoS")
+        assert [c.kind for c in ds.columns] == [NUMERIC, NUMERIC, META]
+        assert ds.matrix.shape == (0, 2) and ds.labels.shape == (0,)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(nf.DataError, match="no such file"):
             nf.parse_flow_csv(tmp_path / "absent.csv", "category", "DDoS")
@@ -98,6 +115,194 @@ class TestParseFlowCsv:
         )
         with pytest.raises(nf.DataError, match="filter to two classes"):
             nf.parse_flow_csv(path, "category", "DDoS")
+
+
+def whole_file_parse(path, label_column, positive_label):
+    """Reference reading of a fault-free file: every record at once, a column
+    numeric only when float() takes each of its cells."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, *rows = list(csv.reader(fh))
+    cells = list(zip(*rows))
+    label_idx = header.index(label_column)
+    kinds, numeric, strings = {}, [], {}
+    for j, name in enumerate(header):
+        if j == label_idx:
+            kinds[name] = META
+            continue
+        try:
+            numeric.append([float(c) for c in cells[j]])
+            kinds[name] = NUMERIC
+        except ValueError:
+            kinds[name] = CATEGORICAL
+            strings[name] = list(cells[j])
+    matrix = np.array(numeric, dtype=np.float64).T.reshape(len(rows), len(numeric))
+    labels = np.array([v == positive_label for v in cells[label_idx]], dtype=np.int64)
+    return kinds, matrix, labels, strings
+
+
+def assert_matches_whole_file(ds, path):
+    kinds, matrix, labels, strings = whole_file_parse(path, "category", "DDoS")
+    assert {c.name: c.kind for c in ds.columns} == kinds
+    assert [c.name for c in ds.columns] == list(kinds)
+    assert ds.matrix.tobytes() == np.ascontiguousarray(matrix).tobytes()
+    assert (ds.labels == labels).all()
+    assert ds.strings == strings
+
+
+def long_rows(n, seed=0):
+    """n rows of [id, value, proto, label], longer than one parse chunk."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n).tolist()
+    return [
+        [i, repr(v), ("tcp", "udp")[i % 2], "DDoS" if i % 5 else "Normal"]
+        for i, v in enumerate(values)
+    ]
+
+
+LONG = 2 * PARSE_CHUNK_ROWS + 300  # rows past the first chunk boundary
+
+
+class TestChunkedParse:
+    """Files longer than one chunk parse as if read whole."""
+
+    def count_passes(self, monkeypatch):
+        calls = []
+        real = flow_data._parse_pass
+
+        def counted(*args):
+            calls.append(args[-1].copy())
+            return real(*args)
+
+        monkeypatch.setattr(flow_data, "_parse_pass", counted)
+        return calls
+
+    def test_columns_turning_categorical_late(self, tmp_path, monkeypatch):
+        rows = long_rows(LONG)
+        for i, row in enumerate(rows):
+            row.append(i)  # late: numeric until the second chunk
+            row.append(i % 7)  # later: numeric until the third chunk
+            row.append(i)  # early: turns inside the first chunk
+            row.append("nan" if i == 3 else i)  # non-finite, then not a number
+        rows[PARSE_CHUNK_ROWS + 17][4] = "0x0303"
+        rows[2 * PARSE_CHUNK_ROWS + 5][5] = "-"
+        rows[100][6] = "x"
+        rows[PARSE_CHUNK_ROWS + 40][7] = "n/a"
+        header = ["pkSeqID", "bytes", "proto", "category", "late", "later", "early", "odd"]
+        path = write_csv(tmp_path / "late.csv", header, rows)
+        passes = self.count_passes(monkeypatch)
+        ds = nf.parse_flow_csv(path, "category", "DDoS")
+        kinds = {c.name: c.kind for c in ds.columns}
+        assert [n for n, k in kinds.items() if k == CATEGORICAL] == [
+            "proto", "late", "later", "early", "odd",
+        ]
+        assert_matches_whole_file(ds, path)
+        # One read, then one re-read that keeps the late columns as strings.
+        assert passes == [set(), {4, 5, 7}]
+
+    def test_early_failure_needs_no_reread(self, tmp_path, monkeypatch):
+        rows = long_rows(LONG)
+        rows[PARSE_CHUNK_ROWS - 1][2] = "icmp"
+        path = write_csv(tmp_path / "early.csv", ["id", "v", "proto", "category"], rows)
+        passes = self.count_passes(monkeypatch)
+        ds = nf.parse_flow_csv(path, "category", "DDoS")
+        assert_matches_whole_file(ds, path)
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("ragged", "row {row} has 3 cells, expected 4"),
+            ("empty", "row {row}: missing value in column 'v'"),
+            ("blank", "row {row}: missing value in column 'proto'"),
+            ("non_finite", "row {row}: non-finite value in column 'v'"),
+        ],
+    )
+    def test_fault_past_first_chunk_names_its_row(self, tmp_path, fault, message):
+        rows = long_rows(LONG)
+        i = PARSE_CHUNK_ROWS + 123
+        if fault == "ragged":
+            rows[i] = rows[i][:3]
+        elif fault == "empty":
+            rows[i][1] = ""
+        elif fault == "blank":
+            rows[i][2] = "  "
+        else:
+            rows[i][1] = "-inf"
+        path = write_csv(tmp_path / "fault.csv", ["id", "v", "proto", "category"], rows)
+        with pytest.raises(nf.DataError, match=message.format(row=i + 1)):
+            nf.parse_flow_csv(path, "category", "DDoS")
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        rows = long_rows(LONG)
+        rows[PARSE_CHUNK_ROWS + 9][2] = ""
+        rows[PARSE_CHUNK_ROWS + 10] = rows[PARSE_CHUNK_ROWS + 10][:2]
+        rows[2 * PARSE_CHUNK_ROWS + 1][1] = ""
+        path = write_csv(tmp_path / "faults.csv", ["id", "v", "proto", "category"], rows)
+        with pytest.raises(nf.DataError, match=f"row {PARSE_CHUNK_ROWS + 10}: missing"):
+            nf.parse_flow_csv(path, "category", "DDoS")
+
+    def test_third_label_in_a_later_chunk(self, tmp_path):
+        rows = long_rows(LONG)
+        rows[2 * PARSE_CHUNK_ROWS + 7][3] = "DoS"
+        path = write_csv(tmp_path / "labels.csv", ["id", "v", "proto", "category"], rows)
+        with pytest.raises(
+            nf.DataError, match=r"3 distinct values \['DDoS', 'DoS', 'Normal'\]"
+        ):
+            nf.parse_flow_csv(path, "category", "DDoS")
+
+    def test_quoted_cells_across_the_chunk_boundary(self, tmp_path):
+        rows = long_rows(LONG)
+        for i in range(PARSE_CHUNK_ROWS - 2, PARSE_CHUNK_ROWS + 2):
+            rows[i][2] = '"a,\nb"'
+        path = write_csv(tmp_path / "quoted.csv", ["id", "v", "proto", "category"], rows)
+        ds = nf.parse_flow_csv(path, "category", "DDoS")
+        assert ds.row_count == LONG
+        assert ds.strings["proto"][PARSE_CHUNK_ROWS - 1] == "a,\nb"
+        assert_matches_whole_file(ds, path)
+
+    def test_utf8_bom(self, tmp_path):
+        path = write_csv(tmp_path / "bom.csv", ["id", "v", "proto", "category"], long_rows(LONG))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        ds = nf.parse_flow_csv(path, "category", "DDoS")
+        assert ds.columns[0] == nf.ColumnDescriptor("id", NUMERIC)
+        assert_matches_whole_file(ds, path)
+
+
+# Allowed tracemalloc peak of parse_flow_csv beyond 1.5x its matrix: one
+# chunk of cells and interpreter noise. The file below measures 4.9 MB; a
+# parse that keeps every cell as a string measures 37.5 MB.
+PARSE_MEMORY_SLACK = 8_000_000
+
+
+def test_parse_memory_is_bounded_by_the_matrix(tmp_path):
+    rows, features = 50_000, 4
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((rows, features)).tolist()
+    path = tmp_path / "wide.csv"
+    header = ["pkSeqID", "stime", "proto", *(f"f{j}" for j in range(features)), "category"]
+    line = "%d,%.6f,%s," + ",".join(["%r"] * features) + ",%s\n"
+    path.write_text(
+        ",".join(header) + "\n" + "".join(
+            line % (i, 1.5e9 + i * 7.31e-4, ("tcp", "udp", "arp")[i % 3], *v,
+                    "Normal" if i % 40 == 0 else "DDoS")
+            for i, v in enumerate(values)
+        ),
+        encoding="utf-8",
+    )
+    del values
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ds = nf.parse_flow_csv(path, "category", "DDoS")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert ds.matrix.shape == (rows, features + 2)
+    assert peak <= 1.5 * ds.matrix.nbytes + PARSE_MEMORY_SLACK
 
 
 def botiot_like_csv(tmp_path, rows=12):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import nfdlm as nf
 from nfdlm.flow_data import CATEGORICAL, NUMERIC
+from nfdlm.preprocess import SMOTE_BLOCK_ROWS, _nearest_neighbors
 
 from conftest import assert_datasets_equal
 
@@ -166,3 +168,64 @@ class TestSmote:
         with pytest.raises(nf.DataError, match="categorical"):
             nf.smote_resample(ds, nf.SmoteConfig(seed=0))
 
+
+def full_matrix_smote(ds, cfg):
+    """SMOTE with the neighbor search over the whole m x m distance matrix:
+    the reference the blocked search must match bit for bit."""
+    minority_label = 1 if int(ds.labels.sum()) * 2 < ds.row_count else 0
+    minority = ds.matrix[ds.labels == minority_label]
+    m = minority.shape[0]
+    k = min(cfg.k_neighbors, m - 1)
+    sq = np.einsum("ij,ij->i", minority, minority)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (minority @ minority.T)
+    np.fill_diagonal(d2, np.inf)
+    neighbor_ids = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    need = ds.row_count - 2 * m
+    base, extra = divmod(need, m)
+    synthetic = []
+    for i in range(m):
+        count = base + (1 if i < extra else 0)
+        rng = np.random.default_rng([cfg.seed, i])
+        picks = rng.integers(0, k, size=count)
+        u = rng.random(count)
+        neighbors = minority[neighbor_ids[i][picks]]
+        synthetic.append(minority[i] + u[:, None] * (neighbors - minority[i]))
+    return neighbor_ids, np.vstack([ds.matrix, *synthetic])
+
+
+class TestSmoteMatchesFullSearch:
+    def check(self, ds, cfg):
+        ids, matrix = full_matrix_smote(ds, cfg)
+        minority = ds.matrix[ds.labels == 0]  # class 0 is the minority in every case
+        assert (_nearest_neighbors(minority, ids.shape[1]) == ids).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = nf.smote_resample(ds, cfg)
+        assert out.matrix.tobytes() == matrix.tobytes()
+
+    def test_minority_not_a_multiple_of_the_block(self):
+        ds = imbalanced_ds(2 * SMOTE_BLOCK_ROWS + 77, 3000, n_features=7, seed=6)
+        self.check(ds, nf.SmoteConfig(k_neighbors=5, seed=12))
+
+    def test_tied_distances_keep_the_lower_id(self):
+        rng = np.random.default_rng(7)
+        distinct = rng.integers(-2, 3, (SMOTE_BLOCK_ROWS // 4, 3)).astype(float)
+        minority = np.vstack([distinct] * 5)  # every row has exact twins
+        majority = rng.standard_normal((4 * minority.shape[0], 3)) + 10.0
+        labels = np.concatenate([np.zeros(len(minority), int), np.ones(len(majority), int)])
+        ds = numeric_ds(np.vstack([minority, majority]), labels=labels)
+        self.check(ds, nf.SmoteConfig(k_neighbors=6, seed=3))
+
+    def test_distance_rounding_matches_the_full_search(self):
+        # Far from the origin, sq_i + sq_j - 2 g_ij cancels most of its bits,
+        # so near-equal distances order by their rounding error.
+        rng = np.random.default_rng(8)
+        minority = 1e6 + rng.integers(0, 5, (SMOTE_BLOCK_ROWS + 200, 3)) * 0.37
+        majority = rng.standard_normal((3 * minority.shape[0], 3))
+        labels = np.concatenate([np.zeros(len(minority), int), np.ones(len(majority), int)])
+        ds = numeric_ds(np.vstack([minority, majority]), labels=labels)
+        self.check(ds, nf.SmoteConfig(k_neighbors=5, seed=4))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_k_clamped_at_small_minority(self, m):
+        self.check(imbalanced_ds(m, 40, seed=m), nf.SmoteConfig(k_neighbors=5, seed=m))
