@@ -13,6 +13,7 @@ so LSTM layers store just those.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -39,9 +40,12 @@ _FIXED_TRAINING_KEYS = {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "ada
 def sigmoid(x):
     """1 / (1 + e^-x), computed from exp(-|x|) so large |x| cannot overflow."""
     arr = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return float(out) if arr.ndim == 0 else out
+    z = np.abs(arr, out=np.empty(arr.shape))  # an array of our own, 0-d too
+    np.exp(np.negative(z, out=z), out=z)
+    denom = 1.0 + z
+    np.divide(z, denom, out=z)  # the x < 0 branch, then x >= 0 over it
+    np.divide(1.0, denom, out=z, where=arr >= 0)
+    return float(z) if arr.ndim == 0 else z
 
 
 @dataclass
@@ -279,14 +283,16 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     y = np.asarray(labels, dtype=np.float64)
     if p.shape != y.shape:
         raise DataError(f"length mismatch: {p.shape} vs {y.shape}")
-    p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    p = np.minimum(np.maximum(p, BCE_EPS), 1.0 - BCE_EPS)
+    total = np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=None)
+    return float(-(total / p.size))
 
 
-def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.ndarray):
+def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.ndarray,
+                          views: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Overwrite every entry of the gradient that views (from _param_views)
+    lay out with the gradient of bce_loss."""
     y = np.asarray(labels, dtype=np.float64)
-    grads = np.empty_like(model.params)
-    views = _param_views(model.layers, grads)
     # Sigmoid head fused with BCE: dL/dz = (p - y) / n.
     delta = ((probs - y) / y.size)[:, None]
     for pos in range(len(model.layers) - 1, -1, -1):
@@ -297,23 +303,25 @@ def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.nd
             if pos != len(model.layers) - 1:  # hidden layers are ReLU
                 delta = delta * (z > 0)
             dz = delta
-            delta = dz @ layer.weights
+            if pos:  # the input layer passes no gradient on
+                delta = dz @ layer.weights
         else:
             x, i, g, o, tc = cache
             h = layer.hidden_size
+            dz = np.empty((x.shape[0], 3 * h))
+            dzi, dzg, dzo = dz[:, :h], dz[:, h : 2 * h], dz[:, 2 * h :]
             dc = delta * o * (1.0 - tc * tc)
-            dzi = dc * g * i * (1.0 - i)
-            dzg = dc * i * (1.0 - g * g)
-            dzo = delta * tc * o * (1.0 - o)
-            dz = np.hstack((dzi, dzg, dzo))
+            np.multiply(dc * g * i, 1.0 - i, out=dzi)
+            np.multiply(dc * i, 1.0 - g * g, out=dzg)
+            np.multiply(delta * tc * o, 1.0 - o, out=dzo)
             w = layer.weights
             # One product per gate, not dz @ w: this summation order gives,
             # bit for bit, the weights that format-v1 code trained.
-            delta = dzi @ w[:h] + dzg @ w[h : 2 * h] + dzo @ w[2 * h :]
+            if pos:
+                delta = dzi @ w[:h] + dzg @ w[h : 2 * h] + dzo @ w[2 * h :]
         dw, db = views[pos]
         np.matmul(dz.T, x, out=dw)
-        np.sum(dz, axis=0, out=db)
-    return grads
+        np.add.reduce(dz, axis=0, out=db)
 
 
 def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -323,7 +331,9 @@ def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DataError("batch and labels shapes disagree")
     probs, caches = _forward_cached(model, batch)
-    return _backward_from_caches(model, caches, probs, labels)
+    grads = np.empty_like(model.params)
+    _backward_from_caches(model, caches, probs, labels, _param_views(model.layers, grads))
+    return grads
 
 
 def adam_step(
@@ -366,24 +376,29 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
     n = x.shape[0]
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.for_params(model.params)
+    grads = np.empty_like(model.params)  # each step overwrites all of it
+    grad_views = _param_views(model.layers, grads)
+    xs, ys = np.empty_like(x), np.empty_like(y)  # the shuffled copy, one per call
     model.training_config = cfg
 
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        # One shuffled copy per epoch makes each batch a slice, not a gather.
+        # One shuffled copy per epoch makes each batch a slice, not a gather;
+        # mode="clip" writes it in place (a permutation clips nothing).
         order = rng.permutation(n)
-        xs, ys = x[order], y[order]
+        np.take(x, order, axis=0, out=xs, mode="clip")
+        np.take(y, order, out=ys, mode="clip")
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             xb, yb = xs[start : start + cfg.batch_size], ys[start : start + cfg.batch_size]
             probs, caches = _forward_cached(model, xb)
             loss = bce_loss(probs, yb)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch + 1}, batch {start // cfg.batch_size + 1}"
                 )
-            grads = _backward_from_caches(model, caches, probs, yb)
+            _backward_from_caches(model, caches, probs, yb, grad_views)
             adam_step(model.params, grads, state, cfg.learning_rate)
             loss_sum += loss * yb.size
         history.append(EpochStats(loss=loss_sum / n, seconds=time.perf_counter() - started))

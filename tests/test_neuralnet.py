@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nfdlm as nf
+from nfdlm import neuralnet
 from nfdlm.flow_data import NUMERIC
-from nfdlm.neuralnet import AdamState, DenseLayer, LstmCell, Model, lstm_cell_forward
+from nfdlm.neuralnet import (
+    BCE_EPS, AdamState, DenseLayer, LstmCell, Model, _param_views, lstm_cell_forward,
+)
 
 from conftest import max_relative_gradient_error, random_checkable_model
 
@@ -427,3 +432,161 @@ class TestModelFile:
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(nf.DataError, match="not a nfdlm.model"):
             nf.load_model(path)
+
+
+# The training step as it was before it reused one gradient vector per train
+# call and cut its numpy calls: sigmoid over two np.where branches, bce_loss
+# through np.clip and np.mean, and a backward pass that returns a fresh vector
+# and stacks the LSTM gate gradients. Kept as an oracle for bitwise equality.
+def oracle_sigmoid(x):
+    arr = np.asarray(x, dtype=np.float64)
+    z = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return float(out) if arr.ndim == 0 else out
+
+
+def oracle_bce_loss(probs, labels):
+    p = np.clip(np.asarray(probs, dtype=np.float64), BCE_EPS, 1.0 - BCE_EPS)
+    y = np.asarray(labels, dtype=np.float64)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def oracle_backward(model, caches, probs, labels):
+    y = np.asarray(labels, dtype=np.float64)
+    grads = np.empty_like(model.params)
+    views = _param_views(model.layers, grads)
+    delta = ((probs - y) / y.size)[:, None]
+    for pos in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[pos]
+        if isinstance(layer, DenseLayer):
+            x, z = caches[pos]
+            if pos != len(model.layers) - 1:
+                delta = delta * (z > 0)
+            dz = delta
+            delta = dz @ layer.weights
+        else:
+            x, i, g, o, tc = caches[pos]
+            h = layer.hidden_size
+            dc = delta * o * (1.0 - tc * tc)
+            dzi = dc * g * i * (1.0 - i)
+            dzg = dc * i * (1.0 - g * g)
+            dzo = delta * tc * o * (1.0 - o)
+            dz = np.hstack((dzi, dzg, dzo))
+            w = layer.weights
+            delta = dzi @ w[:h] + dzg @ w[h : 2 * h] + dzo @ w[2 * h :]
+        dw, db = views[pos]
+        np.matmul(dz.T, x, out=dw)
+        np.sum(dz, axis=0, out=db)
+    return grads
+
+
+def oracle_train(model, ds, cfg, monkeypatch):
+    """train's loop stepped through the oracle; returns the per-epoch losses."""
+    x, y = ds.matrix, ds.labels.astype(np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    state = AdamState.for_params(model.params)
+    losses = []
+    with monkeypatch.context() as patch:
+        patch.setattr(neuralnet, "sigmoid", oracle_sigmoid)  # the forward pass's activation
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(y))
+            xs, ys = x[order], y[order]
+            loss_sum = 0.0
+            for start in range(0, len(y), cfg.batch_size):
+                xb, yb = xs[start : start + cfg.batch_size], ys[start : start + cfg.batch_size]
+                probs, caches = neuralnet._forward_cached(model, xb)
+                loss = oracle_bce_loss(probs, yb)
+                grads = oracle_backward(model, caches, probs, yb)
+                nf.adam_step(model.params, grads, state, cfg.learning_rate)
+                loss_sum += loss * yb.size
+            losses.append(loss_sum / len(y))
+    return losses
+
+
+def odd_sized_blobs():
+    """137 scaled rows: batches of 16 leave a last batch of 9."""
+    raw = nf.generate_synthetic_flows(nf.SynthesisSpec(97, 40, 5, 1, 3.0, seed=41))
+    return nf.apply_scaler(nf.fit_scaler(raw), raw)
+
+
+BUILDERS = {"mlp": (nf.build_mlp, (6, 6)), "lstm": (nf.build_lstm, (8, 5))}
+STEP_FUNCTIONS = ("_forward_cached", "bce_loss", "_backward_from_caches", "adam_step")
+
+
+class TestTrainMatchesOracle:
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_params_and_losses_bitwise_equal(self, kind, monkeypatch):
+        ds = odd_sized_blobs()
+        cfg = nf.TrainingConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=6)
+        assert ds.row_count % cfg.batch_size != 0
+        build, hidden = BUILDERS[kind]
+        model, history = nf.train(build(ds.feature_names, hidden=hidden, seed=6), ds, cfg)
+        oracle = build(ds.feature_names, hidden=hidden, seed=6)
+        losses = oracle_train(oracle, ds, cfg, monkeypatch)
+        assert model.params.tobytes() == oracle.params.tobytes()
+        assert np.array([h.loss for h in history]).tobytes() == np.array(losses).tobytes()
+
+    def test_sigmoid_edge_inputs(self):
+        edges = [0.0, -0.0, 800.0, -800.0, np.nan, 1.5, -1.5]
+        assert nf.sigmoid(np.array(edges)).tobytes() == oracle_sigmoid(np.array(edges)).tobytes()
+        for v in edges:
+            got = nf.sigmoid(v)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(oracle_sigmoid(v)).tobytes()
+
+    def test_sigmoid_leaves_read_only_input_alone(self):
+        for x in (np.array([-2.0, 0.0, 3.0]), np.array(-4.0)):
+            x.flags.writeable = False
+            before = x.copy()
+            out = nf.sigmoid(x)
+            assert not np.shares_memory(out, x)
+            assert x.tobytes() == before.tobytes()
+
+    def test_bce_loss_edge_probabilities(self):
+        edges = np.array([0.0, 1.0, BCE_EPS, 1.0 - BCE_EPS, 0.5, np.nan])
+        for labels in (np.zeros_like(edges), np.ones_like(edges), np.arange(6.0) % 2):
+            whole = (nf.bce_loss(edges, labels), oracle_bce_loss(edges, labels))
+            assert np.float64(whole[0]).tobytes() == np.float64(whole[1]).tobytes()
+            for p, y in zip(edges, labels):
+                got, want = nf.bce_loss(np.array([p]), [y]), oracle_bce_loss([p], [y])
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestGradientBuffer:
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_stale_gradient_is_fully_overwritten(self, kind):
+        model, x, y = random_checkable_model(kind, 4)
+        probs, caches = neuralnet._forward_cached(model, x)
+        grads = np.full_like(model.params, np.nan)
+        neuralnet._backward_from_caches(model, caches, probs, y, _param_views(model.layers, grads))
+        assert np.isfinite(grads).all()
+        assert grads.tobytes() == nf.backward(model, x, y).tobytes()
+
+    def test_epochs_refill_one_shuffled_copy(self):
+        # A second epoch's copy made while the first is alive would double
+        # training's memory beyond the input matrix.
+        rng = np.random.default_rng(3)
+        ds = numeric_ds(rng.standard_normal((20000, 25)), labels=rng.integers(0, 2, 20000))
+        model = nf.build_mlp(ds.feature_names, seed=3)
+        tracemalloc.start()
+        try:
+            nf.train(model, ds, nf.TrainingConfig(epochs=3, batch_size=2000, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.matrix.nbytes
+
+    def test_train_steps_through_module_globals(self, monkeypatch):
+        # train must look each step function up in the module, so that a
+        # wrapper put there (as a traced benchmark run does) sees every step.
+        calls = collections.Counter()
+        for name in STEP_FUNCTIONS:
+            def counted(*args, _fn=getattr(neuralnet, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(neuralnet, name, counted)
+        ds = odd_sized_blobs()
+        cfg = nf.TrainingConfig(epochs=2, batch_size=16, seed=2)
+        nf.train(nf.build_mlp(ds.feature_names, seed=2), ds, cfg)
+        steps = cfg.epochs * math.ceil(ds.row_count / cfg.batch_size)
+        assert calls == {name: steps for name in STEP_FUNCTIONS}
