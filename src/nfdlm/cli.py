@@ -112,10 +112,7 @@ def _cmd_ingest(args) -> None:
     started = time.perf_counter()
     ds = parse_flow_csv(args.input, args.label_column, args.positive)
     parse_seconds = time.perf_counter() - started
-    if args.drop is None:
-        drop = None
-    else:
-        drop = [name for name in args.drop.split(",") if name]
+    drop = None if args.drop is None else [name for name in args.drop.split(",") if name]
     ds = drop_columns(ds, drop, drop_string_columns=args.drop_strings)
     save_dataset(ds, args.out)
     print(

@@ -15,7 +15,6 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .errors import DataError, NumericError
 from .evaluate import Metrics, confusion, metrics
@@ -28,7 +27,10 @@ from .feature_select import (
     identity_selection,
     mi_rank_select,
 )
-from .flow_data import FlowDataset, atomic_write_text, drop_columns, select_features, stratified_split
+from .flow_data import (
+    INTEGER, NUMBER, STRING, FlowDataset, _open_input, atomic_write_text, drop_columns,
+    json_field, json_object, or_null, select_features, stratified_split,
+)
 from .neuralnet import (
     EpochStats,
     TrainingConfig,
@@ -175,16 +177,8 @@ def save_report(report: ExperimentReport, path) -> None:
 
 
 def load_report(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: bad report file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: a report file must hold a JSON object")
-    return doc
+    with _open_input(path, encoding="utf-8") as fh:
+        return json_object(fh.read(), f"{path}: report file")
 
 
 @contextmanager
@@ -345,19 +339,6 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
-def _report_value(doc, dotted_key: str, kind):
-    """The value at a dotted key of a report dict; DataError naming the key
-    when it is missing or not an instance of kind."""
-    value = doc
-    for key in dotted_key.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise DataError(f"report lacks key '{dotted_key}'")
-        value = value[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise DataError(f"report key '{dotted_key}' has the wrong type: {type(value).__name__}")
-    return value
-
-
 def compare(reports) -> ComparisonTable:
     """One row per report, ordered by experiment name.
 
@@ -366,25 +347,22 @@ def compare(reports) -> ComparisonTable:
     if not reports:
         raise DataError("compare needs at least one report")
     rows = []
+    rules = {"method": STRING, "threshold": or_null(NUMBER), "k": or_null(INTEGER)}
     for rep in reports:
         doc = rep.to_dict() if isinstance(rep, ExperimentReport) else rep
-        selector = _report_value(doc, "config.selector", dict)
+        spec = {k: json_field(doc, f"config.selector.{k}", r, "report") for k, r in rules.items()}
         try:
-            spec = SelectorSpec(
-                _report_value(doc, "config.selector.method", str),
-                threshold=selector.get("threshold"),
-                k=selector.get("k"),
-            )
+            selector = SelectorSpec(**spec).describe()
         except ValueError as exc:
-            raise DataError(f"report key 'config.selector': {exc}") from None
+            raise DataError(f"report 'config.selector': {exc}") from None
         rows.append(
             ComparisonRow(
-                name=_report_value(doc, "config.name", str),
-                accuracy=_report_value(doc, "metrics.accuracy", (int, float)),
-                train_seconds=_report_value(doc, "phase_seconds.training", (int, float)),
-                features=_report_value(doc, "feature_count", int),
-                classifier=_report_value(doc, "config.classifier", str),
-                selector=spec.describe(),
+                name=json_field(doc, "config.name", STRING, "report"),
+                accuracy=json_field(doc, "metrics.accuracy", NUMBER, "report"),
+                train_seconds=json_field(doc, "phase_seconds.training", NUMBER, "report"),
+                features=json_field(doc, "feature_count", INTEGER, "report"),
+                classifier=json_field(doc, "config.classifier", STRING, "report"),
+                selector=selector,
             )
         )
     rows.sort(key=lambda r: r.name)

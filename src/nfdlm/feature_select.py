@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .flow_data import FlowDataset
+from .flow_data import NUMBER, OBJECTS, STRING, FlowDataset, json_field, or_null
 
 CORRELATION = "correlation"
 MUTUAL_INFORMATION = "mutual_information"
@@ -60,14 +60,20 @@ class SelectedFeatures:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SelectedFeatures":
+        kept, dropped = (json_field(d, key, OBJECTS, "selection") for key in ("kept", "dropped"))
+        entry = "selection entry"
         return cls(
-            kept=[k["name"] for k in d["kept"]],
-            scores=[float(k["score"]) for k in d["kept"]],
-            method=d["method"],
-            threshold_or_k=d["parameter"],
+            kept=[json_field(k, "name", STRING, entry) for k in kept],
+            scores=[float(json_field(k, "score", NUMBER, entry)) for k in kept],
+            method=json_field(d, "method", STRING, "selection"),
+            threshold_or_k=json_field(d, "parameter", or_null(NUMBER), "selection"),
             dropped=[
-                DroppedFeature(x["name"], float(x["score"]), x.get("partner"))
-                for x in d["dropped"]
+                DroppedFeature(
+                    json_field(x, "name", STRING, entry),
+                    float(json_field(x, "score", NUMBER, entry)),
+                    json_field(x, "partner", or_null(STRING), entry),
+                )
+                for x in dropped
             ],
         )
 

@@ -182,8 +182,6 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
     any other that failed late) kept as strings from the start.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     categorical: set[int] = set()
     while True:
         ds, late = _parse_pass(path, label_column, positive_label, categorical)
@@ -200,7 +198,7 @@ def _parse_pass(
     Returns (dataset, empty set), or (None, late) where `late` holds the
     columns that stopped parsing as numbers after the first chunk.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_input(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:
@@ -481,33 +479,99 @@ def generate_synthetic_flows(spec: SynthesisSpec) -> FlowDataset:
 @contextmanager
 def _atomic_open(path: str | os.PathLike, mode: str = "wb", **open_args):
     """Yield a temp file beside path, renamed over it when the block succeeds,
-    so readers never observe partial files.
+    so readers never observe partial files. An OSError fails as a one-line
+    DataError naming path and leaves no temp file behind.
 
     mkstemp creates the file with mode 0600; it gets 0666 minus the umask,
     as open() would give it.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         with os.fdopen(fd, mode, **open_args) as fh:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    with _atomic_open(path) as fh:
-        fh.write(data)
+@contextmanager
+def _open_input(path: str | os.PathLike, mode: str = "r", **open_args):
+    """Yield path opened for reading, the reading twin of _atomic_open: a missing or
+    unreadable file, and text the block cannot decode or parse as CSV, fail as a DataError."""
+    try:
+        with open(path, mode, **open_args) as fh:
+            yield fh
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # A decode error's position counts from the decoder's chunk, not the file.
+        why = f"not UTF-8 text ({exc.reason})" if isinstance(exc, UnicodeDecodeError) else exc
+        raise DataError(f"{path}: {why}") from exc
+
+
+def json_object(text: str, what: str) -> dict:
+    """The JSON object text holds; a DataError starting with what if text is not
+    JSON (too deep or with too long an integer included) or holds another value."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{what} is not valid JSON: {exc}") from None
+    if type(doc) is not dict:
+        raise DataError(f"{what} must hold a JSON object")
+    return doc
+
+
+# Rules for json_field: (what the value must be, its test). JSON true and
+# false are neither integers nor numbers, nor equal to 1 and 0 for one_of.
+STRING = ("a string", lambda v: type(v) is str)
+INTEGER = ("an integer", lambda v: type(v) is int)
+NUMBER = ("a number", lambda v: type(v) in (int, float))
+OBJECT = ("an object", lambda v: type(v) is dict)
+COUNT = ("a non-negative integer", lambda v: type(v) is int and v >= 0)
+STRINGS = ("a list of strings", lambda v: type(v) is list and all(map(STRING[1], v)))
+NUMBERS = ("a list of numbers", lambda v: type(v) is list and all(map(NUMBER[1], v)))
+MATRIX = ("a list of lists of numbers", lambda v: type(v) is list and all(map(NUMBERS[1], v)))
+OBJECTS = ("a list of objects", lambda v: type(v) is list and all(map(OBJECT[1], v)))
+STRING_LISTS = ("an object of string lists",
+                lambda v: type(v) is dict and all(map(STRINGS[1], v.values())))
+
+
+def or_null(rule):
+    return f"{rule[0]} or null", lambda v: v is None or rule[1](v)
+
+
+def one_of(*values):
+    return " or ".join(map(repr, values)), lambda v: (type(v), v) in [(type(x), x) for x in values]
+
+
+def json_field(doc: dict, key: str, rule, what: str):
+    """The value at a dotted key of a JSON object, checked against a rule: a
+    DataError "<what> lacks key '<key>'" if it or an object on its path is
+    missing, or "<what> '<key>' must be <wanted>" if it fails the rule."""
+    parent, _, last = key.rpartition(".")
+    if parent:
+        doc = json_field(doc, parent, OBJECT, what)
+    if last not in doc:
+        raise DataError(f"{what} lacks key '{key}'")
+    if not rule[1](doc[last]):
+        raise DataError(f"{what} '{key}' must be {rule[0]}")
+    return doc[last]
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
@@ -532,50 +596,25 @@ def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
         fh.write(payload)
 
 
-def _is_column_list(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(c, dict) and isinstance(c.get("name"), str) and c.get("kind") in COLUMN_KINDS
-        for c in value
-    )
-
-
-# (key, what it must hold, check) for every dataset header key load_dataset reads.
-_HEADER_FIELDS = (
-    ("columns", "a list of {name, kind} objects", _is_column_list),
-    ("row_count", "a non-negative integer", lambda v: type(v) is int and v >= 0),
-    ("labels", "a list or null", lambda v: v is None or isinstance(v, list)),
-    (
-        "strings",
-        "an object of lists",
-        lambda v: isinstance(v, dict) and all(isinstance(s, list) for s in v.values()),
-    ),
-)
-
-
 def load_dataset(path: str | os.PathLike) -> FlowDataset:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    blob = path.read_bytes()
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise DataError(f"{path}: not a dataset file (missing header line)")
-    try:
-        header = json.loads(blob[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: bad dataset header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
+    what = f"{path}: dataset header"
+    with _open_input(path, "rb") as fh:
+        blob = fh.read()
+        nl = blob.find(b"\n")
+        if nl < 0:
+            raise DataError(f"{path}: not a dataset file (missing header line)")
+        header = json_object(blob[:nl].decode("utf-8"), what)
+    if json_field(header, "format", STRING, what) != DATASET_FORMAT:
         raise DataError(f"{path}: not a {DATASET_FORMAT} file")
-    if header.get("format_version") != DATASET_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format version {header.get('format_version')}")
-    for key, wanted, valid in _HEADER_FIELDS:
-        if key not in header:
-            raise DataError(f"{path}: dataset header lacks key '{key}'")
-        if not valid(header[key]):
-            raise DataError(f"{path}: dataset header '{key}' must be {wanted}")
-
-    columns = [ColumnDescriptor(c["name"], c["kind"]) for c in header["columns"]]
-    n = header["row_count"]
+    json_field(header, "format_version", one_of(DATASET_FORMAT_VERSION), what)
+    columns = [
+        ColumnDescriptor(json_field(c, "name", STRING, f"{what} column {pos}"),
+                         json_field(c, "kind", one_of(*COLUMN_KINDS), f"{what} column {pos}"))
+        for pos, c in enumerate(json_field(header, "columns", OBJECTS, what), 1)
+    ]
+    n = json_field(header, "row_count", COUNT, what)
+    labels = json_field(header, "labels", or_null(("a list", lambda v: type(v) is list)), what)
+    strings = json_field(header, "strings", STRING_LISTS, what)
     n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
     payload = memoryview(blob)[nl + 1 :]  # a view: the payload is not copied
     if len(payload) != 8 * n * n_numeric:
@@ -583,12 +622,7 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
     flat = np.frombuffer(payload, dtype="<f8")
     matrix = flat.reshape(n_numeric, n).T if n_numeric else np.empty((n, 0))
     try:
-        return FlowDataset(
-            columns=columns,
-            matrix=matrix,
-            labels=header["labels"],
-            strings=header["strings"],
-        )
+        return FlowDataset(columns=columns, matrix=matrix, labels=labels, strings=strings)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad dataset file: {exc}") from exc
 
@@ -607,28 +641,21 @@ def write_flow_csv(
     from the label vector; if the dataset has labels but no meta column, a
     label column is appended.
     """
-    header: list[str] = []
-    getters = []
+    columns = list(ds.columns)
+    if ds.labels is not None and not any(c.kind == META for c in columns):
+        columns.append(ColumnDescriptor(label_column, META))
     numeric_index = {name: j for j, name in enumerate(ds.feature_names)}
-    for c in ds.columns:
+    header, getters = [], []
+    for c in columns:
         if c.kind == NUMERIC:
-            j = numeric_index[c.name]
-            header.append(c.name)
-            getters.append(lambda i, j=j: repr(float(ds.matrix[i, j])))
+            getters.append(lambda i, j=numeric_index[c.name]: repr(float(ds.matrix[i, j])))
         elif c.kind == CATEGORICAL:
-            vals = ds.strings[c.name]
-            header.append(c.name)
-            getters.append(lambda i, vals=vals: vals[i])
-        else:  # meta: regenerate from labels
-            if ds.labels is None:
-                continue
-            header.append(c.name)
-            getters.append(
-                lambda i: positive_label if ds.labels[i] else negative_label
-            )
-    if ds.labels is not None and not any(c.kind == META for c in ds.columns):
-        header.append(label_column)
-        getters.append(lambda i: positive_label if ds.labels[i] else negative_label)
+            getters.append(ds.strings[c.name].__getitem__)
+        elif ds.labels is not None:  # meta: regenerate from labels
+            getters.append(lambda i: positive_label if ds.labels[i] else negative_label)
+        else:
+            continue
+        header.append(c.name)
 
     with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

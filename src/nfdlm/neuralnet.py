@@ -16,13 +16,15 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, NumericError
 from .feature_select import SelectedFeatures
-from .flow_data import FlowDataset, atomic_write_text
+from .flow_data import (
+    INTEGER, MATRIX, NUMBER, NUMBERS, OBJECT, OBJECTS, STRING, STRINGS, FlowDataset, _open_input,
+    atomic_write_text, json_field, json_object, one_of, or_null,
+)
 from .preprocess import ScalerParams, scale_columns
 
 MODEL_FORMAT = "nfdlm.model"
@@ -115,10 +117,11 @@ class Model:
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("mlp", "lstm"):
-            raise DataError(f"unknown model kind: {self.kind!r}")
         if not self.layers:
             raise DataError("model needs at least one layer")
+        kind = "lstm" if any(isinstance(l, LstmCell) for l in self.layers) else "mlp"
+        if self.kind != kind:
+            raise DataError(f"model kind must be {kind!r} for these layers, not {self.kind!r}")
         width = len(self.input_features)
         for pos, layer in enumerate(self.layers, 1):
             if layer.input_size != width:
@@ -173,12 +176,12 @@ class TrainingConfig:
     def from_dict(cls, d: dict) -> "TrainingConfig":
         """Older files' Adam and shuffle keys must hold the fixed values, so
         that retraining from the config reproduces the model."""
-        d = dict(d)
-        for key, fixed in _FIXED_TRAINING_KEYS.items():
-            value = d.pop(key, fixed)
-            if type(value) is not type(fixed) or value != fixed:
-                raise DataError(f"training_config '{key}' must be {fixed!r}")
-        return cls(**d)
+        rules = {"epochs": INTEGER, "batch_size": INTEGER, "learning_rate": NUMBER, "seed": INTEGER}
+        for key in sorted(d.keys() - rules.keys()):
+            if key not in _FIXED_TRAINING_KEYS:
+                raise DataError(f"training_config has unknown key '{key}'")
+            json_field(d, key, one_of(_FIXED_TRAINING_KEYS[key]), "training_config")
+        return cls(**{k: json_field(d, k, r, "training_config") for k, r in rules.items()})
 
 
 @dataclass
@@ -440,24 +443,23 @@ def _layer_to_dict(layer: Layer) -> dict:
     return {**head, "weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
 
 
-def _layer_from_dict(d: dict, version: int) -> Layer:
-    if d["type"] == "dense":
-        return DenseLayer(d["weights"], d["bias"], d["activation"])
-    if d["type"] != "lstm":
-        raise DataError(f"unknown layer type: {d['type']!r}")
-    h = int(d["hidden_size"])
+def _layer_from_dict(d: dict, version: int, what: str) -> Layer:
+    if json_field(d, "type", one_of("dense", "lstm"), what) == "dense":
+        weights, bias = json_field(d, "weights", MATRIX, what), json_field(d, "bias", NUMBERS, what)
+        return DenseLayer(weights, bias, json_field(d, "activation", STRING, what))
+    h = json_field(d, "hidden_size", INTEGER, what)
     if version == 1:
         # v1 stored all four gates, each (hidden, input + hidden); only the
         # input columns of the input, candidate and output gates are live.
-        gates = [np.array(d[k], dtype=np.float64) for k in ("w_in", "w_cand", "w_out")]
-        biases = [np.array(d[k], dtype=np.float64) for k in ("b_in", "b_cand", "b_out")]
+        gates = [np.array(json_field(d, k, MATRIX, what)) for k in ("w_in", "w_cand", "w_out")]
+        biases = [np.array(json_field(d, k, NUMBERS, what)) for k in ("b_in", "b_cand", "b_out")]
         cols = gates[0].shape[-1]
         if cols <= h or any(w.shape != (h, cols) for w in gates):
             raise DataError("v1 LSTM gate matrices must be (hidden, input + hidden)")
         if any(b.shape != (h,) for b in biases):
             raise DataError("v1 LSTM gate biases must have hidden_size entries")
         return LstmCell(np.vstack([w[:, : cols - h] for w in gates]), np.concatenate(biases), h)
-    return LstmCell(d["weights"], d["bias"], h)
+    return LstmCell(json_field(d, "weights", MATRIX, what), json_field(d, "bias", NUMBERS, what), h)
 
 
 def save_model(model: Model, path) -> None:
@@ -480,38 +482,27 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     """Read a model file of format version 2 or the older version 1."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: bad model file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+    what = f"{path}: model file"
+    with _open_input(path, encoding="utf-8") as fh:
+        doc = json_object(fh.read(), what)
+    if json_field(doc, "format", STRING, what) != MODEL_FORMAT:
         raise DataError(f"{path}: not a {MODEL_FORMAT} file")
-    version = doc.get("format_version")
-    if version not in (1, MODEL_FORMAT_VERSION):
-        raise DataError(f"{path}: unsupported format version {version}")
+    version = json_field(doc, "format_version", one_of(1, MODEL_FORMAT_VERSION), what)
+    kind = json_field(doc, "kind", STRING, what)
+    features = json_field(doc, "input_features", STRINGS, what)
+    seed = json_field(doc, "init_seed", or_null(INTEGER), what)
+    layers = json_field(doc, "layers", OBJECTS, what)
+    scaler, selection, training = (json_field(doc, key, or_null(OBJECT), what)
+                                   for key in ("scaler", "selection", "training_config"))
     try:
-        features, seed = doc["input_features"], doc["init_seed"]
-        if not isinstance(features, list) or not all(isinstance(f, str) for f in features):
-            raise DataError("'input_features' must be a list of strings")
-        if isinstance(seed, bool) or not isinstance(seed, (int, type(None))):
-            raise DataError("'init_seed' must be an integer or null")
         return Model(
-            kind=doc["kind"],
-            layers=[_layer_from_dict(d, version) for d in doc["layers"]],
+            kind=kind,
+            layers=[_layer_from_dict(d, version, f"layer {i}") for i, d in enumerate(layers, 1)],
             input_features=features,
-            scaler=None if doc["scaler"] is None else ScalerParams.from_dict(doc["scaler"]),
-            selection=None
-            if doc["selection"] is None
-            else SelectedFeatures.from_dict(doc["selection"]),
-            training_config=None
-            if doc["training_config"] is None
-            else TrainingConfig.from_dict(doc["training_config"]),
+            scaler=None if scaler is None else ScalerParams.from_dict(scaler),
+            selection=None if selection is None else SelectedFeatures.from_dict(selection),
+            training_config=None if training is None else TrainingConfig.from_dict(training),
             init_seed=seed,
         )
-    except KeyError as exc:
-        raise DataError(f"{path}: model file lacks key {exc}") from None
     except (TypeError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: bad model file: {exc}") from exc

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .flow_data import FlowDataset
+from .flow_data import NUMBERS, STRINGS, FlowDataset, json_field
 
 # Minority rows whose neighbor distances are sorted at a time.
 SMOTE_BLOCK_ROWS = 512
@@ -41,7 +41,8 @@ class ScalerParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalerParams":
-        return cls(list(d["column_names"]), d["means"], d["stdevs"])
+        rules = {"column_names": STRINGS, "means": NUMBERS, "stdevs": NUMBERS}
+        return cls(**{key: json_field(d, key, rule, "scaler") for key, rule in rules.items()})
 
 
 @dataclass

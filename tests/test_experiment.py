@@ -339,16 +339,51 @@ class TestCli:
         ("hidden_sigmoid_layer", "hidden dense layers must be relu"),
         ("string_input_features", "'input_features' must be a list of strings"),
         ("string_init_seed", "'init_seed' must be an integer or null"),
+        ("mlp_kind_on_lstm", "model kind must be 'lstm' for these layers, not 'mlp'"),
+        ("fractional_hidden_size", "layer 2 'hidden_size' must be an integer"),
+        ("boolean_hidden_size", "layer 1 'hidden_size' must be an integer"),
+        ("boolean_weight", "layer 1 'weights' must be a list of lists of numbers"),
+        ("string_column_names", "scaler 'column_names' must be a list of strings"),
+        ("fractional_epochs", "training_config 'epochs' must be an integer"),
+        ("boolean_batch_size", "training_config 'batch_size' must be an integer"),
+        ("unknown_training_key", "training_config has unknown key 'momentum'"),
     ], ids=["missing_kind", "narrow_middle_layer", "nan_scaler_mean", "subnormal_scaler_stdev",
-            "hidden_sigmoid_layer", "string_input_features", "string_init_seed"])
+            "hidden_sigmoid_layer", "string_input_features", "string_init_seed",
+            "mlp_kind_on_lstm", "fractional_hidden_size", "boolean_hidden_size", "boolean_weight",
+            "string_column_names", "fractional_epochs", "boolean_batch_size",
+            "unknown_training_key"])
     def test_hostile_model_file_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data, model = tmp_path / "flows.ds", tmp_path / "m.json"
         nf.save_dataset(small_ds, data)
-        nf.save_model(nf.build_mlp(small_ds.feature_names, seed=0), model)
+        names = small_ds.feature_names
+        # Layer 1 of the LSTM has hidden size 1, so int(true) would fit it;
+        # layer 2 has 2, so int(2.9) would.
+        lstm = breakage in ("mlp_kind_on_lstm", "fractional_hidden_size", "boolean_hidden_size")
+        built = nf.build_lstm(names, hidden=(1, 2), seed=0) if lstm else nf.build_mlp(names, seed=0)
+        nf.save_model(built, model)
         doc = json.loads(model.read_text(encoding="utf-8"))
-        width = len(small_ds.feature_names)
+        width = len(names)
+        training = {"epochs": 2, "batch_size": 20, "learning_rate": 0.001, "seed": 0}
         if breakage == "missing_kind":
             del doc["kind"]
+        elif breakage == "mlp_kind_on_lstm":
+            doc["kind"] = "mlp"
+        elif breakage == "fractional_hidden_size":
+            doc["layers"][1]["hidden_size"] = 2.9
+        elif breakage == "boolean_hidden_size":
+            doc["layers"][0]["hidden_size"] = True
+        elif breakage == "boolean_weight":
+            doc["layers"][0]["weights"][0][0] = True
+        elif breakage == "string_column_names":
+            joined = "".join(names)  # list() of it would give one name per character
+            doc["scaler"] = {"column_names": joined, "means": [0.0] * len(joined),
+                             "stdevs": [1.0] * len(joined)}
+        elif breakage == "fractional_epochs":
+            doc["training_config"] = {**training, "epochs": 2.5}
+        elif breakage == "boolean_batch_size":
+            doc["training_config"] = {**training, "batch_size": True}
+        elif breakage == "unknown_training_key":
+            doc["training_config"] = {**training, "momentum": 0.5}
         elif breakage in ("nan_scaler_mean", "subnormal_scaler_stdev"):
             # A 1e-320 stdev loads, but scales every nonzero value to +-inf.
             nan_mean = breakage == "nan_scaler_mean"
@@ -383,8 +418,9 @@ class TestCli:
         ("strings", "lacks key 'strings'"),
         ("negative_row_count", "'row_count' must be a non-negative integer"),
         ("fractional_labels", "labels must be 0 or 1"),
+        ("unknown_column_kind", "column 1 'kind' must be 'numeric' or"),
     ], ids=["columns", "row_count", "labels", "strings", "negative_row_count",
-            "fractional_labels"])
+            "fractional_labels", "unknown_column_kind"])
     def test_bad_dataset_header_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data = tmp_path / "flows.ds"
         nf.save_dataset(small_ds, data)
@@ -394,6 +430,8 @@ class TestCli:
             header["row_count"] = -1
         elif breakage == "fractional_labels":
             header["labels"] = [0.9] * header["row_count"]
+        elif breakage == "unknown_column_kind":
+            header["columns"][0]["kind"] = "text"
         else:
             del header[breakage]
         data.write_bytes(json.dumps(header).encode() + b"\n" + payload)
@@ -408,19 +446,78 @@ class TestCli:
     @pytest.mark.parametrize("breakage,reason", [
         ("missing_selector", "lacks key 'config.selector'"),
         ("json_list", "must hold a JSON object"),
-    ], ids=["missing_selector", "json_list"])
+        ("deep_nesting", "report file is not valid JSON"),
+        ("long_integer", "report file is not valid JSON"),
+    ], ids=["missing_selector", "json_list", "deep_nesting", "long_integer"])
     def test_unreadable_report_exits_2(self, tmp_path, capsys, breakage, reason):
         report = tmp_path / "r.json"
         if breakage == "missing_selector":
-            doc = {"config": {"name": "FS2"}, "metrics": {"accuracy": 0.99}}
-        else:
-            doc = [{"config": {"name": "FS2"}}]
-        report.write_text(json.dumps(doc), encoding="utf-8")
+            text = json.dumps({"config": {"name": "FS2"}, "metrics": {"accuracy": 0.99}})
+        elif breakage == "json_list":
+            text = json.dumps([{"config": {"name": "FS2"}}])
+        elif breakage == "deep_nesting":
+            text = "[" * 100_000 + "]" * 100_000
+        else:  # more digits than Python converts to an int by default
+            text = '{"feature_count": ' + "9" * 5000 + "}"
+        report.write_text(text, encoding="utf-8")
         rc = main(["compare", "--reports", str(report), "--out", str(tmp_path / "t.md")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
         assert reason in err
+
+    @pytest.mark.parametrize("bad", ["directory", "invalid_utf8"])
+    @pytest.mark.parametrize("command", [
+        "ingest --input", "train --data", "select --data", "evaluate --model", "evaluate --data",
+        "compare --reports",
+    ])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, small_ds, command, bad):
+        target, out = tmp_path / "input", tmp_path / "out"
+        if bad == "directory":
+            target.mkdir()
+        else:
+            target.write_bytes(b"\xff\xfe\xfd\n\xc3\x28\n")
+        data, model = tmp_path / "flows.ds", tmp_path / "m.json"
+        nf.save_dataset(small_ds, data)
+        nf.save_model(nf.build_mlp(small_ds.feature_names, seed=0), model)
+        argv = {
+            "ingest --input": ["ingest", "--input", target, "--out", out],
+            "train --data": ["train", "--data", target, "--preset", "BASE", "--seed", "1",
+                             "--model-out", out, "--report-out", out],
+            "select --data": ["select", "--data", target, "--method", "mi", "--out", out],
+            "evaluate --model": ["evaluate", "--model", target, "--data", data, "--report-out", out],
+            "evaluate --data": ["evaluate", "--model", model, "--data", target, "--report-out", out],
+            "compare --reports": ["compare", "--reports", target, "--out", out],
+        }[command]
+        assert main([str(arg) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
+        assert str(target) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["synth_missing_dir", "train_missing_dir", "synth_onto_dir"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, small_ds, case):
+        if case == "synth_onto_dir":
+            target = tmp_path / "taken"
+            target.mkdir()
+        else:
+            target = tmp_path / "missing" / "out.json"
+        if case.startswith("synth"):
+            argv = ["synth", "--attack", "5", "--benign", "5", "--features", "2", "--seed", "1",
+                    "--out", str(target)]
+        else:
+            data = tmp_path / "flows.ds"
+            nf.save_dataset(small_ds, data)
+            argv = ["train", "--data", str(data), "--preset", "BASE", "--seed", "1",
+                    "--model-out", str(tmp_path / "m.json"), "--report-out", str(target)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
+        assert str(target) in err
+        # No temp file is left beside the target.
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+        if case == "synth_onto_dir":
+            assert list(target.iterdir()) == []
 
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         ds_path = tmp_path / "flows.ds"

@@ -98,6 +98,12 @@ class TestParseFlowCsv:
         with pytest.raises(nf.DataError, match="no such file"):
             nf.parse_flow_csv(tmp_path / "absent.csv", "category", "DDoS")
 
+    def test_field_over_the_csv_limit(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,category\n" + "1" * 200_000 + ",DDoS\n", encoding="utf-8")
+        with pytest.raises(nf.DataError, match="field larger than field limit"):
+            nf.parse_flow_csv(path, "category", "DDoS")
+
     def test_missing_label_column(self, tiny_csv):
         with pytest.raises(nf.DataError, match="label column"):
             nf.parse_flow_csv(tiny_csv, "nope", "DDoS")
