@@ -118,7 +118,8 @@ def _cmd_ingest(args) -> None:
     print(
         f"ingested {ds.row_count} rows, {len(ds.feature_names)} numeric features, "
         f"{int(ds.labels.sum())} attack / {int((ds.labels == 0).sum())} benign -> {args.out} "
-        f"(parsed in {parse_seconds:.2f} s, peak RSS {_peak_rss_mb():.1f} MB)"
+        f"(parsed in {parse_seconds:.2f} s, {ds.row_count / parse_seconds:.0f} rows/s, "
+        f"peak RSS {_peak_rss_mb():.1f} MB)"
     )
 
 

@@ -177,8 +177,13 @@ def save_report(report: ExperimentReport, path) -> None:
 
 
 def load_report(path) -> dict:
+    """A report file's JSON object, checked for every key `compare` reads, so
+    a bad file is named in the error."""
+    what = f"{path}: report file"
     with _open_input(path, encoding="utf-8") as fh:
-        return json_object(fh.read(), f"{path}: report file")
+        doc = json_object(fh.read(), what)
+    _comparison_row(doc, what)
+    return doc
 
 
 @contextmanager
@@ -339,6 +344,23 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
+def _comparison_row(doc: dict, what: str) -> ComparisonRow:
+    rules = {"method": STRING, "threshold": or_null(NUMBER), "k": or_null(INTEGER)}
+    spec = {k: json_field(doc, f"config.selector.{k}", r, what) for k, r in rules.items()}
+    try:
+        selector = SelectorSpec(**spec).describe()
+    except ValueError as exc:
+        raise DataError(f"{what} 'config.selector': {exc}") from None
+    return ComparisonRow(
+        name=json_field(doc, "config.name", STRING, what),
+        accuracy=json_field(doc, "metrics.accuracy", NUMBER, what),
+        train_seconds=json_field(doc, "phase_seconds.training", NUMBER, what),
+        features=json_field(doc, "feature_count", INTEGER, what),
+        classifier=json_field(doc, "config.classifier", STRING, what),
+        selector=selector,
+    )
+
+
 def compare(reports) -> ComparisonTable:
     """One row per report, ordered by experiment name.
 
@@ -346,24 +368,9 @@ def compare(reports) -> ComparisonTable:
     """
     if not reports:
         raise DataError("compare needs at least one report")
-    rows = []
-    rules = {"method": STRING, "threshold": or_null(NUMBER), "k": or_null(INTEGER)}
-    for rep in reports:
-        doc = rep.to_dict() if isinstance(rep, ExperimentReport) else rep
-        spec = {k: json_field(doc, f"config.selector.{k}", r, "report") for k, r in rules.items()}
-        try:
-            selector = SelectorSpec(**spec).describe()
-        except ValueError as exc:
-            raise DataError(f"report 'config.selector': {exc}") from None
-        rows.append(
-            ComparisonRow(
-                name=json_field(doc, "config.name", STRING, "report"),
-                accuracy=json_field(doc, "metrics.accuracy", NUMBER, "report"),
-                train_seconds=json_field(doc, "phase_seconds.training", NUMBER, "report"),
-                features=json_field(doc, "feature_count", INTEGER, "report"),
-                classifier=json_field(doc, "config.classifier", STRING, "report"),
-                selector=selector,
-            )
-        )
+    rows = [
+        _comparison_row(rep.to_dict() if isinstance(rep, ExperimentReport) else rep, "report")
+        for rep in reports
+    ]
     rows.sort(key=lambda r: r.name)
     return ComparisonTable(rows=rows)

@@ -82,9 +82,12 @@ class FlowDataset:
         if not np.isfinite(self.matrix).all():
             raise DataError("matrix contains NaN or Inf values")
         if self.labels is not None:
-            # Checked before the integer cast, which would truncate 0.9 to 0.
-            labels = np.asarray(self.labels)
-            if labels.size and not np.isin(labels, (0, 1)).all():
+            # Checked before the integer cast, which would truncate 0.9 to 0,
+            # and on the given values, where numpy would read true as 1.
+            given = self.labels
+            labels = np.asarray(given)
+            bools = bool in map(type, given) if type(given) is list else labels.dtype == bool
+            if bools or labels.size and not np.isin(labels, (0, 1)).all():
                 raise DataError("labels must be 0 or 1")
             self.labels = labels.astype(np.int64)
             if self.labels.shape != (self.row_count,):
@@ -173,6 +176,15 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
     cells, plus the kept cells of categorical columns (interned, so a
     repeated value is stored once).
 
+    csv.reader and float() read the first chunk, which fixes the column
+    kinds. Each later block of PARSE_CHUNK_ROWS lines that is plain (see
+    _plain_block: ASCII, no quote or stray control byte, every line with one
+    cell per column) has its numeric columns converted in C by np.loadtxt,
+    which gives the bits float() gives. The first block that is not plain,
+    or that holds a cell loadtxt refuses, and the rest of the file after it
+    go to csv.reader and float(). The result, every error message included,
+    is the same as if csv.reader and float() had read every block.
+
     A file with a single fault gives the same message as a whole-file parse.
     A file with several faults reports the first one in file order, except
     that a non-finite cell is reported only once the whole file is read: a
@@ -218,15 +230,30 @@ def _parse_pass(
         label_parts: list[np.ndarray] = []
         seen_labels: set[str] = set()
         done = 0
-        while chunk := list(itertools.islice(reader, PARSE_CHUNK_ROWS)):
-            ragged = next((i for i, row in enumerate(chunk) if len(row) != width), None)
-            ragged_cells = None if ragged is None else len(chunk[ragged])
-            cols = list(zip(*chunk[:ragged]))
-            del chunk
-            n = len(cols[0]) if cols else 0
-            values: dict[int, np.ndarray] = {}
+        while True:
+            if reader is None:  # past the first chunk, a block of lines at a time
+                lines = list(itertools.islice(fh, PARSE_CHUNK_ROWS))
+                if not lines:
+                    break
+                block = _plain_block(lines, width, slots)
+                if block is None:  # csv.reader reads this block and the rest
+                    reader = csv.reader(itertools.chain(lines, fh))
+                    continue
+                n, ragged = len(lines), None
+                cols = {j: _plain_cells(lines, j, width) for j in (label_idx, *strings)}
+                values = {j: block[:, k] for k, j in enumerate(slots)}
+            else:
+                chunk = list(itertools.islice(reader, PARSE_CHUNK_ROWS))
+                if not chunk:
+                    break
+                ragged = next((i for i, row in enumerate(chunk) if len(row) != width), None)
+                ragged_cells = None if ragged is None else len(chunk[ragged])
+                cols = dict(enumerate(zip(*chunk[:ragged])))
+                n = len(chunk) if ragged is None else ragged
+                del chunk
+                values = {}
             faults: list[tuple[int, int, int]] = []  # (row, rank, column); labels rank first
-            for j, cells in enumerate(cols):
+            for j, cells in cols.items():
                 if j == label_idx:
                     blank = _first_blank(cells)
                     third = _third_label_row(cells, seen_labels)
@@ -253,14 +280,16 @@ def _parse_pass(
                         blank = _first_blank(cells)
                     else:
                         blank = None
-                        if j not in non_finite and not np.isfinite(values[j]).all():
-                            non_finite[j] = done + int(np.argmin(np.isfinite(values[j]))) + 1
                 if blank is not None:
                     faults.append((done + blank + 1, 1, j))
+            for j, column in values.items():
+                if j not in non_finite and not np.isfinite(column).all():
+                    non_finite[j] = done + int(np.argmin(np.isfinite(column))) + 1
             if faults:
                 row, rank, j = min(faults)
                 if rank == 0:
-                    seen_labels.update(r[label_idx] for r in reader if len(r) == width)
+                    rest = reader or csv.reader(fh)
+                    seen_labels.update(r[label_idx] for r in rest if len(r) == width)
                     distinct = sorted(seen_labels)
                     raise DataError(
                         f"{path}: label column '{label_column}' has {len(distinct)} distinct "
@@ -274,6 +303,8 @@ def _parse_pass(
             if matrix is None:
                 slots = [j for j in slots if j not in strings]
                 matrix = np.empty((max(n, PARSE_CHUNK_ROWS), len(slots)))
+                if slots:
+                    reader = None  # csv.reader reads again only from a block that is not plain
             elif done + n > matrix.shape[0]:
                 # Growth reallocates in place where it can; the trim below
                 # gives back what the last growth overshot.
@@ -335,6 +366,49 @@ def _third_label_row(cells: tuple[str, ...], seen: set[str]) -> int | None:
         so_far.add(cell)
         if len(so_far) > 2:
             return i
+
+
+# Every byte a plain block may hold: tab, LF, CR and printable ASCII but '"'.
+_PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)]).replace(b'"', b"")
+
+
+def _plain_block(lines: list[str], width: int, slots: list[int]) -> np.ndarray | None:
+    """The cells of columns `slots` as float64 rows, or None if the lines are
+    not plain or np.loadtxt refuses a cell.
+
+    Plain lines are ASCII; they hold no quote, no control byte but tab, and a
+    CR only in a CRLF ending; none is longer than the csv field limit; and
+    each has width - 1 commas. On such lines loadtxt splits cells where
+    csv.reader does and converts each with PyOS_string_to_double, as float()
+    does: a cell it takes has the bits float() gives, and a cell float()
+    refuses it refuses too. (It also refuses some that float() takes, such
+    as 1_000.) Elsewhere they differ: loadtxt skips blank lines, ignores
+    extra or missing fields, takes a number next to \\x1c-\\x1f and takes a
+    cell past the field limit.
+    """
+    raw = "".join(lines).encode("utf-8")
+    if raw.translate(None, _PLAIN_BYTES) or (
+        b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")
+    ):
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if any(line.count(",") != width - 1 for line in lines):
+        return None
+    try:
+        return np.loadtxt(
+            lines, delimiter=",", comments=None, quotechar=None, usecols=slots,
+            dtype=np.float64, ndmin=2,
+        )
+    except ValueError:
+        return None
+
+
+def _plain_cells(lines: list[str], j: int, width: int) -> list[str]:
+    """Column j's cells of plain lines (see _plain_block), as csv.reader reads them."""
+    if j == width - 1:
+        return [line.rpartition(",")[2].rstrip("\r\n") for line in lines]
+    return [line.split(",", j + 1)[j] for line in lines]
 
 
 def drop_columns(
@@ -597,30 +671,34 @@ def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
 
 
 def load_dataset(path: str | os.PathLike) -> FlowDataset:
+    """Read a file save_dataset wrote. Each column payload is read straight into
+    its column of a C-order matrix, so memory is the matrix and one column."""
     what = f"{path}: dataset header"
     with _open_input(path, "rb") as fh:
-        blob = fh.read()
-        nl = blob.find(b"\n")
-        if nl < 0:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
             raise DataError(f"{path}: not a dataset file (missing header line)")
-        header = json_object(blob[:nl].decode("utf-8"), what)
-    if json_field(header, "format", STRING, what) != DATASET_FORMAT:
-        raise DataError(f"{path}: not a {DATASET_FORMAT} file")
-    json_field(header, "format_version", one_of(DATASET_FORMAT_VERSION), what)
-    columns = [
-        ColumnDescriptor(json_field(c, "name", STRING, f"{what} column {pos}"),
-                         json_field(c, "kind", one_of(*COLUMN_KINDS), f"{what} column {pos}"))
-        for pos, c in enumerate(json_field(header, "columns", OBJECTS, what), 1)
-    ]
-    n = json_field(header, "row_count", COUNT, what)
-    labels = json_field(header, "labels", or_null(("a list", lambda v: type(v) is list)), what)
-    strings = json_field(header, "strings", STRING_LISTS, what)
-    n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
-    payload = memoryview(blob)[nl + 1 :]  # a view: the payload is not copied
-    if len(payload) != 8 * n * n_numeric:
-        raise DataError(f"{path}: payload size mismatch")
-    flat = np.frombuffer(payload, dtype="<f8")
-    matrix = flat.reshape(n_numeric, n).T if n_numeric else np.empty((n, 0))
+        header = json_object(line.decode("utf-8"), what)
+        if json_field(header, "format", STRING, what) != DATASET_FORMAT:
+            raise DataError(f"{path}: not a {DATASET_FORMAT} file")
+        json_field(header, "format_version", one_of(DATASET_FORMAT_VERSION), what)
+        columns = [
+            ColumnDescriptor(json_field(c, "name", STRING, f"{what} column {pos}"),
+                             json_field(c, "kind", one_of(*COLUMN_KINDS), f"{what} column {pos}"))
+            for pos, c in enumerate(json_field(header, "columns", OBJECTS, what), 1)
+        ]
+        n = json_field(header, "row_count", COUNT, what)
+        labels = json_field(header, "labels", or_null(("a list", lambda v: type(v) is list)), what)
+        strings = json_field(header, "strings", STRING_LISTS, what)
+        n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
+        if os.fstat(fh.fileno()).st_size - len(line) != 8 * n * n_numeric:
+            raise DataError(f"{path}: payload size mismatch")
+        matrix = np.empty((n, n_numeric))
+        column = np.empty(n if n_numeric else 0, dtype="<f8")  # one column's payload
+        for k in range(n_numeric):
+            if fh.readinto(column) != column.nbytes:
+                raise DataError(f"{path}: payload size mismatch")
+            matrix[:, k] = column
     try:
         return FlowDataset(columns=columns, matrix=matrix, labels=labels, strings=strings)
     except (TypeError, ValueError) as exc:

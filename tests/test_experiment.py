@@ -289,8 +289,10 @@ class TestCli:
         assert "| FS2" in table.read_text()
         out = capsys.readouterr().out
         assert "ingested 2100 rows" in out
-        fields = re.search(r"\(parsed in (\d+\.\d\d) s, peak RSS (\d+\.\d) MB\)", out)
-        assert fields and float(fields[2]) > 0.0
+        fields = re.search(
+            r"\(parsed in (\d+\.\d\d) s, (\d+) rows/s, peak RSS (\d+\.\d) MB\)", out
+        )
+        assert fields and int(fields[2]) > 0 and float(fields[3]) > 0.0
 
     def test_synthetic_csv_matches_library_output(self, tmp_path):
         csv = tmp_path / "flows.csv"
@@ -418,9 +420,10 @@ class TestCli:
         ("strings", "lacks key 'strings'"),
         ("negative_row_count", "'row_count' must be a non-negative integer"),
         ("fractional_labels", "labels must be 0 or 1"),
+        ("boolean_labels", "labels must be 0 or 1"),
         ("unknown_column_kind", "column 1 'kind' must be 'numeric' or"),
     ], ids=["columns", "row_count", "labels", "strings", "negative_row_count",
-            "fractional_labels", "unknown_column_kind"])
+            "fractional_labels", "boolean_labels", "unknown_column_kind"])
     def test_bad_dataset_header_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data = tmp_path / "flows.ds"
         nf.save_dataset(small_ds, data)
@@ -430,6 +433,8 @@ class TestCli:
             header["row_count"] = -1
         elif breakage == "fractional_labels":
             header["labels"] = [0.9] * header["row_count"]
+        elif breakage == "boolean_labels":
+            header["labels"] = [bool(v) for v in header["labels"]]
         elif breakage == "unknown_column_kind":
             header["columns"][0]["kind"] = "text"
         else:
@@ -465,6 +470,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
         assert reason in err
+        assert f"{report}: report file" in err
 
     @pytest.mark.parametrize("bad", ["directory", "invalid_utf8"])
     @pytest.mark.parametrize("command", [

@@ -274,6 +274,111 @@ class TestChunkedParse:
         assert_matches_whole_file(ds, path)
 
 
+class TestPlainBlocks:
+    """Past the first chunk, np.loadtxt converts each plain block; csv.reader
+    and float() read any other block and the rest of the file after it. Both
+    read the file as a whole-file parse does."""
+
+    CHUNK = 64
+    ROWS = 5 * CHUNK + 7  # the first chunk, then blocks 2-6
+    HEADER = ["id", "v", "proto", "category"]
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(flow_data, "PARSE_CHUNK_ROWS", self.CHUNK)
+
+    def count_loadtxt(self, monkeypatch):
+        """Block sizes passed to np.loadtxt, one entry per call."""
+        calls = []
+        real = np.loadtxt
+
+        def counted(lines, **kwargs):
+            calls.append(len(lines))
+            return real(lines, **kwargs)
+
+        monkeypatch.setattr(flow_data.np, "loadtxt", counted)
+        return calls
+
+    @pytest.mark.parametrize("ending", ["lf", "crlf"])
+    def test_every_later_block_runs_loadtxt(self, tmp_path, monkeypatch, ending):
+        path = write_csv(tmp_path / "flows.csv", self.HEADER, long_rows(self.ROWS))
+        if ending == "crlf":  # csv.writer ends every record with CRLF
+            nf.write_flow_csv(nf.parse_flow_csv(path, "category", "DDoS"), path)
+            assert path.read_bytes().count(b"\r\n") == self.ROWS + 1
+        calls = self.count_loadtxt(monkeypatch)
+        ds = nf.parse_flow_csv(path, "category", "DDoS")
+        assert calls == [self.CHUNK] * 4 + [7]
+        assert_matches_whole_file(ds, path)
+
+    @pytest.mark.parametrize(
+        "cell, kind, loadtxt_calls",
+        [
+            ("\x1f1.5", CATEGORICAL, 4),  # block 4 is not plain, twice: read, re-read
+            ("1.5\x1c", CATEGORICAL, 4),
+            (" 1.5\t", NUMERIC, 5),  # plain: every later block runs loadtxt
+            ("1_000", NUMERIC, 3),  # plain, but loadtxt refuses it
+            ("\u0661\u0662", NUMERIC, 2),  # not ASCII
+        ],
+        ids=["us_before", "fs_after", "space_tab", "underscore", "arabic_digits"],
+    )
+    def test_cell_in_a_later_block_keeps_its_kind(
+        self, tmp_path, monkeypatch, cell, kind, loadtxt_calls
+    ):
+        rows = long_rows(self.ROWS)
+        rows[3 * self.CHUNK + 5][1] = cell
+        path = write_csv(tmp_path / "cell.csv", self.HEADER, rows)
+        calls = self.count_loadtxt(monkeypatch)
+        ds = nf.parse_flow_csv(path, "category", "DDoS")
+        assert ds.column("v").kind == kind
+        assert len(calls) == loadtxt_calls
+        assert_matches_whole_file(ds, path)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("blank_line", "row {row} has 0 cells, expected 4"),
+            ("extra_field", "row {row} has 5 cells, expected 4"),
+            ("over_limit", "field larger than field limit"),
+        ],
+    )
+    def test_fault_in_a_later_block(self, tmp_path, fault, message):
+        rows = long_rows(self.ROWS)
+        i = 3 * self.CHUNK + 5
+        if fault == "blank_line":
+            rows[i] = []
+        elif fault == "extra_field":
+            rows[i].append(7)
+        else:
+            rows[i][1] = "1" * 200_000
+        path = write_csv(tmp_path / "fault.csv", self.HEADER, rows)
+        with pytest.raises(nf.DataError, match=message.format(row=i + 1)):
+            nf.parse_flow_csv(path, "category", "DDoS")
+
+    @pytest.mark.parametrize(
+        "column, cell, value",
+        [("proto", '"udp"', "udp"), ("proto", '"t,c\np"', "t,c\np"), ("v", '"2.5"', 2.5)],
+    )
+    def test_quote_in_block_3(self, tmp_path, monkeypatch, column, cell, value):
+        i = 2 * self.CHUNK + 3
+        rows = long_rows(self.ROWS)
+        rows[i][self.HEADER.index(column)] = cell
+        path = write_csv(tmp_path / "quoted.csv", self.HEADER, rows)
+        calls = self.count_loadtxt(monkeypatch)
+        ds = nf.parse_flow_csv(path, "category", "DDoS")
+        assert calls == [self.CHUNK]  # block 2 only
+        got = ds.strings[column][i] if column == "proto" else ds.feature_column(column)[i]
+        assert got == value
+        assert_matches_whole_file(ds, path)
+
+    def test_hash_in_a_later_block_is_a_cell(self, tmp_path):
+        rows = long_rows(self.ROWS)
+        rows[3 * self.CHUNK + 5][0] = "#1"
+        path = write_csv(tmp_path / "hash.csv", self.HEADER, rows)
+        ds = nf.parse_flow_csv(path, "category", "DDoS")
+        assert ds.strings["id"][3 * self.CHUNK + 5] == "#1"
+        assert_matches_whole_file(ds, path)
+
+
 # Allowed tracemalloc peak of parse_flow_csv beyond 1.5x its matrix: one
 # chunk of cells and interpreter noise. The file below measures 4.9 MB; a
 # parse that keeps every cell as a string measures 37.5 MB.
@@ -309,6 +414,32 @@ def test_parse_memory_is_bounded_by_the_matrix(tmp_path):
             tracemalloc.stop()
     assert ds.matrix.shape == (rows, features + 2)
     assert peak <= 1.5 * ds.matrix.nbytes + PARSE_MEMORY_SLACK
+
+
+# Allowed tracemalloc peak of load_dataset beyond its matrix: one column, the
+# labels and interpreter noise. The file below measures 1.4 MB over; reading
+# the whole file, then a C-order copy of its payload, measures 9.2 MB over.
+LOAD_MEMORY_SLACK = 2_500_000
+
+
+def test_load_memory_is_bounded_by_the_matrix(tmp_path):
+    ds = nf.generate_synthetic_flows(nf.SynthesisSpec(16_000, 4_000, 50, 0, 2.0, seed=3))
+    path = tmp_path / "wide.ds"
+    nf.save_dataset(ds, path)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = nf.load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert back.matrix.tobytes() == ds.matrix.tobytes()
+    assert back.matrix.flags.c_contiguous
+    assert peak <= ds.matrix.nbytes + LOAD_MEMORY_SLACK
 
 
 def botiot_like_csv(tmp_path, rows=12):
@@ -471,6 +602,22 @@ class TestDatasetFile:
         path = tmp_path / "cache.ds"
         nf.save_dataset(ds, path)
         assert_datasets_equal(nf.load_dataset(path), ds)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda b: b[:-8], "payload size mismatch"),
+            (lambda b: b + b"\0", "payload size mismatch"),
+            (lambda b: b.split(b"\n", 1)[0], "missing header line"),
+        ],
+        ids=["short", "long", "no_newline"],
+    )
+    def test_rejects_bad_payload_size(self, tmp_path, change, message):
+        path = tmp_path / "cache.ds"
+        nf.save_dataset(nf.generate_synthetic_flows(nf.SynthesisSpec(8, 4, 3, 0, 2.0)), path)
+        path.write_bytes(change(path.read_bytes()))
+        with pytest.raises(nf.DataError, match=message):
+            nf.load_dataset(path)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.ds"
