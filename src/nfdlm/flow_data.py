@@ -8,10 +8,12 @@ feature matrix plus column descriptors, optional binary labels (0 = benign,
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -82,12 +84,9 @@ class FlowDataset:
         if not np.isfinite(self.matrix).all():
             raise DataError("matrix contains NaN or Inf values")
         if self.labels is not None:
-            # Checked before the integer cast, which would truncate 0.9 to 0,
-            # and on the given values, where numpy would read true as 1.
-            given = self.labels
-            labels = np.asarray(given)
-            bools = bool in map(type, given) if type(given) is list else labels.dtype == bool
-            if bools or labels.size and not np.isin(labels, (0, 1)).all():
+            # Checked before the integer cast, which would truncate 0.9 to 0.
+            labels = np.asarray(self.labels)
+            if labels.size and not np.isin(labels, (0, 1)).all():
                 raise DataError("labels must be 0 or 1")
             self.labels = labels.astype(np.int64)
             if self.labels.shape != (self.row_count,):
@@ -180,10 +179,11 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
     kinds. Each later block of PARSE_CHUNK_ROWS lines that is plain (see
     _plain_block: ASCII, no quote or stray control byte, every line with one
     cell per column) has its numeric columns converted in C by np.loadtxt,
-    which gives the bits float() gives. The first block that is not plain,
-    or that holds a cell loadtxt refuses, and the rest of the file after it
-    go to csv.reader and float(). The result, every error message included,
-    is the same as if csv.reader and float() had read every block.
+    which gives the bits float() gives. A block that is not plain, or that
+    holds a cell loadtxt refuses, is read as PARSE_CHUNK_ROWS records by
+    csv.reader and float(); the next block is again read as raw lines. The
+    result, every error message included, is the same as if csv.reader and
+    float() had read every block.
 
     A file with a single fault gives the same message as a whole-file parse.
     A file with several faults reports the first one in file order, except
@@ -236,7 +236,7 @@ def _parse_pass(
                 if not lines:
                     break
                 block = _plain_block(lines, width, slots)
-                if block is None:  # csv.reader reads this block and the rest
+                if block is None:  # csv.reader reads one chunk of records from here
                     reader = csv.reader(itertools.chain(lines, fh))
                     continue
                 n, ragged = len(lines), None
@@ -303,8 +303,6 @@ def _parse_pass(
             if matrix is None:
                 slots = [j for j in slots if j not in strings]
                 matrix = np.empty((max(n, PARSE_CHUNK_ROWS), len(slots)))
-                if slots:
-                    reader = None  # csv.reader reads again only from a block that is not plain
             elif done + n > matrix.shape[0]:
                 # Growth reallocates in place where it can; the trim below
                 # gives back what the last growth overshot.
@@ -314,6 +312,8 @@ def _parse_pass(
                 if j in values:
                     matrix[done : done + n, k] = values[j]
             done += n
+            if slots and not late:  # a chunk of records ends past its block's last line
+                reader = None
 
     if late:
         return None, late
@@ -368,8 +368,8 @@ def _third_label_row(cells: tuple[str, ...], seen: set[str]) -> int | None:
             return i
 
 
-# Every byte a plain block may hold: tab, LF, CR and printable ASCII but '"'.
-_PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)]).replace(b'"', b"")
+# Every byte an ASCII block may hold to be plain: tab, LF, CR and printable.
+_PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)])
 
 
 def _plain_block(lines: list[str], width: int, slots: list[int]) -> np.ndarray | None:
@@ -386,7 +386,10 @@ def _plain_block(lines: list[str], width: int, slots: list[int]) -> np.ndarray |
     extra or missing fields, takes a number next to \\x1c-\\x1f and takes a
     cell past the field limit.
     """
-    raw = "".join(lines).encode("utf-8")
+    text = "".join(lines)
+    if '"' in text or not text.isascii():  # the cheap tests first
+        return None
+    raw = text.encode("ascii")
     if raw.translate(None, _PLAIN_BYTES) or (
         b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")
     ):
@@ -672,7 +675,9 @@ def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
 
 def load_dataset(path: str | os.PathLike) -> FlowDataset:
     """Read a file save_dataset wrote. Each column payload is read straight into
-    its column of a C-order matrix, so memory is the matrix and one column."""
+    its column of a C-order matrix, so memory is the matrix and one column. A
+    file that is not a regular file (a pipe, say) is read whole first, since
+    its size is known only then."""
     what = f"{path}: dataset header"
     with _open_input(path, "rb") as fh:
         line = fh.readline()
@@ -689,14 +694,22 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
         ]
         n = json_field(header, "row_count", COUNT, what)
         labels = json_field(header, "labels", or_null(("a list", lambda v: type(v) is list)), what)
+        if labels is not None and bool in map(type, labels):  # numpy reads true as 1
+            raise DataError(f"{path}: bad dataset file: labels must be 0 or 1")
         strings = json_field(header, "strings", STRING_LISTS, what)
         n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
-        if os.fstat(fh.fileno()).st_size - len(line) != 8 * n * n_numeric:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            payload, size = fh, info.st_size - len(line)
+        else:
+            data = fh.read()
+            payload, size = io.BytesIO(data), len(data)
+        if size != 8 * n * n_numeric:
             raise DataError(f"{path}: payload size mismatch")
         matrix = np.empty((n, n_numeric))
         column = np.empty(n if n_numeric else 0, dtype="<f8")  # one column's payload
         for k in range(n_numeric):
-            if fh.readinto(column) != column.nbytes:
+            if payload.readinto(column) != column.nbytes:
                 raise DataError(f"{path}: payload size mismatch")
             matrix[:, k] = column
     try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import os
 import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -276,7 +277,7 @@ class TestChunkedParse:
 
 class TestPlainBlocks:
     """Past the first chunk, np.loadtxt converts each plain block; csv.reader
-    and float() read any other block and the rest of the file after it. Both
+    and float() read one chunk of records wherever a block is not plain. Both
     read the file as a whole-file parse does."""
 
     CHUNK = 64
@@ -313,11 +314,12 @@ class TestPlainBlocks:
     @pytest.mark.parametrize(
         "cell, kind, loadtxt_calls",
         [
-            ("\x1f1.5", CATEGORICAL, 4),  # block 4 is not plain, twice: read, re-read
-            ("1.5\x1c", CATEGORICAL, 4),
+            # Block 4 is not plain: blocks 2-3, then blocks 2-3 and 5-6 on the re-read.
+            ("\x1f1.5", CATEGORICAL, 6),
+            ("1.5\x1c", CATEGORICAL, 6),
             (" 1.5\t", NUMERIC, 5),  # plain: every later block runs loadtxt
-            ("1_000", NUMERIC, 3),  # plain, but loadtxt refuses it
-            ("\u0661\u0662", NUMERIC, 2),  # not ASCII
+            ("1_000", NUMERIC, 5),  # plain, but loadtxt refuses it
+            ("\u0661\u0662", NUMERIC, 4),  # not ASCII
         ],
         ids=["us_before", "fs_after", "space_tab", "underscore", "arabic_digits"],
     )
@@ -365,9 +367,20 @@ class TestPlainBlocks:
         path = write_csv(tmp_path / "quoted.csv", self.HEADER, rows)
         calls = self.count_loadtxt(monkeypatch)
         ds = nf.parse_flow_csv(path, "category", "DDoS")
-        assert calls == [self.CHUNK]  # block 2 only
+        assert calls == [self.CHUNK] * 3 + [7]  # every later block but block 3
         got = ds.strings[column][i] if column == "proto" else ds.feature_column(column)[i]
         assert got == value
+        assert_matches_whole_file(ds, path)
+
+    def test_every_cell_quoted(self, tmp_path, monkeypatch):
+        path = tmp_path / "quoted.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+            writer.writerows([self.HEADER, *long_rows(self.ROWS)])
+        calls = self.count_loadtxt(monkeypatch)
+        ds = nf.parse_flow_csv(path, "category", "DDoS")
+        assert calls == []
+        assert ds.column("v").kind == NUMERIC
         assert_matches_whole_file(ds, path)
 
     def test_hash_in_a_later_block_is_a_cell(self, tmp_path):
@@ -618,6 +631,34 @@ class TestDatasetFile:
         path.write_bytes(change(path.read_bytes()))
         with pytest.raises(nf.DataError, match=message):
             nf.load_dataset(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda b: b, None),
+            (lambda b: b[:-8], "payload size mismatch"),
+            (lambda b: b + b"\0", "payload size mismatch"),
+        ],
+        ids=["whole", "short", "long"],
+    )
+    def test_reads_from_a_pipe(self, tmp_path, change, message):
+        ds = nf.generate_synthetic_flows(nf.SynthesisSpec(8, 4, 3, 0, 2.0))
+        nf.save_dataset(ds, tmp_path / "cache.ds")
+        pipe = tmp_path / "pipe.ds"
+        os.mkfifo(pipe)
+        data = change((tmp_path / "cache.ds").read_bytes())
+        writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            if message is None:
+                assert_datasets_equal(nf.load_dataset(pipe), ds)
+            else:
+                with pytest.raises(nf.DataError, match=message):
+                    nf.load_dataset(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.ds"
