@@ -175,31 +175,28 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
     cells, plus the kept cells of categorical columns (interned, so a
     repeated value is stored once).
 
-    csv.reader and float() read the first chunk, which fixes the column
-    kinds. Each later block of PARSE_CHUNK_ROWS lines that is plain (see
-    _plain_block: ASCII, no quote or stray control byte, every line with one
-    cell per column) has its numeric columns converted in C by np.loadtxt,
-    which gives the bits float() gives. A block that is not plain, or that
-    holds a cell loadtxt refuses, is read as PARSE_CHUNK_ROWS records by
-    csv.reader and float(); the next block is again read as raw lines. The
-    result, every error message included, is the same as if csv.reader and
-    float() had read every block.
+    csv.reader reads the header. Each block of PARSE_CHUNK_ROWS lines after
+    it that is plain (see _plain_block: ASCII, no quote, stray control byte
+    or blank line, every line with one cell per column) has its numeric
+    columns converted in C by np.loadtxt, which gives the bits float() gives.
+    A block that is not plain, or that holds a cell loadtxt refuses, is read
+    as PARSE_CHUNK_ROWS records by csv.reader and float(). The result, every
+    error message included, is the same as if csv.reader and float() had
+    read every block.
 
     A file with a single fault gives the same message as a whole-file parse.
     A file with several faults reports the first one in file order, except
     that a non-finite cell is reported only once the whole file is read: a
     later non-numeric cell would make its column categorical, which is no
     fault. A column that first fails to parse after the first chunk has lost
-    its earlier cells, so the file is read once more with that column (and
-    any other that failed late) kept as strings from the start.
+    its earlier cells. The first pass finds every such column, so the file is
+    read once more, with them kept as strings from the start.
     """
     path = Path(path)
-    categorical: set[int] = set()
-    while True:
-        ds, late = _parse_pass(path, label_column, positive_label, categorical)
-        if ds is not None:
-            return ds
-        categorical |= late
+    ds, late = _parse_pass(path, label_column, positive_label, set())
+    if ds is None:
+        ds, _ = _parse_pass(path, label_column, positive_label, late)
+    return ds
 
 
 def _parse_pass(
@@ -207,12 +204,14 @@ def _parse_pass(
 ) -> tuple[FlowDataset | None, set[int]]:
     """Read the file once, keeping the columns in `categorical` as strings.
 
+    np.loadtxt converts each plain block of PARSE_CHUNK_ROWS lines; csv.reader
+    reads any other as one chunk of records, so the next block starts at a record.
+
     Returns (dataset, empty set), or (None, late) where `late` holds the
     columns that stopped parsing as numbers after the first chunk.
     """
     with _open_input(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if not header:
             raise DataError(f"{path}: empty file, expected a header row")
         if len(set(header)) != len(header):
@@ -231,21 +230,17 @@ def _parse_pass(
         seen_labels: set[str] = set()
         done = 0
         while True:
-            if reader is None:  # past the first chunk, a block of lines at a time
-                lines = list(itertools.islice(fh, PARSE_CHUNK_ROWS))
-                if not lines:
-                    break
-                block = _plain_block(lines, width, slots)
-                if block is None:  # csv.reader reads one chunk of records from here
-                    reader = csv.reader(itertools.chain(lines, fh))
-                    continue
+            lines = list(itertools.islice(fh, PARSE_CHUNK_ROWS))
+            if not lines:
+                break
+            block = _plain_block(lines, width, slots)
+            if block is not None:
                 n, ragged = len(lines), None
                 cols = {j: _plain_cells(lines, j, width) for j in (label_idx, *strings)}
                 values = {j: block[:, k] for k, j in enumerate(slots)}
-            else:
-                chunk = list(itertools.islice(reader, PARSE_CHUNK_ROWS))
-                if not chunk:
-                    break
+            else:  # csv.reader reads one chunk of records from the block's first line
+                records = csv.reader(itertools.chain(lines, fh))
+                chunk = list(itertools.islice(records, PARSE_CHUNK_ROWS))
                 ragged = next((i for i, row in enumerate(chunk) if len(row) != width), None)
                 ragged_cells = None if ragged is None else len(chunk[ragged])
                 cols = dict(enumerate(zip(*chunk[:ragged])))
@@ -272,9 +267,8 @@ def _parse_pass(
                     except ValueError:
                         bad = next(i for i, cell in enumerate(cells) if not _is_number(cell))
                         if cells[bad].strip():  # a non-number: the column is categorical
-                            if done:
+                            if done:  # late: the re-read reports its non-finite cells
                                 late.add(j)
-                                non_finite.pop(j, None)
                             else:
                                 strings[j] = list(map(sys.intern, cells))
                         blank = _first_blank(cells)
@@ -288,7 +282,7 @@ def _parse_pass(
             if faults:
                 row, rank, j = min(faults)
                 if rank == 0:
-                    rest = reader or csv.reader(fh)
+                    rest = csv.reader(fh)
                     seen_labels.update(r[label_idx] for r in rest if len(r) == width)
                     distinct = sorted(seen_labels)
                     raise DataError(
@@ -312,8 +306,6 @@ def _parse_pass(
                 if j in values:
                     matrix[done : done + n, k] = values[j]
             done += n
-            if slots and not late:  # a chunk of records ends past its block's last line
-                reader = None
 
     if late:
         return None, late
@@ -377,17 +369,18 @@ def _plain_block(lines: list[str], width: int, slots: list[int]) -> np.ndarray |
     not plain or np.loadtxt refuses a cell.
 
     Plain lines are ASCII; they hold no quote, no control byte but tab, and a
-    CR only in a CRLF ending; none is longer than the csv field limit; and
-    each has width - 1 commas. On such lines loadtxt splits cells where
-    csv.reader does and converts each with PyOS_string_to_double, as float()
-    does: a cell it takes has the bits float() gives, and a cell float()
-    refuses it refuses too. (It also refuses some that float() takes, such
-    as 1_000.) Elsewhere they differ: loadtxt skips blank lines, ignores
+    CR only in a CRLF ending; none is blank or longer than the csv field
+    limit; and each has width - 1 commas. On such lines loadtxt splits cells
+    where csv.reader does and converts each with PyOS_string_to_double, as
+    float() does: a cell it takes has the bits float() gives, and a cell
+    float() refuses it refuses too. (It also refuses some that float() takes,
+    such as 1_000.) Elsewhere they differ: loadtxt skips blank lines (which,
+    in a file of one column, have the right comma count: none), ignores
     extra or missing fields, takes a number next to \\x1c-\\x1f and takes a
     cell past the field limit.
     """
     text = "".join(lines)
-    if '"' in text or not text.isascii():  # the cheap tests first
+    if '"' in text or not text.isascii() or "\n" in lines or "\r\n" in lines:
         return None
     raw = text.encode("ascii")
     if raw.translate(None, _PLAIN_BYTES) or (
@@ -616,6 +609,8 @@ INTEGER = ("an integer", lambda v: type(v) is int)
 NUMBER = ("a number", lambda v: type(v) in (int, float))
 OBJECT = ("an object", lambda v: type(v) is dict)
 COUNT = ("a non-negative integer", lambda v: type(v) is int and v >= 0)
+# numpy holds fewer than 2**60 float64 values in one array, even one of no columns.
+ROW_COUNT = ("a non-negative integer below 2**60", lambda v: COUNT[1](v) and v < 2**60)
 STRINGS = ("a list of strings", lambda v: type(v) is list and all(map(STRING[1], v)))
 NUMBERS = ("a list of numbers", lambda v: type(v) is list and all(map(NUMBER[1], v)))
 MATRIX = ("a list of lists of numbers", lambda v: type(v) is list and all(map(NUMBERS[1], v)))
@@ -692,7 +687,7 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
                              json_field(c, "kind", one_of(*COLUMN_KINDS), f"{what} column {pos}"))
             for pos, c in enumerate(json_field(header, "columns", OBJECTS, what), 1)
         ]
-        n = json_field(header, "row_count", COUNT, what)
+        n = json_field(header, "row_count", ROW_COUNT, what)
         labels = json_field(header, "labels", or_null(("a list", lambda v: type(v) is list)), what)
         if labels is not None and bool in map(type, labels):  # numpy reads true as 1
             raise DataError(f"{path}: bad dataset file: labels must be 0 or 1")

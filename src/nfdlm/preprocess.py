@@ -64,8 +64,9 @@ def fit_scaler(train: FlowDataset) -> ScalerParams:
     # A column of identical values must report stdev exactly 0; summation
     # rounding in mean/std would otherwise leave ~1e-16 residue and the
     # zero-stdev rule in apply_scaler would never fire.
-    constant = train.matrix.min(axis=0) == train.matrix.max(axis=0)
-    means[constant] = train.matrix.min(axis=0)[constant]
+    low = train.matrix.min(axis=0)
+    constant = low == train.matrix.max(axis=0)
+    means[constant] = low[constant]
     stdevs[constant] = 0.0
     return ScalerParams(
         column_names=train.feature_names,

@@ -419,11 +419,12 @@ class TestCli:
         ("labels", "lacks key 'labels'"),
         ("strings", "lacks key 'strings'"),
         ("negative_row_count", "'row_count' must be a non-negative integer"),
+        ("huge_row_count", "'row_count' must be a non-negative integer below 2**60"),
         ("fractional_labels", "labels must be 0 or 1"),
         ("boolean_labels", "labels must be 0 or 1"),
         ("unknown_column_kind", "column 1 'kind' must be 'numeric' or"),
     ], ids=["columns", "row_count", "labels", "strings", "negative_row_count",
-            "fractional_labels", "boolean_labels", "unknown_column_kind"])
+            "huge_row_count", "fractional_labels", "boolean_labels", "unknown_column_kind"])
     def test_bad_dataset_header_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data = tmp_path / "flows.ds"
         nf.save_dataset(small_ds, data)
@@ -431,6 +432,10 @@ class TestCli:
         header = json.loads(head)
         if breakage == "negative_row_count":
             header["row_count"] = -1
+        elif breakage == "huge_row_count":  # no numeric column, so no payload to size
+            header.update(row_count=10**30, labels=None, strings={},
+                          columns=[{"name": "category", "kind": "meta"}])
+            payload = b""
         elif breakage == "fractional_labels":
             header["labels"] = [0.9] * header["row_count"]
         elif breakage == "boolean_labels":

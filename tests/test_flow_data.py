@@ -276,12 +276,12 @@ class TestChunkedParse:
 
 
 class TestPlainBlocks:
-    """Past the first chunk, np.loadtxt converts each plain block; csv.reader
-    and float() read one chunk of records wherever a block is not plain. Both
-    read the file as a whole-file parse does."""
+    """np.loadtxt converts each plain block, the first one included;
+    csv.reader and float() read one chunk of records wherever a block is not
+    plain. Both read the file as a whole-file parse does."""
 
     CHUNK = 64
-    ROWS = 5 * CHUNK + 7  # the first chunk, then blocks 2-6
+    ROWS = 5 * CHUNK + 7  # blocks 1-6
     HEADER = ["id", "v", "proto", "category"]
 
     @pytest.fixture(autouse=True)
@@ -301,25 +301,37 @@ class TestPlainBlocks:
         return calls
 
     @pytest.mark.parametrize("ending", ["lf", "crlf"])
-    def test_every_later_block_runs_loadtxt(self, tmp_path, monkeypatch, ending):
-        path = write_csv(tmp_path / "flows.csv", self.HEADER, long_rows(self.ROWS))
+    @pytest.mark.parametrize("proto", [True, False], ids=["mixed", "numeric_only"])
+    def test_every_plain_block_runs_loadtxt(self, tmp_path, monkeypatch, proto, ending):
+        header, rows = self.HEADER, long_rows(self.ROWS)
+        if not proto:
+            header, rows = ["id", "v", "category"], [[i, v, label] for i, v, _, label in rows]
+        path = write_csv(tmp_path / "flows.csv", header, rows)
         if ending == "crlf":  # csv.writer ends every record with CRLF
             nf.write_flow_csv(nf.parse_flow_csv(path, "category", "DDoS"), path)
             assert path.read_bytes().count(b"\r\n") == self.ROWS + 1
         calls = self.count_loadtxt(monkeypatch)
+        readers = []
+        real_reader = csv.reader
+        monkeypatch.setattr(
+            flow_data.csv, "reader", lambda lines: readers.append(1) or real_reader(lines)
+        )
         ds = nf.parse_flow_csv(path, "category", "DDoS")
-        assert calls == [self.CHUNK] * 4 + [7]
+        assert calls == [self.CHUNK] * 5 + [7]
+        # csv.reader reads the header, and block 1 of the mixed file only
+        # because loadtxt refuses its proto cells.
+        assert len(readers) == (2 if proto else 1)
         assert_matches_whole_file(ds, path)
 
     @pytest.mark.parametrize(
         "cell, kind, loadtxt_calls",
         [
-            # Block 4 is not plain: blocks 2-3, then blocks 2-3 and 5-6 on the re-read.
-            ("\x1f1.5", CATEGORICAL, 6),
-            ("1.5\x1c", CATEGORICAL, 6),
-            (" 1.5\t", NUMERIC, 5),  # plain: every later block runs loadtxt
-            ("1_000", NUMERIC, 5),  # plain, but loadtxt refuses it
-            ("\u0661\u0662", NUMERIC, 4),  # not ASCII
+            # Block 4 is not plain: blocks 1-3 and 5-6 on the read and on the re-read.
+            ("\x1f1.5", CATEGORICAL, 10),
+            ("1.5\x1c", CATEGORICAL, 10),
+            (" 1.5\t", NUMERIC, 6),  # plain: every block runs loadtxt
+            ("1_000", NUMERIC, 6),  # plain, but loadtxt refuses it
+            ("\u0661\u0662", NUMERIC, 5),  # not ASCII
         ],
         ids=["us_before", "fs_after", "space_tab", "underscore", "arabic_digits"],
     )
@@ -367,7 +379,7 @@ class TestPlainBlocks:
         path = write_csv(tmp_path / "quoted.csv", self.HEADER, rows)
         calls = self.count_loadtxt(monkeypatch)
         ds = nf.parse_flow_csv(path, "category", "DDoS")
-        assert calls == [self.CHUNK] * 3 + [7]  # every later block but block 3
+        assert calls == [self.CHUNK] * 4 + [7]  # every block but block 3
         got = ds.strings[column][i] if column == "proto" else ds.feature_column(column)[i]
         assert got == value
         assert_matches_whole_file(ds, path)
@@ -382,6 +394,15 @@ class TestPlainBlocks:
         assert calls == []
         assert ds.column("v").kind == NUMERIC
         assert_matches_whole_file(ds, path)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_blank_line_in_a_label_only_file(self, tmp_path, ending):
+        # A blank line has the comma count of a one-column line, and loadtxt
+        # would skip it; csv.reader reads it as a record of no cells.
+        path = tmp_path / "labels.csv"
+        path.write_bytes(ending.join(["category", "DDoS", "", "Normal", ""]).encode())
+        with pytest.raises(nf.DataError, match="row 2 has 0 cells, expected 1"):
+            nf.parse_flow_csv(path, "category", "DDoS")
 
     def test_hash_in_a_later_block_is_a_cell(self, tmp_path):
         rows = long_rows(self.ROWS)

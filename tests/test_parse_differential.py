@@ -31,6 +31,11 @@ TWEAKS = (
     + [("shape", shape) for shape in ("extra", "short", "blank")]
     + [("ending", "\r")]
 )
+HEADERS = [
+    ["id", "v", "proto", "category"],  # loadtxt refuses block 1 for its proto cells
+    ["id", "v", "category"],  # numeric-only: block 1 takes the C path too
+    ["category"],  # label-only: a blank line has the comma count of a whole one
+]
 
 
 def outcome(path):
@@ -42,15 +47,15 @@ def outcome(path):
     return kinds, ds.matrix.tobytes(), ds.labels.tobytes(), ds.strings
 
 
-@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=900)
 @hypothesis.given(
+    header=st.sampled_from(HEADERS),
     rows=st.integers(0, 8 * CHUNK),
     tweaks=st.lists(st.tuples(st.integers(0, 8 * CHUNK), st.sampled_from(TWEAKS)), max_size=3),
     endings=st.sampled_from(["lf", "crlf", "mixed"]),
     bare_end=st.booleans(),
 )
-def test_loadtxt_blocks_read_as_csv_reader_blocks(rows, tweaks, endings, bare_end):
-    header = ["id", "v", "proto", "category"]
+def test_loadtxt_blocks_read_as_csv_reader_blocks(header, rows, tweaks, endings, bare_end):
     records = [
         {"id": str(i), "v": VALUES[i % 5], "proto": ("tcp", "udp")[i % 2],
          "category": "Normal" if i % 3 == 0 else "DDoS",
@@ -64,7 +69,7 @@ def test_loadtxt_blocks_read_as_csv_reader_blocks(rows, tweaks, endings, bare_en
     lines = [",".join(header) + "\n"]
     for r in records:
         cells = [r[name] for name in header]
-        cells = {"whole": cells, "extra": cells + ["9"], "short": cells[:3], "blank": []}
+        cells = {"whole": cells, "extra": cells + ["9"], "short": cells[:-1], "blank": []}
         lines.append(",".join(cells[r["shape"]]) + r["ending"])
     if bare_end:
         lines[-1] = lines[-1].rstrip("\r\n")
