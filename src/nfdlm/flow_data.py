@@ -2,7 +2,8 @@
 
 A FlowDataset is the currency passed between every pipeline stage: a numeric
 feature matrix plus column descriptors, optional binary labels (0 = benign,
-1 = attack), and raw string storage for categorical columns.
+1 = attack), and raw string storage for categorical columns. A .ds cache file
+is a JSON header line, the matrix as it lies in memory, then a byte per label.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ DEFAULT_DROP_COLUMNS = ("pkSeqID", "stime", "ltime")
 PARSE_CHUNK_ROWS = 4096
 
 DATASET_FORMAT = "nfdlm.dataset"
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 
 # Up to this many independent feature columns carry the class-mean offset in
 # synthetic data; matches the depth of the mutual-information presets so that
@@ -81,7 +82,8 @@ class FlowDataset:
                 f"matrix has {self.matrix.shape[1]} columns, "
                 f"expected {len(self.feature_names)} numeric columns"
             )
-        if not np.isfinite(self.matrix).all():
+        flat = self.matrix.reshape(-1)  # checked in blocks: no bool copy of the matrix
+        if not all(np.isfinite(flat[i : i + 65536]).all() for i in range(0, flat.size, 65536)):
             raise DataError("matrix contains NaN or Inf values")
         if self.labels is not None:
             # Checked before the integer cast, which would truncate 0.9 to 0.
@@ -488,8 +490,8 @@ class SynthesisSpec:
             raise DataError("counts must be non-negative")
         if self.feature_count < 2:
             raise DataError("feature_count must be at least 2")
-        if self.class_separation < 0:
-            raise DataError("class_separation must be non-negative")
+        if not 0 <= self.class_separation < math.inf:
+            raise DataError("class_separation must be a finite non-negative number")
 
 
 def synthetic_signal_columns(spec: SynthesisSpec) -> list[int]:
@@ -647,32 +649,30 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 
 
 def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
-    """Cache a dataset: one JSON header line, then raw float64 column payloads.
-
-    Numeric values round-trip bitwise (the payload is the raw IEEE-754 bytes,
-    little-endian, one column after another in feature order).
-    """
+    """Cache a dataset: one JSON header line, then the matrix as it lies in
+    memory, written without a copy (little-endian float64 in C order, so values
+    round-trip bitwise), then one uint8 per row if the dataset is labeled."""
     header = {
         "format": DATASET_FORMAT,
         "format_version": DATASET_FORMAT_VERSION,
         "row_count": ds.row_count,
         "columns": [{"name": c.name, "kind": c.kind} for c in ds.columns],
-        "labels": None if ds.labels is None else ds.labels.tolist(),
         "strings": ds.strings,
+        "labeled": ds.labels is not None,
     }
-    # The transpose in C order is the columns one after another; it is
-    # written as it is, without a bytes copy.
-    payload = np.ascontiguousarray(ds.matrix.T, dtype="<f8")
     with _atomic_open(path) as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(payload)
+        fh.write(ds.matrix.astype("<f8", copy=False))
+        if ds.labels is not None:
+            fh.write(ds.labels.astype(np.uint8))
 
 
 def load_dataset(path: str | os.PathLike) -> FlowDataset:
-    """Read a file save_dataset wrote. Each column payload is read straight into
-    its column of a C-order matrix, so memory is the matrix and one column. A
-    file that is not a regular file (a pipe, say) is read whole first, since
-    its size is known only then."""
+    """Read a file save_dataset wrote: once the payload's size is checked, one
+    readinto fills the matrix and one more the labels. A version-1 file (the
+    matrix column by column, the labels a JSON list in the header) is read a
+    column at a time. A file that is not a regular file (a pipe, say) is read
+    whole first, since its size is known only then."""
     what = f"{path}: dataset header"
     with _open_input(path, "rb") as fh:
         line = fh.readline()
@@ -681,16 +681,14 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
         header = json_object(line.decode("utf-8"), what)
         if json_field(header, "format", STRING, what) != DATASET_FORMAT:
             raise DataError(f"{path}: not a {DATASET_FORMAT} file")
-        json_field(header, "format_version", one_of(DATASET_FORMAT_VERSION), what)
+        version = json_field(header, "format_version", one_of(1, DATASET_FORMAT_VERSION), what)
         columns = [
             ColumnDescriptor(json_field(c, "name", STRING, f"{what} column {pos}"),
                              json_field(c, "kind", one_of(*COLUMN_KINDS), f"{what} column {pos}"))
             for pos, c in enumerate(json_field(header, "columns", OBJECTS, what), 1)
         ]
         n = json_field(header, "row_count", ROW_COUNT, what)
-        labels = json_field(header, "labels", or_null(("a list", lambda v: type(v) is list)), what)
-        if labels is not None and bool in map(type, labels):  # numpy reads true as 1
-            raise DataError(f"{path}: bad dataset file: labels must be 0 or 1")
+        labeled = version != 1 and json_field(header, "labeled", one_of(True, False), what)
         strings = json_field(header, "strings", STRING_LISTS, what)
         n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
         info = os.fstat(fh.fileno())
@@ -699,14 +697,26 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
         else:
             data = fh.read()
             payload, size = io.BytesIO(data), len(data)
-        if size != 8 * n * n_numeric:
+        if size != 8 * n * n_numeric + (n if labeled else 0):
             raise DataError(f"{path}: payload size mismatch")
-        matrix = np.empty((n, n_numeric))
-        column = np.empty(n if n_numeric else 0, dtype="<f8")  # one column's payload
-        for k in range(n_numeric):
-            if payload.readinto(column) != column.nbytes:
+        if version == 1:
+            labels = json_field(
+                header, "labels", or_null(("a list", lambda v: type(v) is list)), what
+            )
+            if labels is not None and bool in map(type, labels):  # numpy reads true as 1
+                raise DataError(f"{path}: bad dataset file: labels must be 0 or 1")
+            matrix = np.empty((n, n_numeric))
+            column = np.empty(n if n_numeric else 0, dtype="<f8")  # one column's payload
+            for k in range(n_numeric):
+                if payload.readinto(column) != column.nbytes:
+                    raise DataError(f"{path}: payload size mismatch")
+                matrix[:, k] = column
+        else:
+            matrix = np.empty((n, n_numeric), dtype="<f8")
+            labels = np.empty(n if labeled else 0, dtype=np.uint8)
+            if payload.readinto(matrix) + payload.readinto(labels) != size:
                 raise DataError(f"{path}: payload size mismatch")
-            matrix[:, k] = column
+            labels = labels if labeled else None
     try:
         return FlowDataset(columns=columns, matrix=matrix, labels=labels, strings=strings)
     except (TypeError, ValueError) as exc:

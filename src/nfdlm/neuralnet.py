@@ -412,8 +412,8 @@ def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
     """Attack probabilities for a dataset that contains the model's features.
 
     Columns are selected by name and scaled with the stored ScalerParams,
-    if the model has them. Raises DataError if the scaled inputs are not
-    finite.
+    if the model has them. Raises DataError if the scaled inputs or the
+    model's outputs are not finite.
     """
     x = ds.feature_matrix(model.input_features)
     if model.scaler is not None:
@@ -427,7 +427,11 @@ def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
             x = scale_columns(x, model.scaler.means[positions], model.scaler.stdevs[positions])
         if not np.isfinite(x).all():
             raise DataError("scaled inputs are not finite")
-    return forward(model, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the DataError below
+        probs = forward(model, x)
+    if not np.isfinite(probs).all():
+        raise DataError("model outputs are not finite")
+    return probs
 
 
 def predict(model: Model, ds: FlowDataset) -> np.ndarray:

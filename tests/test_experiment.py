@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nfdlm.cli import main
 from nfdlm.experiment import PRESET_NAMES
 from nfdlm.flow_data import NUMERIC
 
+FIXTURES = Path(__file__).parent / "fixtures"
 
 SMALL_SPEC = nf.SynthesisSpec(
     attack_count=2000,
@@ -349,11 +351,12 @@ class TestCli:
         ("fractional_epochs", "training_config 'epochs' must be an integer"),
         ("boolean_batch_size", "training_config 'batch_size' must be an integer"),
         ("unknown_training_key", "training_config has unknown key 'momentum'"),
+        ("huge_weights", "model outputs are not finite"),
     ], ids=["missing_kind", "narrow_middle_layer", "nan_scaler_mean", "subnormal_scaler_stdev",
             "hidden_sigmoid_layer", "string_input_features", "string_init_seed",
             "mlp_kind_on_lstm", "fractional_hidden_size", "boolean_hidden_size", "boolean_weight",
             "string_column_names", "fractional_epochs", "boolean_batch_size",
-            "unknown_training_key"])
+            "unknown_training_key", "huge_weights"])
     def test_hostile_model_file_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data, model = tmp_path / "flows.ds", tmp_path / "m.json"
         nf.save_dataset(small_ds, data)
@@ -400,6 +403,13 @@ class TestCli:
             doc["input_features"] = "abc"
         elif breakage == "string_init_seed":
             doc["init_seed"] = "x"
+        elif breakage == "huge_weights":  # finite, but every row's output sums inf - inf
+            *hidden, out = doc["layers"]
+            for layer in hidden:
+                layer["weights"] = [[1e308] * len(row) for row in layer["weights"]]
+                layer["bias"] = [1e308] * len(layer["bias"])
+            out["weights"] = [[1e308 * (-1) ** j for j in range(len(row))]
+                              for row in out["weights"]]
         else:
             middle = doc["layers"][1]
             middle["weights"] = [row[:-1] for row in middle["weights"]]
@@ -423,17 +433,29 @@ class TestCli:
         ("fractional_labels", "labels must be 0 or 1"),
         ("boolean_labels", "labels must be 0 or 1"),
         ("unknown_column_kind", "column 1 'kind' must be 'numeric' or"),
+        ("labeled", "lacks key 'labeled'"),
+        ("integer_labeled", "'labeled' must be True or False"),
+        ("null_labeled", "'labeled' must be True or False"),
+        ("label_byte_2", "bad dataset file: labels must be 0 or 1"),
+        ("short_labels", "payload size mismatch"),
+        ("long_labels", "payload size mismatch"),
     ], ids=["columns", "row_count", "labels", "strings", "negative_row_count",
-            "huge_row_count", "fractional_labels", "boolean_labels", "unknown_column_kind"])
+            "huge_row_count", "fractional_labels", "boolean_labels", "unknown_column_kind",
+            "labeled", "integer_labeled", "null_labeled", "label_byte_2", "short_labels",
+            "long_labels"])
     def test_bad_dataset_header_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data = tmp_path / "flows.ds"
-        nf.save_dataset(small_ds, data)
+        if breakage in ("labels", "fractional_labels", "boolean_labels"):
+            # Only a version-1 header holds the labels.
+            data.write_bytes((FIXTURES / "flows_v1.ds").read_bytes())
+        else:
+            nf.save_dataset(small_ds, data)
         head, payload = data.read_bytes().split(b"\n", 1)
         header = json.loads(head)
         if breakage == "negative_row_count":
             header["row_count"] = -1
-        elif breakage == "huge_row_count":  # no numeric column, so no payload to size
-            header.update(row_count=10**30, labels=None, strings={},
+        elif breakage == "huge_row_count":  # no numeric column or labels, so no payload to size
+            header.update(row_count=10**30, labeled=False, strings={},
                           columns=[{"name": "category", "kind": "meta"}])
             payload = b""
         elif breakage == "fractional_labels":
@@ -442,6 +464,14 @@ class TestCli:
             header["labels"] = [bool(v) for v in header["labels"]]
         elif breakage == "unknown_column_kind":
             header["columns"][0]["kind"] = "text"
+        elif breakage in ("integer_labeled", "null_labeled"):
+            header["labeled"] = 1 if breakage == "integer_labeled" else None
+        elif breakage == "label_byte_2":
+            payload = payload[:-1] + b"\x02"
+        elif breakage == "short_labels":
+            payload = payload[:-1]
+        elif breakage == "long_labels":
+            payload += b"\x00"
         else:
             del header[breakage]
         data.write_bytes(json.dumps(header).encode() + b"\n" + payload)
@@ -504,6 +534,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
         assert str(target) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("separation", ["nan", "inf"])
+    def test_non_finite_separation_exits_2(self, tmp_path, capsys, separation):
+        out = tmp_path / "flows.csv"
+        assert main(["synth", "--attack", "5", "--benign", "5", "--features", "2", "--seed", "1",
+                     "--separation", separation, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
+        assert "class_separation" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["synth_missing_dir", "train_missing_dir", "synth_onto_dir"])
