@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .flow_data import as_labels
 
 
 @dataclass
@@ -38,17 +39,14 @@ class Metrics:
 
 
 def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
-    """Tally counts with attack (1) as the positive class."""
-    p = np.asarray(pred, dtype=np.int64)
-    t = np.asarray(truth, dtype=np.int64)
+    """Tally counts with attack (True or 1) as the positive class; see as_labels."""
+    p, t = as_labels(pred), as_labels(truth)
     if p.shape != t.shape or p.ndim != 1:
         raise DataError(f"length mismatch: {p.shape} vs {t.shape}")
-    return ConfusionMatrix(
-        tp=int(((p == 1) & (t == 1)).sum()),
-        fp=int(((p == 1) & (t == 0)).sum()),
-        tn=int(((p == 0) & (t == 0)).sum()),
-        fn=int(((p == 0) & (t == 1)).sum()),
-    )
+    tp = int(np.count_nonzero(p & t))
+    fp = int(np.count_nonzero(p)) - tp
+    fn = int(np.count_nonzero(t)) - tp
+    return ConfusionMatrix(tp=tp, fp=fp, tn=p.size - tp - fp - fn, fn=fn)
 
 
 def metrics(cm: ConfusionMatrix) -> Metrics:

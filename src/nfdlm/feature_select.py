@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .flow_data import NUMBER, OBJECTS, STRING, FlowDataset, json_field, or_null
+from .flow_data import NUMBER, OBJECTS, STRING, FlowDataset, as_labels, json_field, or_null
 
 CORRELATION = "correlation"
 MUTUAL_INFORMATION = "mutual_information"
@@ -186,7 +186,7 @@ def mutual_information(x: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_MI
     table, with 0 * ln 0 taken as 0.
     """
     x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels)
     if x.shape != labels.shape or x.ndim != 1:
         raise DataError(
             f"mutual_information needs equal-length vectors, got {x.shape} and {labels.shape}"

@@ -1,9 +1,9 @@
 """Flow-record datasets: CSV ingestion, pruning, splitting, synthesis, and caching.
 
 A FlowDataset is the currency passed between every pipeline stage: a numeric
-feature matrix plus column descriptors, optional binary labels (0 = benign,
-1 = attack), and raw string storage for categorical columns. A .ds cache file
-is a JSON header line, the matrix as it lies in memory, then a byte per label.
+feature matrix plus column descriptors, optional bool labels (True = attack),
+and raw string storage for categorical columns. A .ds cache file is a JSON
+header line, the matrix as it lies in memory, then one label byte per row.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ class FlowDataset:
 
     A C-contiguous float64 matrix is adopted, not copied, and frozen: the
     caller's array becomes read-only. Any other array-like is converted.
+    Labels follow the same rule as a bool vector (see as_labels), so stages
+    that keep row order share one label array.
     """
 
     columns: list[ColumnDescriptor]
@@ -86,14 +88,9 @@ class FlowDataset:
         if not all(np.isfinite(flat[i : i + 65536]).all() for i in range(0, flat.size, 65536)):
             raise DataError("matrix contains NaN or Inf values")
         if self.labels is not None:
-            # Checked before the integer cast, which would truncate 0.9 to 0.
-            labels = np.asarray(self.labels)
-            if labels.size and not np.isin(labels, (0, 1)).all():
-                raise DataError("labels must be 0 or 1")
-            self.labels = labels.astype(np.int64)
+            self.labels = as_labels(self.labels)
             if self.labels.shape != (self.row_count,):
                 raise DataError("labels length does not match row count")
-            self.labels.flags.writeable = False
         expected_strings = {c.name for c in self.columns if c.kind == CATEGORICAL}
         if set(self.strings) != expected_strings:
             raise DataError("string storage does not match categorical columns")
@@ -138,6 +135,19 @@ class FlowDataset:
             except ValueError:
                 raise DataError(f"no such numeric column: '{name}'") from None
         return np.ascontiguousarray(self.matrix[:, idx])
+
+
+def as_labels(values) -> np.ndarray:
+    """values as a read-only bool label vector (True = attack). A C-contiguous
+    bool array is adopted and frozen, as FlowDataset's matrix is; anything else
+    must hold only 0 and 1 (checked before the cast, which takes 2 as True)."""
+    labels = np.asarray(values, order="C")
+    if labels.dtype != bool:
+        if labels.size and not np.isin(labels, (0, 1)).all():
+            raise DataError("labels must be 0 or 1")
+        labels = labels.astype(bool)
+    labels.flags.writeable = False
+    return labels
 
 
 def take_rows(ds: FlowDataset, rows: np.ndarray) -> FlowDataset:
@@ -318,9 +328,7 @@ def _parse_pass(
         matrix = np.empty((0, len(slots)))
     else:
         matrix.resize((done, len(slots)), refcheck=False)
-    labels = (
-        np.concatenate(label_parts).astype(np.int64) if label_parts else np.empty(0, np.int64)
-    )
+    labels = np.concatenate(label_parts) if label_parts else np.empty(0, bool)
     columns = [
         ColumnDescriptor(name, META if j == label_idx else CATEGORICAL if j in strings else NUMERIC)
         for j, name in enumerate(header)
@@ -418,7 +426,8 @@ def drop_columns(
 
     drop_names=None applies DEFAULT_DROP_COLUMNS restricted to columns that
     exist; explicitly named columns must exist or this is a hard error.
-    Labels are untouched.
+    The result shares the labels, and the matrix too when every numeric
+    column stays: a dataset is read-only, so sharing is safe.
     """
     present = set(ds.column_names)
     if drop_names is None:
@@ -433,9 +442,10 @@ def drop_columns(
 
     kept = [c for c in ds.columns if c.name not in to_drop]
     kept_numeric = [i for i, name in enumerate(ds.feature_names) if name not in to_drop]
+    keeps_all = len(kept_numeric) == ds.matrix.shape[1]
     return FlowDataset(
         columns=kept,
-        matrix=ds.matrix[:, kept_numeric],
+        matrix=ds.matrix if keeps_all else ds.matrix[:, kept_numeric],
         labels=ds.labels,
         strings={n: v for n, v in ds.strings.items() if n not in to_drop},
     )
@@ -524,16 +534,14 @@ def generate_synthetic_flows(spec: SynthesisSpec) -> FlowDataset:
     n = spec.attack_count + spec.benign_count
     rng = np.random.default_rng(spec.seed)
     matrix = rng.standard_normal((n, spec.feature_count))
-    labels = np.concatenate(
-        [np.ones(spec.attack_count, dtype=np.int64), np.zeros(spec.benign_count, dtype=np.int64)]
-    )
+    labels = np.repeat([True, False], [spec.attack_count, spec.benign_count])
 
     signal = synthetic_signal_columns(spec)
     if signal and spec.class_separation > 0:
         shift = spec.class_separation / math.sqrt(len(signal))
         for j in signal:
-            matrix[labels == 1, j] += shift / 2.0
-            matrix[labels == 0, j] -= shift / 2.0
+            matrix[labels, j] += shift / 2.0
+            matrix[~labels, j] -= shift / 2.0
 
     for t in range(spec.planted_duplicate_pairs):
         src, dst = 2 * t, 2 * t + 1
@@ -626,7 +634,8 @@ def or_null(rule):
 
 
 def one_of(*values):
-    return " or ".join(map(repr, values)), lambda v: (type(v), v) in [(type(x), x) for x in values]
+    wanted = " or ".join(map(json.dumps, values))
+    return wanted, lambda v: (type(v), v) in [(type(x), x) for x in values]
 
 
 def json_field(doc: dict, key: str, rule, what: str):
@@ -651,7 +660,7 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
     """Cache a dataset: one JSON header line, then the matrix as it lies in
     memory, written without a copy (little-endian float64 in C order, so values
-    round-trip bitwise), then one uint8 per row if the dataset is labeled."""
+    round-trip bitwise), then the labels' own bool bytes if the dataset is labeled."""
     header = {
         "format": DATASET_FORMAT,
         "format_version": DATASET_FORMAT_VERSION,
@@ -664,7 +673,7 @@ def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         fh.write(ds.matrix.astype("<f8", copy=False))
         if ds.labels is not None:
-            fh.write(ds.labels.astype(np.uint8))
+            fh.write(ds.labels)
 
 
 def load_dataset(path: str | os.PathLike) -> FlowDataset:
@@ -716,7 +725,9 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
             labels = np.empty(n if labeled else 0, dtype=np.uint8)
             if payload.readinto(matrix) + payload.readinto(labels) != size:
                 raise DataError(f"{path}: payload size mismatch")
-            labels = labels if labeled else None
+            if labels.max(initial=0) > 1:  # checked on the bytes: a bool view takes 2 as True
+                raise DataError(f"{path}: bad dataset file: labels must be 0 or 1")
+            labels = labels.view(bool) if labeled else None
     try:
         return FlowDataset(columns=columns, matrix=matrix, labels=labels, strings=strings)
     except (TypeError, ValueError) as exc:

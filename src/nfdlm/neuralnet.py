@@ -435,8 +435,8 @@ def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
 
 
 def predict(model: Model, ds: FlowDataset) -> np.ndarray:
-    """Binary decisions: 1 where the attack probability is strictly above 0.5."""
-    return (predict_proba(model, ds) > 0.5).astype(np.int64)
+    """Binary decisions: True (attack) where the attack probability is strictly above 0.5."""
+    return predict_proba(model, ds) > 0.5
 
 
 def _layer_to_dict(layer: Layer) -> dict:

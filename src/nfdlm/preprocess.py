@@ -120,7 +120,7 @@ def smote_resample(train: FlowDataset, cfg: SmoteConfig) -> FlowDataset:
     n_neg = train.row_count - n_pos
     if n_pos == n_neg:
         return train
-    minority_label = 1 if n_pos < n_neg else 0
+    minority_label = n_pos < n_neg
     minority_idx = np.flatnonzero(train.labels == minority_label)
     minority_count = minority_idx.size
     majority_count = train.row_count - minority_count
@@ -159,9 +159,7 @@ def smote_resample(train: FlowDataset, cfg: SmoteConfig) -> FlowDataset:
     return FlowDataset(
         columns=list(train.columns),
         matrix=matrix,
-        labels=np.concatenate(
-            [train.labels, np.full(need, minority_label, dtype=np.int64)]
-        ),
+        labels=np.concatenate([train.labels, np.full(need, minority_label)]),
         strings={},
     )
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nfdlm as nf
+from nfdlm.flow_data import NUMERIC
 
 # The desk-scale surrogate used across selector, SMOTE, and acceptance tests:
 # heavy 40:1 imbalance, 30 features, 5 planted near-duplicate pairs.
@@ -22,6 +23,14 @@ SURROGATE_SPEC = nf.SynthesisSpec(
 @pytest.fixture(scope="session")
 def surrogate() -> nf.FlowDataset:
     return nf.generate_synthetic_flows(SURROGATE_SPEC)
+
+
+def numeric_ds(matrix, labels=None, names=None):
+    """A dataset of numeric columns c0, c1, ... (or the given names)."""
+    matrix = np.asarray(matrix, dtype=float)
+    names = names or [f"c{j}" for j in range(matrix.shape[1])]
+    cols = [nf.ColumnDescriptor(n, NUMERIC) for n in names]
+    return nf.FlowDataset(cols, matrix, labels=labels)
 
 
 def assert_datasets_equal(a: nf.FlowDataset, b: nf.FlowDataset) -> None:

@@ -31,9 +31,13 @@ class TestConfusion:
         cm = nf.confusion(pred, truth)
         assert cm.total == 500
 
-    def test_length_mismatch(self):
-        with pytest.raises(nf.DataError, match="mismatch"):
-            nf.confusion(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
+    @pytest.mark.parametrize("pred, truth, message", [
+        (np.zeros(3, dtype=int), np.zeros(4, dtype=int), "mismatch"),
+        (np.array([0, 2]), np.array([0, 1]), "labels must be 0 or 1"),
+    ], ids=["length_mismatch", "label_2"])
+    def test_bad_vectors(self, pred, truth, message):
+        with pytest.raises(nf.DataError, match=message):
+            nf.confusion(pred, truth)
 
 
 class TestMetrics:

@@ -432,10 +432,10 @@ class TestCli:
         ("huge_row_count", "'row_count' must be a non-negative integer below 2**60"),
         ("fractional_labels", "labels must be 0 or 1"),
         ("boolean_labels", "labels must be 0 or 1"),
-        ("unknown_column_kind", "column 1 'kind' must be 'numeric' or"),
+        ("unknown_column_kind", "column 1 'kind' must be \"numeric\" or"),
         ("labeled", "lacks key 'labeled'"),
-        ("integer_labeled", "'labeled' must be True or False"),
-        ("null_labeled", "'labeled' must be True or False"),
+        ("integer_labeled", "'labeled' must be true or false"),
+        ("null_labeled", "'labeled' must be true or false"),
         ("label_byte_2", "bad dataset file: labels must be 0 or 1"),
         ("short_labels", "payload size mismatch"),
         ("long_labels", "payload size mismatch"),

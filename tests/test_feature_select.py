@@ -9,14 +9,8 @@ import pytest
 
 import nfdlm as nf
 from nfdlm.feature_select import DEFAULT_MI_BINS
-from nfdlm.flow_data import NUMERIC
 
-
-def numeric_ds(matrix, labels=None, names=None):
-    matrix = np.asarray(matrix, dtype=float)
-    names = names or [f"c{j}" for j in range(matrix.shape[1])]
-    cols = [nf.ColumnDescriptor(n, NUMERIC) for n in names]
-    return nf.FlowDataset(cols, matrix, labels=labels)
+from conftest import numeric_ds
 
 
 class TestPearsonR:
@@ -202,9 +196,13 @@ class TestMutualInformation:
         assert nf.mutual_information(np.exp(x), labels) == base
         assert nf.mutual_information(x ** 3, labels) == base
 
-    def test_length_mismatch(self):
-        with pytest.raises(nf.DataError, match="equal-length"):
-            nf.mutual_information(np.zeros(3), np.zeros(4, dtype=int))
+    @pytest.mark.parametrize("labels, message", [
+        (np.zeros(4, dtype=int), "equal-length"),
+        (np.array([0, 1, 2]), "labels must be 0 or 1"),
+    ], ids=["length_mismatch", "label_2"])
+    def test_bad_labels(self, labels, message):
+        with pytest.raises(nf.DataError, match=message):
+            nf.mutual_information(np.zeros(3), labels)
 
     def test_bins_cap_respected(self):
         rng = np.random.default_rng(8)

@@ -23,7 +23,7 @@ from nfdlm.flow_data import (
     synthetic_signal_columns,
 )
 
-from conftest import SURROGATE_SPEC, assert_datasets_equal
+from conftest import SURROGATE_SPEC, assert_datasets_equal, numeric_ds
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -459,6 +459,8 @@ def traced_peak(fn, *args):
 
 
 WIDE_SPEC = nf.SynthesisSpec(16_000, 4_000, 50, 0, 2.0, seed=3)
+# Labels weigh more beside a narrow matrix: one label byte a row against 64 matrix bytes.
+NARROW_SPEC = nf.SynthesisSpec(160_000, 40_000, 8, 0, 2.0, seed=3)
 
 
 def test_save_memory_is_bounded_by_the_header(tmp_path):
@@ -470,8 +472,9 @@ def test_save_memory_is_bounded_by_the_header(tmp_path):
     assert peak <= 0.05 * ds.matrix.nbytes + header
 
 
-def test_load_memory_is_bounded_by_the_matrix(tmp_path):
-    ds = nf.generate_synthetic_flows(WIDE_SPEC)
+@pytest.mark.parametrize("spec", [WIDE_SPEC, NARROW_SPEC], ids=["wide", "narrow"])
+def test_load_memory_is_bounded_by_the_matrix(tmp_path, spec):
+    ds = nf.generate_synthetic_flows(spec)
     path = tmp_path / "wide.ds"
     nf.save_dataset(ds, path)
     back, peak = traced_peak(nf.load_dataset, path)
@@ -524,6 +527,13 @@ class TestDropColumns:
         out = nf.drop_columns(ds, ["pkSeqID"])
         assert out.feature_names == ["bytes"]
         assert out.matrix.shape == (3, 1)
+
+    def test_shares_the_matrix_unless_a_numeric_column_goes(self, tmp_path):
+        ds = nf.parse_flow_csv(botiot_like_csv(tmp_path), "category", "DDoS")
+        strings_gone = nf.drop_columns(ds, [], drop_string_columns=True)
+        assert strings_gone.matrix is ds.matrix
+        numeric_gone = nf.drop_columns(ds, ["pkSeqID"], drop_string_columns=True)
+        assert not np.shares_memory(numeric_gone.matrix, ds.matrix)
 
 
 class TestStratifiedSplit:
@@ -812,3 +822,41 @@ class TestSelectFeatures:
     def test_unknown_column(self, surrogate):
         with pytest.raises(nf.DataError, match="no such numeric column"):
             nf.select_features(surrogate, ["zz"])
+
+
+class TestLabels:
+    @pytest.mark.parametrize(
+        "values", [[1, 0, 1], np.array([1, 0, 1]), np.array([1.0, 0.0, 1.0])],
+        ids=["list", "int", "float"],
+    )
+    def test_zeros_and_ones_become_read_only_bool(self, values):
+        labels = numeric_ds(np.zeros((3, 1)), labels=values).labels
+        assert labels.dtype == bool and not labels.flags.writeable
+        assert labels.tolist() == [True, False, True]
+
+    def test_a_bool_vector_is_adopted(self):
+        labels = np.array([True, False])
+        assert numeric_ds(np.zeros((2, 1)), labels=labels).labels is labels
+        assert not labels.flags.writeable
+
+    def test_every_producer_makes_bool(self, tmp_path, tiny_csv):
+        synthetic = nf.generate_synthetic_flows(nf.SynthesisSpec(30, 10, 3, 0, 2.0))
+        nf.save_dataset(synthetic, tmp_path / "cache.ds")
+        for ds in (
+            synthetic,
+            nf.parse_flow_csv(tiny_csv, "category", "DDoS"),
+            nf.load_dataset(tmp_path / "cache.ds"),
+            nf.load_dataset(FIXTURES / "flows_v1.ds"),
+            flow_data.take_rows(synthetic, [3, 1]),
+            nf.smote_resample(synthetic, nf.SmoteConfig()),
+        ):
+            assert ds.labels.dtype == bool
+
+    def test_stages_that_keep_row_order_share_the_labels(self):
+        ds = nf.generate_synthetic_flows(nf.SynthesisSpec(30, 10, 3, 0, 2.0))
+        for out in (
+            nf.select_features(ds, ["f02", "f00"]),
+            nf.apply_scaler(nf.fit_scaler(ds), ds),
+            nf.drop_columns(ds, []),
+        ):
+            assert out.labels is ds.labels

@@ -13,12 +13,11 @@ import pytest
 
 import nfdlm as nf
 from nfdlm import neuralnet
-from nfdlm.flow_data import NUMERIC
 from nfdlm.neuralnet import (
     BCE_EPS, AdamState, DenseLayer, LstmCell, Model, _param_views, lstm_cell_forward,
 )
 
-from conftest import max_relative_gradient_error, random_checkable_model
+from conftest import max_relative_gradient_error, numeric_ds, random_checkable_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,13 +26,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # before the parameter vector. Its training_config still carries the
 # adam_beta1, adam_beta2, adam_eps and shuffle keys that code wrote.
 MLP_FIXTURE_SPEC = nf.SynthesisSpec(300, 60, 8, 1, 4.0, seed=13)
-
-
-def numeric_ds(matrix, labels=None, names=None):
-    matrix = np.asarray(matrix, dtype=float)
-    names = names or [f"c{j}" for j in range(matrix.shape[1])]
-    cols = [nf.ColumnDescriptor(n, NUMERIC) for n in names]
-    return nf.FlowDataset(cols, matrix, labels=labels)
 
 
 class TestActivations:

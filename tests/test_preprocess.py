@@ -12,14 +12,7 @@ import nfdlm as nf
 from nfdlm.flow_data import CATEGORICAL, NUMERIC
 from nfdlm.preprocess import SMOTE_BLOCK_ROWS, _nearest_neighbors
 
-from conftest import assert_datasets_equal
-
-
-def numeric_ds(matrix, labels=None, names=None):
-    matrix = np.asarray(matrix, dtype=float)
-    names = names or [f"c{j}" for j in range(matrix.shape[1])]
-    cols = [nf.ColumnDescriptor(n, NUMERIC) for n in names]
-    return nf.FlowDataset(cols, matrix, labels=labels)
+from conftest import assert_datasets_equal, numeric_ds
 
 
 class TestScaler:
