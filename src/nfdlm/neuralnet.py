@@ -2,8 +2,11 @@
 
 Everything is plain numpy: forward passes, exact analytic backpropagation for
 binary cross-entropy, Adam updates, and a seeded mini-batch training loop.
-All of a model's parameters live in one float64 vector that layers view, and
+All of a model's parameters live in one vector that layers view, and
 gradients share its layout, so Adam updates a model with a few ufunc calls.
+The vector has its layers' dtype: new models are float32, and the step
+functions compute in the dtype they are given, so models loaded from older
+float64 files train and score in float64 through the same code.
 Flows are independent records, so the LSTM consumes each row as a length-1
 sequence with zero initial hidden and cell state. From that state only the
 input-side weights of the input, candidate and output gates reach the output,
@@ -28,7 +31,7 @@ from .flow_data import (
 from .preprocess import ScalerParams, scale_columns
 
 MODEL_FORMAT = "nfdlm.model"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 BCE_EPS = 1e-12
 
@@ -39,10 +42,17 @@ _FIXED_TRAINING_KEYS = {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "ada
                         "shuffle": True}
 
 
+def _floats(values) -> np.ndarray:
+    """values as an array in the engine's precision: float32 stays float32,
+    anything else becomes float64."""
+    arr = np.asarray(values)
+    return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
+
+
 def sigmoid(x):
     """1 / (1 + e^-x), computed from exp(-|x|) so large |x| cannot overflow."""
-    arr = np.asarray(x, dtype=np.float64)
-    z = np.abs(arr, out=np.empty(arr.shape))  # an array of our own, 0-d too
+    arr = _floats(x)
+    z = np.abs(arr, out=np.empty(arr.shape, arr.dtype))  # an array of our own, 0-d too
     np.exp(np.negative(z, out=z), out=z)
     denom = 1.0 + z
     np.divide(z, denom, out=z)  # the x < 0 branch, then x >= 0 over it
@@ -57,8 +67,8 @@ class DenseLayer:
     activation: str  # relu (hidden) | sigmoid (head)
 
     def __post_init__(self) -> None:
-        self.weights = np.array(self.weights, dtype=np.float64)
-        self.bias = np.array(self.bias, dtype=np.float64)
+        self.weights = np.array(_floats(self.weights))
+        self.bias = np.array(self.bias, dtype=self.weights.dtype)
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise DataError("dense layer shape mismatch")
 
@@ -84,8 +94,8 @@ class LstmCell:
     hidden_size: int
 
     def __post_init__(self) -> None:
-        self.weights = np.array(self.weights, dtype=np.float64)
-        self.bias = np.array(self.bias, dtype=np.float64)
+        self.weights = np.array(_floats(self.weights))
+        self.bias = np.array(self.bias, dtype=self.weights.dtype)
         rows = 3 * self.hidden_size
         shape = self.weights.shape
         if rows < 3 or len(shape) != 2 or shape[0] != rows or shape[1] < 1:
@@ -132,7 +142,8 @@ class Model:
             raise DataError("last layer must be one sigmoid unit")
         if any(isinstance(l, DenseLayer) and l.activation != "relu" for l in self.layers[:-1]):
             raise DataError("hidden dense layers must be relu")
-        self.params = np.empty(sum(l.weights.size + l.bias.size for l in self.layers))
+        dtype = np.result_type(*(l.weights for l in self.layers))  # float64 if layers mix
+        self.params = np.empty(sum(l.weights.size + l.bias.size for l in self.layers), dtype)
         for layer, (w, b) in zip(self.layers, _param_views(self.layers, self.params)):
             w[...], b[...] = layer.weights, layer.bias
             layer.weights, layer.bias = w, b
@@ -196,6 +207,7 @@ class AdamState:
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
+    """Drawn in float64, so a seed gives the same draws at any model precision."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
@@ -203,21 +215,21 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
 def build_mlp(
     input_features: list[str], hidden: tuple[int, ...] = (6, 6), seed: int = 0
 ) -> Model:
-    """Dense ReLU stack ending in one sigmoid unit, Glorot-initialized."""
+    """Dense ReLU stack ending in one sigmoid unit, Glorot-initialized, float32."""
     rng = np.random.default_rng(seed)
     layers: list[Layer] = []
     width = len(input_features)
     for h in hidden:
-        layers.append(DenseLayer(_glorot(rng, h, width), np.zeros(h), "relu"))
+        layers.append(DenseLayer(_glorot(rng, h, width).astype(np.float32), np.zeros(h), "relu"))
         width = h
-    layers.append(DenseLayer(_glorot(rng, 1, width), np.zeros(1), "sigmoid"))
+    layers.append(DenseLayer(_glorot(rng, 1, width).astype(np.float32), np.zeros(1), "sigmoid"))
     return Model(kind="mlp", layers=layers, input_features=list(input_features), init_seed=seed)
 
 
 def build_lstm(
     input_features: list[str], hidden: tuple[int, ...] = (64, 128), seed: int = 0
 ) -> Model:
-    """Stacked LSTM layers plus a dense sigmoid head.
+    """Stacked LSTM layers plus a dense sigmoid head, float32.
 
     Each layer draws the four Glorot blocks of a full LSTM cell in the usual
     gate order (fan-in width + hidden) and keeps the input columns of the
@@ -229,9 +241,10 @@ def build_lstm(
     width = len(input_features)
     for h in hidden:
         w_i, _, w_g, w_o = [_glorot(rng, h, width + h)[:, :width] for _ in range(4)]
-        layers.append(LstmCell(np.vstack([w_i, w_g, w_o]), np.zeros(3 * h), h))
+        gates = np.vstack([w_i, w_g, w_o]).astype(np.float32)
+        layers.append(LstmCell(gates, np.zeros(3 * h), h))
         width = h
-    layers.append(DenseLayer(_glorot(rng, 1, width), np.zeros(1), "sigmoid"))
+    layers.append(DenseLayer(_glorot(rng, 1, width).astype(np.float32), np.zeros(1), "sigmoid"))
     return Model(kind="lstm", layers=layers, input_features=list(input_features), init_seed=seed)
 
 
@@ -255,7 +268,7 @@ def lstm_cell_forward(cell: LstmCell, x: np.ndarray):
 
 
 def _forward_cached(model: Model, batch: np.ndarray):
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=model.params.dtype)
     if x.ndim != 2 or x.shape[1] != model.layers[0].input_size:
         raise DataError(
             f"batch width {x.shape[1] if x.ndim == 2 else '?'} does not match "
@@ -275,13 +288,18 @@ def _forward_cached(model: Model, batch: np.ndarray):
 
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
-    """Per-row attack probabilities for an already scaled (rows, features) batch."""
+    """Per-row attack probabilities, in the model's dtype, for an already
+    scaled (rows, features) batch."""
     probs, _ = _forward_cached(model, batch)
     return probs
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy with probabilities clamped to [eps, 1-eps]."""
+    """Mean binary cross-entropy with probabilities clamped to [eps, 1-eps].
+
+    The clamp and the sum run in float64 at any model precision: 1 - eps
+    rounds to 1.0 in float32, where log(1 - p) would be -inf.
+    """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if p.shape != y.shape:
@@ -294,8 +312,8 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.ndarray,
                           views: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Overwrite every entry of the gradient that views (from _param_views)
-    lay out with the gradient of bce_loss."""
-    y = np.asarray(labels, dtype=np.float64)
+    lay out with the gradient of bce_loss, in the dtype of probs."""
+    y = np.asarray(labels, dtype=probs.dtype)
     # Sigmoid head fused with BCE: dL/dz = (p - y) / n.
     delta = ((probs - y) / y.size)[:, None]
     for pos in range(len(model.layers) - 1, -1, -1):
@@ -311,7 +329,7 @@ def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.nd
         else:
             x, i, g, o, tc = cache
             h = layer.hidden_size
-            dz = np.empty((x.shape[0], 3 * h))
+            dz = np.empty((x.shape[0], 3 * h), x.dtype)
             dzi, dzg, dzo = dz[:, :h], dz[:, h : 2 * h], dz[:, 2 * h :]
             dc = delta * o * (1.0 - tc * tc)
             np.multiply(dc * g * i, 1.0 - i, out=dzi)
@@ -363,7 +381,8 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
     """Seeded mini-batch training; returns (model, per-epoch history).
 
     The dataset must already be scaled and reduced to the model's input
-    features. Raises NumericError if the loss goes non-finite.
+    features. It is cast once to the dtype of model.params, which every
+    step buffer then follows. Raises NumericError if the loss goes non-finite.
     """
     if train_ds.row_count == 0:
         raise DataError("cannot train on an empty dataset")
@@ -374,8 +393,8 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
             "training columns do not match model input features: "
             f"{train_ds.feature_names} vs {model.input_features}"
         )
-    x = np.ascontiguousarray(train_ds.matrix)
-    y = train_ds.labels.astype(np.float64)
+    x = np.ascontiguousarray(train_ds.matrix, dtype=model.params.dtype)
+    y = train_ds.labels.astype(model.params.dtype)
     n = x.shape[0]
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.for_params(model.params)
@@ -411,9 +430,10 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
 def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
     """Attack probabilities for a dataset that contains the model's features.
 
-    Columns are selected by name and scaled with the stored ScalerParams,
-    if the model has them. Raises DataError if the scaled inputs or the
-    model's outputs are not finite.
+    Columns are selected by name and scaled in float64 with the stored
+    ScalerParams, if the model has them; the forward pass casts them to the
+    model's dtype, which the probabilities have. Raises DataError if the
+    scaled inputs or the model's outputs are not finite.
     """
     x = ds.feature_matrix(model.input_features)
     if model.scaler is not None:
@@ -447,9 +467,10 @@ def _layer_to_dict(layer: Layer) -> dict:
     return {**head, "weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
 
 
-def _layer_from_dict(d: dict, version: int, what: str) -> Layer:
+def _layer_from_dict(d: dict, version: int, dtype: str, what: str) -> Layer:
     if json_field(d, "type", one_of("dense", "lstm"), what) == "dense":
-        weights, bias = json_field(d, "weights", MATRIX, what), json_field(d, "bias", NUMBERS, what)
+        weights = np.array(json_field(d, "weights", MATRIX, what), dtype)
+        bias = json_field(d, "bias", NUMBERS, what)
         return DenseLayer(weights, bias, json_field(d, "activation", STRING, what))
     h = json_field(d, "hidden_size", INTEGER, what)
     if version == 1:
@@ -463,15 +484,18 @@ def _layer_from_dict(d: dict, version: int, what: str) -> Layer:
         if any(b.shape != (h,) for b in biases):
             raise DataError("v1 LSTM gate biases must have hidden_size entries")
         return LstmCell(np.vstack([w[:, : cols - h] for w in gates]), np.concatenate(biases), h)
-    return LstmCell(json_field(d, "weights", MATRIX, what), json_field(d, "bias", NUMBERS, what), h)
+    weights = np.array(json_field(d, "weights", MATRIX, what), dtype)
+    return LstmCell(weights, json_field(d, "bias", NUMBERS, what), h)
 
 
 def save_model(model: Model, path) -> None:
-    """Versioned JSON model file; floats round-trip bitwise."""
+    """Versioned JSON model file. Each parameter is written as the float64
+    value of its dtype's number, so it round-trips bitwise at that dtype."""
     doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
+        "dtype": model.params.dtype.name,
         "input_features": list(model.input_features),
         "layers": [_layer_to_dict(l) for l in model.layers],
         "scaler": None if model.scaler is None else model.scaler.to_dict(),
@@ -485,13 +509,17 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Read a model file of format version 2 or the older version 1."""
+    """Read a model file of format version 3, at its recorded dtype, or of
+    the older versions 1 and 2, which are float64."""
     what = f"{path}: model file"
     with _open_input(path, encoding="utf-8") as fh:
         doc = json_object(fh.read(), what)
     if json_field(doc, "format", STRING, what) != MODEL_FORMAT:
         raise DataError(f"{path}: not a {MODEL_FORMAT} file")
-    version = json_field(doc, "format_version", one_of(1, MODEL_FORMAT_VERSION), what)
+    version = json_field(doc, "format_version", one_of(1, 2, MODEL_FORMAT_VERSION), what)
+    dtype = "float64"  # all that versions 1 and 2 hold
+    if version == MODEL_FORMAT_VERSION:
+        dtype = json_field(doc, "dtype", one_of("float32", "float64"), what)
     kind = json_field(doc, "kind", STRING, what)
     features = json_field(doc, "input_features", STRINGS, what)
     seed = json_field(doc, "init_seed", or_null(INTEGER), what)
@@ -499,9 +527,12 @@ def load_model(path) -> Model:
     scaler, selection, training = (json_field(doc, key, or_null(OBJECT), what)
                                    for key in ("scaler", "selection", "training_config"))
     try:
+        with np.errstate(over="ignore"):  # a float32 overflow fails Model's finite check
+            layers = [_layer_from_dict(d, version, dtype, f"layer {i}")
+                      for i, d in enumerate(layers, 1)]
         return Model(
             kind=kind,
-            layers=[_layer_from_dict(d, version, f"layer {i}") for i, d in enumerate(layers, 1)],
+            layers=layers,
             input_features=features,
             scaler=None if scaler is None else ScalerParams.from_dict(scaler),
             selection=None if selection is None else SelectedFeatures.from_dict(selection),

@@ -12,6 +12,8 @@ from .flow_data import NUMBERS, STRINGS, FlowDataset, json_field
 
 # Minority rows whose neighbor distances are sorted at a time.
 SMOTE_BLOCK_ROWS = 512
+# Rows whose squared deviations fit_scaler sums at a time.
+SCALER_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -60,7 +62,7 @@ def fit_scaler(train: FlowDataset) -> ScalerParams:
     if train.row_count == 0:
         raise DataError("cannot fit scaler on an empty dataset")
     means = train.matrix.mean(axis=0)
-    stdevs = train.matrix.std(axis=0)  # ddof=0: population convention
+    stdevs = _column_stdevs(train.matrix, means)  # ddof=0: population convention
     # A column of identical values must report stdev exactly 0; summation
     # rounding in mean/std would otherwise leave ~1e-16 residue and the
     # zero-stdev rule in apply_scaler would never fire.
@@ -73,6 +75,27 @@ def fit_scaler(train: FlowDataset) -> ScalerParams:
         means=means,
         stdevs=stdevs,
     )
+
+
+def _column_stdevs(matrix: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """np.std(matrix, axis=0) bit for bit, without its centred copy of matrix.
+
+    Squared deviations go a block of rows at a time into one buffer whose row
+    0 carries the running sum. numpy reduces axis 0 of a C-order array row
+    after row, as np.std's sum does, so the sums match, and so does the
+    division by the row count that follows.
+    """
+    buf = np.empty((SCALER_BLOCK_ROWS + 1, matrix.shape[1]))
+    buf[0] = 0.0  # 0 + x == x: the first block's sum starts from its first row
+    total = np.empty(matrix.shape[1])
+    for start in range(0, matrix.shape[0], SCALER_BLOCK_ROWS):
+        block = matrix[start : start + SCALER_BLOCK_ROWS]
+        dev = buf[1 : 1 + block.shape[0]]
+        np.subtract(block, means, out=dev)
+        np.multiply(dev, dev, out=dev)
+        np.add.reduce(buf[: 1 + block.shape[0]], axis=0, out=total)
+        buf[0] = total
+    return np.sqrt(np.divide(total, matrix.shape[0], out=total), out=total)
 
 
 def scale_columns(x: np.ndarray, means: np.ndarray, stdevs: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,21 @@ def numeric_ds(matrix, labels=None, names=None):
     return nf.FlowDataset(cols, matrix, labels=labels)
 
 
+def traced_peak(fn, *args):
+    """fn(*args), and the tracemalloc peak it reaches above what was traced before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def assert_datasets_equal(a: nf.FlowDataset, b: nf.FlowDataset) -> None:
     assert a.columns == b.columns
     assert a.matrix.shape == b.matrix.shape
@@ -42,6 +59,25 @@ def assert_datasets_equal(a: nf.FlowDataset, b: nf.FlowDataset) -> None:
     else:
         assert (a.labels == b.labels).all()
     assert a.strings == b.strings
+
+
+def build_float64(kind: str, input_features, hidden: tuple[int, ...], seed: int):
+    """build_mlp or build_lstm with float64 parameters: the same Glorot draws,
+    not rounded to float32. Float64 pins (the oracles, the v1/v2 fixtures,
+    finite differences) train these."""
+    from nfdlm.neuralnet import DenseLayer, LstmCell, _glorot
+
+    rng = np.random.default_rng(seed)
+    layers, width = [], len(input_features)
+    for h in hidden:
+        if kind == "mlp":
+            layers.append(DenseLayer(_glorot(rng, h, width), np.zeros(h), "relu"))
+        else:
+            w_i, _, w_g, w_o = [_glorot(rng, h, width + h)[:, :width] for _ in range(4)]
+            layers.append(LstmCell(np.vstack([w_i, w_g, w_o]), np.zeros(3 * h), h))
+        width = h
+    layers.append(DenseLayer(_glorot(rng, 1, width), np.zeros(1), "sigmoid"))
+    return nf.Model(kind=kind, layers=layers, input_features=list(input_features), init_seed=seed)
 
 
 def max_relative_gradient_error(model, x, y, h: float = 1e-5) -> float:
@@ -83,7 +119,7 @@ def relu_kink_margin(model, x) -> float:
 
 
 def random_checkable_model(kind: str, seed: int, n_rows: int = 6):
-    """Small random model + batch suitable for finite-difference checking.
+    """Small random float64 model + batch suitable for finite-difference checking.
 
     Biases are jittered away from zero and draws are advanced until no ReLU
     pre-activation sits within 1e-3 of its kink, where central differences
@@ -96,11 +132,11 @@ def random_checkable_model(kind: str, seed: int, n_rows: int = 6):
         rng = np.random.default_rng([seed, attempt])
         if kind == "mlp":
             features = [f"x{i}" for i in range(4)]
-            model = nf.build_mlp(features, hidden=(5, 4), seed=seed * 11 + attempt)
+            model = build_float64("mlp", features, (5, 4), seed * 11 + attempt)
         else:
             # 76 parameters, under the 200-parameter checking budget.
             features = [f"x{i}" for i in range(3)]
-            model = nf.build_lstm(features, hidden=(3, 3), seed=seed * 11 + attempt)
+            model = build_float64("lstm", features, (3, 3), seed * 11 + attempt)
         for layer in model.layers:
             if isinstance(layer, DenseLayer):
                 layer.bias += rng.uniform(-0.5, 0.5, layer.bias.shape)

@@ -352,11 +352,16 @@ class TestCli:
         ("boolean_batch_size", "training_config 'batch_size' must be an integer"),
         ("unknown_training_key", "training_config has unknown key 'momentum'"),
         ("huge_weights", "model outputs are not finite"),
+        ("missing_dtype", "lacks key 'dtype'"),
+        ("float16_dtype", "'dtype' must be \"float32\" or \"float64\""),
+        ("numeric_dtype", "'dtype' must be \"float32\" or \"float64\""),
+        ("float32_overflow", "model parameters must be finite"),
     ], ids=["missing_kind", "narrow_middle_layer", "nan_scaler_mean", "subnormal_scaler_stdev",
             "hidden_sigmoid_layer", "string_input_features", "string_init_seed",
             "mlp_kind_on_lstm", "fractional_hidden_size", "boolean_hidden_size", "boolean_weight",
             "string_column_names", "fractional_epochs", "boolean_batch_size",
-            "unknown_training_key", "huge_weights"])
+            "unknown_training_key", "huge_weights", "missing_dtype", "float16_dtype",
+            "numeric_dtype", "float32_overflow"])
     def test_hostile_model_file_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data, model = tmp_path / "flows.ds", tmp_path / "m.json"
         nf.save_dataset(small_ds, data)
@@ -403,7 +408,17 @@ class TestCli:
             doc["input_features"] = "abc"
         elif breakage == "string_init_seed":
             doc["init_seed"] = "x"
+        elif breakage == "missing_dtype":
+            del doc["dtype"]
+        elif breakage == "float16_dtype":
+            doc["dtype"] = "float16"
+        elif breakage == "numeric_dtype":
+            doc["dtype"] = 32
+        elif breakage == "float32_overflow":  # finite in float64, inf once cast
+            assert doc["dtype"] == "float32"
+            doc["layers"][0]["weights"][0][0] = 1e39
         elif breakage == "huge_weights":  # finite, but every row's output sums inf - inf
+            doc["dtype"] = "float64"  # 1e308 overflows float32 at load
             *hidden, out = doc["layers"]
             for layer in hidden:
                 layer["weights"] = [[1e308] * len(row) for row in layer["weights"]]

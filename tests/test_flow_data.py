@@ -6,7 +6,6 @@ import csv
 import os
 import stat
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from nfdlm.flow_data import (
     synthetic_signal_columns,
 )
 
-from conftest import SURROGATE_SPEC, assert_datasets_equal, numeric_ds
+from conftest import SURROGATE_SPEC, assert_datasets_equal, numeric_ds, traced_peak
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -441,21 +440,6 @@ def test_parse_memory_is_bounded_by_the_matrix(tmp_path):
     ds, peak = traced_peak(nf.parse_flow_csv, path, "category", "DDoS")
     assert ds.matrix.shape == (rows, features + 2)
     assert peak <= 1.5 * ds.matrix.nbytes + PARSE_MEMORY_SLACK
-
-
-def traced_peak(fn, *args):
-    """fn(*args), and the tracemalloc peak it reaches above what was traced before."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 WIDE_SPEC = nf.SynthesisSpec(16_000, 4_000, 50, 0, 2.0, seed=3)

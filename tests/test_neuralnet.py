@@ -17,14 +17,16 @@ from nfdlm.neuralnet import (
     BCE_EPS, AdamState, DenseLayer, LstmCell, Model, _param_views, lstm_cell_forward,
 )
 
-from conftest import max_relative_gradient_error, numeric_ds, random_checkable_model
+from conftest import build_float64, max_relative_gradient_error, numeric_ds, random_checkable_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# tests/fixtures/mlp_v2.model.json holds build_mlp(seed=3) with its scaler,
-# trained on this spec, standard-scaled, by the per-array Adam code that came
-# before the parameter vector. Its training_config still carries the
-# adam_beta1, adam_beta2, adam_eps and shuffle keys that code wrote.
+# tests/fixtures/mlp_v2.model.json holds the float64 build_mlp(seed=3) with
+# its scaler, trained on this spec, standard-scaled, by the per-array Adam
+# code that came before the parameter vector. Its training_config still
+# carries the adam_beta1, adam_beta2, adam_eps and shuffle keys that code
+# wrote. tests/fixtures/mlp_v3.model.json holds the float32 build_mlp(seed=3)
+# trained the same way with the same training_config (without those keys).
 MLP_FIXTURE_SPEC = nf.SynthesisSpec(300, 60, 8, 1, 4.0, seed=13)
 
 
@@ -122,8 +124,42 @@ class TestParameterVector:
         flat = [a.ravel() for layer in model.layers for a in (layer.weights, layer.bias)]
         assert (np.concatenate(flat) == model.params).all()
 
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_builders_round_the_float64_draws_to_float32(self, kind):
+        build = nf.build_mlp if kind == "mlp" else nf.build_lstm
+        model = build(["a", "b", "c"], hidden=(4, 3), seed=5)
+        wide = build_float64(kind, ["a", "b", "c"], (4, 3), 5)
+        assert model.params.dtype == np.float32 and wide.params.dtype == np.float64
+        assert all(a.dtype == np.float32 for l in model.layers for a in (l.weights, l.bias))
+        assert model.params.tobytes() == wide.params.astype(np.float32).tobytes()
+
+    def test_params_take_the_layers_dtype(self):
+        def dense(dtype, activation="relu"):
+            return DenseLayer(np.ones((1, 1), dtype), np.zeros(1, dtype), activation)
+
+        for dtypes, want in [((np.float32, np.float32), np.float32),
+                             ((np.float64, np.float64), np.float64),
+                             ((np.float32, np.float64), np.float64),
+                             ((np.int64, np.float32), np.float64)]:
+            layers = [dense(dtypes[0]), dense(dtypes[1], "sigmoid")]
+            model = Model(kind="mlp", layers=layers, input_features=["a"])
+            assert model.params.dtype == want
+            assert all(l.weights.dtype == want and l.bias.dtype == want for l in model.layers)
+
 
 class TestBceLoss:
+    def test_float32_probabilities_near_the_clamp(self):
+        # 1 - BCE_EPS rounds to 1.0 in float32, so a float32 clamp would take
+        # log(0); bce_loss clamps in float64 and matches the float64 oracle.
+        one = np.float32(1.0)
+        edges = np.array([1.0, 0.0, np.nextafter(one, np.float32(0.0)),
+                          np.nextafter(one, np.float32(2.0))], dtype=np.float32)
+        for labels in (np.zeros(4), np.ones(4), np.array([0.0, 1.0, 0.0, 1.0])):
+            got = nf.bce_loss(edges, labels)
+            assert math.isfinite(got)
+            want = oracle_bce_loss(edges.astype(np.float64), labels)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_uniform_half(self):
         assert abs(nf.bce_loss(np.full(8, 0.5), np.array([0, 1] * 4)) - math.log(2)) < 1e-12
 
@@ -369,9 +405,9 @@ class TestModelFile:
         model = nf.load_model(path)
         probs = nf.forward(model, np.array(expected["rows"]))
         assert (probs == np.array(expected["probabilities"])).all()
-        nf.save_model(model, tmp_path / "v2.model.json")
-        doc = json.loads((tmp_path / "v2.model.json").read_text(encoding="utf-8"))
-        assert doc["format_version"] == 2
+        nf.save_model(model, tmp_path / "v3.model.json")
+        doc = json.loads((tmp_path / "v3.model.json").read_text(encoding="utf-8"))
+        assert (doc["format_version"], doc["dtype"]) == (3, "float64")
         assert {k for layer in doc["layers"][:-1] for k in layer} == {
             "type", "hidden_size", "weights", "bias"
         }
@@ -391,7 +427,7 @@ class TestModelFile:
         v1 = nf.load_model(path)
         raw = nf.generate_synthetic_flows(nf.SynthesisSpec(**expected["synthesis_spec"]))
         ds = nf.apply_scaler(nf.fit_scaler(raw), raw)
-        model = nf.build_lstm(ds.feature_names, hidden=tuple(expected["hidden"]), seed=v1.init_seed)
+        model = build_float64("lstm", ds.feature_names, tuple(expected["hidden"]), v1.init_seed)
         nf.train(model, ds, v1.training_config)
         probs = nf.forward(model, np.array(expected["rows"]))
         assert np.abs(probs - np.array(expected["probabilities"])).max() < 1e-12
@@ -399,9 +435,50 @@ class TestModelFile:
     def test_training_reproduces_v2_mlp_fixture(self):
         fixture = nf.load_model(FIXTURES / "mlp_v2.model.json")
         raw = nf.generate_synthetic_flows(MLP_FIXTURE_SPEC)
-        model = nf.build_mlp(fixture.input_features, seed=fixture.init_seed)
+        model = build_float64("mlp", fixture.input_features, (6, 6), fixture.init_seed)
         nf.train(model, nf.apply_scaler(nf.fit_scaler(raw), raw), fixture.training_config)
         assert np.abs(model.params - fixture.params).max() < 1e-12
+
+    def test_v1_and_v2_files_load_as_float64(self):
+        for name in ("lstm_v1.model.json", "mlp_v2.model.json"):
+            assert nf.load_model(FIXTURES / name).params.dtype == np.float64
+
+    def test_training_reproduces_v3_mlp_fixture(self):
+        fixture = nf.load_model(FIXTURES / "mlp_v3.model.json")
+        assert fixture.params.dtype == np.float32
+        raw = nf.generate_synthetic_flows(MLP_FIXTURE_SPEC)
+        model = nf.build_mlp(fixture.input_features, seed=fixture.init_seed)
+        nf.train(model, nf.apply_scaler(nf.fit_scaler(raw), raw), fixture.training_config)
+        assert model.params.tobytes() == fixture.params.tobytes()
+
+    def test_training_reproduces_v3_lstm_fixture(self):
+        # tests/fixtures/lstm_v3.model.json: the float32 build_lstm of the v1
+        # fixture's seed and hidden sizes, trained on its scaled spec with its
+        # training_config.
+        _, expected = self.v1_lstm_fixture()
+        fixture = nf.load_model(FIXTURES / "lstm_v3.model.json")
+        assert fixture.params.dtype == np.float32
+        raw = nf.generate_synthetic_flows(nf.SynthesisSpec(**expected["synthesis_spec"]))
+        hidden = tuple(expected["hidden"])
+        model = nf.build_lstm(fixture.input_features, hidden=hidden, seed=fixture.init_seed)
+        nf.train(model, nf.apply_scaler(nf.fit_scaler(raw), raw), fixture.training_config)
+        assert model.params.tobytes() == fixture.params.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_v3_file_records_and_keeps_the_dtype(self, tmp_path, dtype):
+        model = nf.build_lstm(["a", "b"], hidden=(3, 2), seed=4)
+        if dtype == "float64":
+            model = build_float64("lstm", ["a", "b"], (3, 2), 4)
+        nf.save_model(model, tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        assert (doc["format_version"], doc["dtype"]) == (3, dtype)
+        loaded = nf.load_model(tmp_path / "m.json")
+        assert loaded.params.dtype == dtype
+        assert loaded.params.tobytes() == model.params.tobytes()
+        rows = numeric_ds(np.random.default_rng(4).standard_normal((5, 2)), names=["a", "b"])
+        probs = nf.predict_proba(loaded, rows)
+        assert probs.dtype == dtype
+        assert probs.tobytes() == nf.predict_proba(model, rows).tobytes()
 
     def test_saving_drops_fixed_training_keys(self, tmp_path):
         nf.save_model(nf.load_model(FIXTURES / "mlp_v2.model.json"), tmp_path / "m.json")
@@ -429,9 +506,12 @@ class TestModelFile:
 # The training step as it was before it reused one gradient vector per train
 # call and cut its numpy calls: sigmoid over two np.where branches, bce_loss
 # through np.clip and np.mean, and a backward pass that returns a fresh vector
-# and stacks the LSTM gate gradients. Kept as an oracle for bitwise equality.
+# and stacks the LSTM gate gradients. Kept as an oracle for bitwise equality;
+# like the engine, it computes in float32 when given float32.
 def oracle_sigmoid(x):
-    arr = np.asarray(x, dtype=np.float64)
+    arr = np.asarray(x)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64)
     z = np.exp(-np.abs(arr))
     out = np.where(arr >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
     return float(out) if arr.ndim == 0 else out
@@ -444,7 +524,7 @@ def oracle_bce_loss(probs, labels):
 
 
 def oracle_backward(model, caches, probs, labels):
-    y = np.asarray(labels, dtype=np.float64)
+    y = np.asarray(labels, dtype=probs.dtype)
     grads = np.empty_like(model.params)
     views = _param_views(model.layers, grads)
     delta = ((probs - y) / y.size)[:, None]
@@ -474,7 +554,7 @@ def oracle_backward(model, caches, probs, labels):
 
 def oracle_train(model, ds, cfg, monkeypatch):
     """train's loop stepped through the oracle; returns the per-epoch losses."""
-    x, y = ds.matrix, ds.labels.astype(np.float64)
+    x, y = ds.matrix.astype(model.params.dtype), ds.labels.astype(model.params.dtype)
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.for_params(model.params)
     losses = []
@@ -501,20 +581,35 @@ def odd_sized_blobs():
     return nf.apply_scaler(nf.fit_scaler(raw), raw)
 
 
-BUILDERS = {"mlp": (nf.build_mlp, (6, 6)), "lstm": (nf.build_lstm, (8, 5))}
+HIDDEN = {"mlp": (6, 6), "lstm": (8, 5)}
 STEP_FUNCTIONS = ("_forward_cached", "bce_loss", "_backward_from_caches", "adam_step")
+
+
+def build_at(dtype, kind, features, seed):
+    """build_mlp/build_lstm (float32), or their float64 twin."""
+    if dtype == np.float64:
+        return build_float64(kind, features, HIDDEN[kind], seed)
+    build = nf.build_mlp if kind == "mlp" else nf.build_lstm
+    return build(features, hidden=HIDDEN[kind], seed=seed)
 
 
 class TestTrainMatchesOracle:
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
     def test_params_and_losses_bitwise_equal(self, kind, monkeypatch):
+        self.check_bitwise_equal(kind, np.float64, monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_float32_params_and_losses_bitwise_equal(self, kind, monkeypatch):
+        self.check_bitwise_equal(kind, np.float32, monkeypatch)
+
+    def check_bitwise_equal(self, kind, dtype, monkeypatch):
         ds = odd_sized_blobs()
         cfg = nf.TrainingConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=6)
         assert ds.row_count % cfg.batch_size != 0
-        build, hidden = BUILDERS[kind]
-        model, history = nf.train(build(ds.feature_names, hidden=hidden, seed=6), ds, cfg)
-        oracle = build(ds.feature_names, hidden=hidden, seed=6)
+        model, history = nf.train(build_at(dtype, kind, ds.feature_names, 6), ds, cfg)
+        oracle = build_at(dtype, kind, ds.feature_names, 6)
         losses = oracle_train(oracle, ds, cfg, monkeypatch)
+        assert model.params.dtype == oracle.params.dtype == dtype
         assert model.params.tobytes() == oracle.params.tobytes()
         assert np.array([h.loss for h in history]).tobytes() == np.array(losses).tobytes()
 

@@ -10,9 +10,9 @@ import pytest
 
 import nfdlm as nf
 from nfdlm.flow_data import CATEGORICAL, NUMERIC
-from nfdlm.preprocess import SMOTE_BLOCK_ROWS, _nearest_neighbors
+from nfdlm.preprocess import SCALER_BLOCK_ROWS, SMOTE_BLOCK_ROWS, _column_stdevs, _nearest_neighbors
 
-from conftest import assert_datasets_equal, numeric_ds
+from conftest import assert_datasets_equal, numeric_ds, traced_peak
 
 
 class TestScaler:
@@ -73,6 +73,22 @@ class TestScaler:
     def test_empty_dataset_errors(self):
         with pytest.raises(nf.DataError, match="empty"):
             nf.fit_scaler(numeric_ds(np.empty((0, 2))))
+
+    @pytest.mark.parametrize("rows,cols", [
+        (1, 4), (5, 3), (1001, 7), (2 * SCALER_BLOCK_ROWS + 3, 5), (SCALER_BLOCK_ROWS, 1),
+        (3 * SCALER_BLOCK_ROWS + 1, 1),
+    ])
+    def test_column_stdevs_equal_np_std_bitwise(self, rows, cols):
+        rng = np.random.default_rng(rows * cols)
+        m = rng.standard_normal((rows, cols)) * rng.uniform(0.01, 1e3, cols)
+        m += rng.uniform(-1e4, 1e4, cols)
+        m[:, 0] = 4.2  # a constant column, whose mean leaves a residue
+        assert _column_stdevs(m, m.mean(axis=0)).tobytes() == m.std(axis=0).tobytes()
+
+    def test_fit_makes_no_copy_of_the_matrix(self):
+        ds = numeric_ds(np.random.default_rng(3).standard_normal((100_000, 20)))
+        _, peak = traced_peak(nf.fit_scaler, ds)
+        assert peak < 0.1 * ds.matrix.nbytes
 
 
 def imbalanced_ds(n_minority, n_majority, n_features=4, seed=0):
