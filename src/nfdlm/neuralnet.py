@@ -34,6 +34,9 @@ MODEL_FORMAT = "nfdlm.model"
 MODEL_FORMAT_VERSION = 3
 
 BCE_EPS = 1e-12
+# train's loss pass takes whole batches up to this many rows at a time, so
+# its float64 temporaries stay small at any dataset size.
+LOSS_BLOCK_ROWS = 16384
 
 # Adam's moment decays and denominator guard, at the usual defaults. Older
 # model files also store them, and "shuffle", in their training_config.
@@ -50,14 +53,18 @@ def _floats(values) -> np.ndarray:
 
 
 def sigmoid(x):
-    """1 / (1 + e^-x), computed from exp(-|x|) so large |x| cannot overflow."""
+    """1 / (1 + e^-x), computed from e = exp(-|x|) so large |x| cannot overflow.
+
+    The numerator max(e, [x >= 0]) is exactly 1 where x >= 0 (as e <= 1) and
+    e elsewhere, so one unmasked divide gives both branches, NaN included.
+    """
     arr = _floats(x)
-    z = np.abs(arr, out=np.empty(arr.shape, arr.dtype))  # an array of our own, 0-d too
-    np.exp(np.negative(z, out=z), out=z)
-    denom = 1.0 + z
-    np.divide(z, denom, out=z)  # the x < 0 branch, then x >= 0 over it
-    np.divide(1.0, denom, out=z, where=arr >= 0)
-    return float(z) if arr.ndim == 0 else z
+    e = np.abs(arr, out=np.empty(arr.shape, arr.dtype))  # arrays of our own, 0-d too
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.greater_equal(arr, 0.0, out=np.empty(arr.shape, arr.dtype))
+    np.maximum(out, e, out=out)
+    np.divide(out, np.add(e, 1.0, out=e), out=out)
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass
@@ -294,8 +301,10 @@ def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     return probs
 
 
-def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy with probabilities clamped to [eps, 1-eps].
+def bce_loss(probs: np.ndarray, labels: np.ndarray):
+    """Mean binary cross-entropy over the last axis, with probabilities
+    clamped to [eps, 1-eps]: a float for 1-D inputs, one float64 per row for
+    a (batches, rows) block. Each row's loss has the bits of the 1-D call on it.
 
     The clamp and the sum run in float64 at any model precision: 1 - eps
     rounds to 1.0 in float32, where log(1 - p) would be -inf.
@@ -305,8 +314,9 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     if p.shape != y.shape:
         raise DataError(f"length mismatch: {p.shape} vs {y.shape}")
     p = np.minimum(np.maximum(p, BCE_EPS), 1.0 - BCE_EPS)
-    total = np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=None)
-    return float(-(total / p.size))
+    total = np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
+    loss = -(total / p.shape[-1])
+    return float(loss) if p.ndim == 1 else loss
 
 
 def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.ndarray,
@@ -395,12 +405,14 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
         )
     x = np.ascontiguousarray(train_ds.matrix, dtype=model.params.dtype)
     y = train_ds.labels.astype(model.params.dtype)
-    n = x.shape[0]
+    n, bs = x.shape[0], cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.for_params(model.params)
     grads = np.empty_like(model.params)  # each step overwrites all of it
     grad_views = _param_views(model.layers, grads)
     xs, ys = np.empty_like(x), np.empty_like(y)  # the shuffled copy, one per call
+    ps = np.empty_like(y)  # each step's probabilities, for the loss pass
+    block = max(1, LOSS_BLOCK_ROWS // bs) * bs
     model.training_config = cfg
 
     history: list[EpochStats] = []
@@ -412,17 +424,28 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
         np.take(x, order, axis=0, out=xs, mode="clip")
         np.take(y, order, out=ys, mode="clip")
         loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            xb, yb = xs[start : start + cfg.batch_size], ys[start : start + cfg.batch_size]
-            probs, caches = _forward_cached(model, xb)
-            loss = bce_loss(probs, yb)
-            if not math.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch + 1}, batch {start // cfg.batch_size + 1}"
-                )
-            _backward_from_caches(model, caches, probs, yb, grad_views)
-            adam_step(model.params, grads, state, cfg.learning_rate)
-            loss_sum += loss * yb.size
+        for first in range(0, n, block):
+            last = min(first + block, n)
+            for start in range(first, last, bs):
+                xb, yb = xs[start : start + bs], ys[start : start + bs]
+                probs, caches = _forward_cached(model, xb)
+                # The clamped loss is non-finite only when a probability is NaN.
+                if not math.isfinite(probs.sum()):
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch + 1}, batch {start // bs + 1}"
+                    )
+                ps[start : start + bs] = probs
+                _backward_from_caches(model, caches, probs, yb, grad_views)
+                adam_step(model.params, grads, state, cfg.learning_rate)
+            # The block's whole batches in one loss call, then a short last
+            # batch; the sum still adds loss * size batch by batch.
+            whole = last - (last - first) % bs
+            if whole > first:
+                losses = bce_loss(ps[first:whole].reshape(-1, bs), ys[first:whole].reshape(-1, bs))
+                for loss in losses.tolist():
+                    loss_sum += loss * bs
+            if whole < last:
+                loss_sum += bce_loss(ps[whole:last], ys[whole:last]) * (last - whole)
         history.append(EpochStats(loss=loss_sum / n, seconds=time.perf_counter() - started))
     return model, history
 

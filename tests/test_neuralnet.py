@@ -301,6 +301,26 @@ class TestTrain:
             with pytest.raises(nf.NumericError, match="non-finite loss"):
                 nf.train(model, ds, bad)
 
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_nan_row_stops_training_at_its_batch(self, kind):
+        # The error names the batch that the row's shuffled position falls
+        # in, and comes before that batch's update.
+        ds, row = odd_sized_blobs(), 100
+        matrix = ds.matrix.copy()
+        bad = numeric_ds(matrix, labels=ds.labels, names=ds.feature_names)  # adopts matrix
+        matrix.flags.writeable = True  # a NaN past the dataset's finite check
+        matrix[row, 1] = np.nan
+        cfg = nf.TrainingConfig(epochs=2, batch_size=16, learning_rate=0.01, seed=8)
+        order = np.random.default_rng(cfg.seed).permutation(ds.row_count)
+        batch = int(np.flatnonzero(order == row)[0]) // cfg.batch_size + 1
+        assert batch > 1
+        model = build_at(np.float32, kind, ds.feature_names, 8)
+        before = model.params.copy()
+        with pytest.raises(nf.NumericError, match=f"^non-finite loss at epoch 1, batch {batch}$"):
+            nf.train(model, bad, cfg)
+        assert np.isfinite(model.params).all()
+        assert model.params.tobytes() != before.tobytes()
+
     def test_bitwise_deterministic_given_seed(self):
         weights = []
         for _ in range(2):
@@ -602,10 +622,26 @@ class TestTrainMatchesOracle:
     def test_float32_params_and_losses_bitwise_equal(self, kind, monkeypatch):
         self.check_bitwise_equal(kind, np.float32, monkeypatch)
 
-    def check_bitwise_equal(self, kind, dtype, monkeypatch):
+    # train's loss pass sees a short last batch (16, above), whole batches
+    # only (1 and 137, which divide the 137 rows) and a batch larger than
+    # the dataset (500).
+    @pytest.mark.parametrize("batch_size", [1, 137, 500])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_every_batch_shape_bitwise_equal(self, kind, dtype, batch_size, monkeypatch):
+        self.check_bitwise_equal(kind, dtype, monkeypatch, batch_size)
+
+    @pytest.mark.parametrize("block_rows", [40, 50])
+    def test_loss_blocks_bitwise_equal(self, block_rows, monkeypatch):
+        # Blocks of 32 or 48 rows at batch 16: several loss calls per epoch,
+        # with the short last batch alone in its block or after whole batches.
+        monkeypatch.setattr(neuralnet, "LOSS_BLOCK_ROWS", block_rows)
+        self.check_bitwise_equal("mlp", np.float32, monkeypatch)
+
+    def check_bitwise_equal(self, kind, dtype, monkeypatch, batch_size=16):
         ds = odd_sized_blobs()
-        cfg = nf.TrainingConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=6)
-        assert ds.row_count % cfg.batch_size != 0
+        assert ds.row_count == 137  # the batch shapes named above
+        cfg = nf.TrainingConfig(epochs=3, batch_size=batch_size, learning_rate=0.01, seed=6)
         model, history = nf.train(build_at(dtype, kind, ds.feature_names, 6), ds, cfg)
         oracle = build_at(dtype, kind, ds.feature_names, 6)
         losses = oracle_train(oracle, ds, cfg, monkeypatch)
@@ -614,12 +650,25 @@ class TestTrainMatchesOracle:
         assert np.array([h.loss for h in history]).tobytes() == np.array(losses).tobytes()
 
     def test_sigmoid_edge_inputs(self):
-        edges = [0.0, -0.0, 800.0, -800.0, np.nan, 1.5, -1.5]
-        assert nf.sigmoid(np.array(edges)).tobytes() == oracle_sigmoid(np.array(edges)).tobytes()
-        for v in edges:
-            got = nf.sigmoid(v)
-            assert type(got) is float
-            assert np.float64(got).tobytes() == np.float64(oracle_sigmoid(v)).tobytes()
+        for dtype in (np.float32, np.float64):
+            sub = np.finfo(dtype).smallest_subnormal
+            edges = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan,
+                              np.copysign(np.nan, -1.0), sub, -sub, 1.5, -1.5], dtype)
+            got, want = nf.sigmoid(edges), oracle_sigmoid(edges)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+            for v in [*edges, *edges.tolist()]:  # 0-d in the dtype, and Python floats
+                got, want = nf.sigmoid(v), oracle_sigmoid(v)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            # The gate slices lstm_cell_forward passes: strided column blocks.
+            z = np.stack([np.roll(np.tile(edges, 3), r) for r in range(4)])
+            h = edges.size
+            for cols in (slice(0, h), slice(h, 2 * h), slice(2 * h, None)):
+                assert not z[:, cols].flags.c_contiguous
+                got, want = nf.sigmoid(z[:, cols]), oracle_sigmoid(z[:, cols])
+                assert got.dtype == dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_sigmoid_leaves_read_only_input_alone(self):
         for x in (np.array([-2.0, 0.0, 3.0]), np.array(-4.0)):
@@ -637,6 +686,24 @@ class TestTrainMatchesOracle:
             for p, y in zip(edges, labels):
                 got, want = nf.bce_loss(np.array([p]), [y]), oracle_bce_loss([p], [y])
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 6, 7, 20, 129])
+    def test_bce_loss_block_equals_its_rows(self, rows):
+        # train's loss pass: each row of a (batches, rows) block gets the bits
+        # of the 1-D call on that row, clamp edges and NaN included.
+        rng = np.random.default_rng(rows)
+        edges = [0.0, 1.0, BCE_EPS, 1.0 - BCE_EPS, 0.5, np.nan]
+        for dtype in (np.float32, np.float64):
+            probs = rng.random((9, rows)).astype(dtype)
+            spots = rng.choice(probs.size, min(probs.size, 12), replace=False)
+            probs.flat[spots] = (edges * 2)[: spots.size]
+            labels = rng.integers(0, 2, probs.shape).astype(dtype)
+            losses = nf.bce_loss(probs, labels)
+            assert losses.shape == (9,) and losses.dtype == np.float64
+            want = [nf.bce_loss(p, y) for p, y in zip(probs, labels)]
+            assert all(type(w) is float for w in want)
+            assert losses.tobytes() == np.array(want).tobytes()
+            assert np.isnan(losses).any() and np.isfinite(losses).any()
 
 
 class TestGradientBuffer:
@@ -663,9 +730,28 @@ class TestGradientBuffer:
             tracemalloc.stop()
         assert peak < 1.5 * ds.matrix.nbytes
 
+    def test_loss_pass_memory_is_bounded(self):
+        # On a narrow input the loss pass's float64 temporaries would outweigh
+        # the matrix if it cast a whole epoch at once; a block at a time they
+        # stay within a constant.
+        rng = np.random.default_rng(4)
+        ds = numeric_ds(rng.standard_normal((400_000, 2)), labels=rng.integers(0, 2, 400_000))
+        model = nf.build_mlp(ds.feature_names, seed=4)
+        tracemalloc.start()
+        try:
+            nf.train(model, ds, nf.TrainingConfig(epochs=1, batch_size=100, seed=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, item = ds.row_count, model.params.itemsize
+        inputs = 2 * ds.matrix.size * item  # the cast input and its shuffled copy
+        vectors = 3 * n * item + 8 * n  # labels, shuffled labels, probabilities; the permutation
+        assert peak < inputs + vectors + 2**21
+
     def test_train_steps_through_module_globals(self, monkeypatch):
         # train must look each step function up in the module, so that a
-        # wrapper put there (as a traced benchmark run does) sees every step.
+        # wrapper put there (as a traced benchmark run does) sees every step
+        # and every loss pass.
         calls = collections.Counter()
         for name in STEP_FUNCTIONS:
             def counted(*args, _fn=getattr(neuralnet, name), _name=name):
@@ -676,4 +762,6 @@ class TestGradientBuffer:
         cfg = nf.TrainingConfig(epochs=2, batch_size=16, seed=2)
         nf.train(nf.build_mlp(ds.feature_names, seed=2), ds, cfg)
         steps = cfg.epochs * math.ceil(ds.row_count / cfg.batch_size)
-        assert calls == {name: steps for name in STEP_FUNCTIONS}
+        # Per epoch, one loss call for the 8 whole batches (one block) and one
+        # for the short last batch of 9 rows.
+        assert calls == {**{name: steps for name in STEP_FUNCTIONS}, "bce_loss": 2 * cfg.epochs}
