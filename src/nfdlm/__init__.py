@@ -52,8 +52,7 @@ from .flow_data import (
 )
 from .neuralnet import (
     AdamState,
-    DenseLayer,
-    LstmCell,
+    Layer,
     Model,
     TrainingConfig,
     adam_step,
@@ -85,11 +84,10 @@ __all__ = [
     "ComparisonTable",
     "ConfusionMatrix",
     "DataError",
-    "DenseLayer",
     "ExperimentConfig",
     "ExperimentReport",
     "FlowDataset",
-    "LstmCell",
+    "Layer",
     "Metrics",
     "Model",
     "NumericError",

@@ -7,10 +7,12 @@ gradients share its layout, so Adam updates a model with a few ufunc calls.
 The vector has its layers' dtype: new models are float32, and the step
 functions compute in the dtype they are given, so models loaded from older
 float64 files train and score in float64 through the same code.
-Flows are independent records, so the LSTM consumes each row as a length-1
-sequence with zero initial hidden and cell state. From that state only the
-input-side weights of the input, candidate and output gates reach the output,
-so LSTM layers store just those.
+Every layer is one Layer: x @ weights.T + bias, then its activation. Hidden
+dense layers are relu and the head is one sigmoid unit. Flows are independent
+records, so the LSTM consumes each row as a length-1 sequence with zero
+initial hidden and cell state. From that state only the input-side weights of
+the input, candidate and output gates reach the output, so an LSTM layer is a
+Layer with activation "lstm": three weight rows per unit, one per gate.
 """
 
 from __future__ import annotations
@@ -68,15 +70,28 @@ def sigmoid(x):
 
 
 @dataclass
-class DenseLayer:
-    weights: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
-    activation: str  # relu (hidden) | sigmoid (head)
+class Layer:
+    """z = x @ weights.T + bias, then the activation: relu (hidden), sigmoid
+    (head) or lstm.
+
+    An lstm layer is an LSTM cell on a length-1 sequence from zero state. Its
+    rows hold the input, candidate and output gates, output_size rows each,
+    and it outputs o * tanh(i * g).
+    """
+
+    weights: np.ndarray  # (rows, in)
+    bias: np.ndarray  # (rows,)
+    activation: str  # relu | sigmoid | lstm
 
     def __post_init__(self) -> None:
         self.weights = np.array(_floats(self.weights))
         self.bias = np.array(self.bias, dtype=self.weights.dtype)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
+        w = self.weights
+        if self.activation == "lstm":
+            if w.ndim != 2 or w.shape[0] % 3 or 0 in w.shape or self.bias.shape != w.shape[:1]:
+                raise DataError("LSTM weights must be (3 * hidden_size, input) with one bias "
+                                "per row, hidden_size >= 1")
+        elif w.ndim != 2 or self.bias.shape != w.shape[:1]:
             raise DataError("dense layer shape mismatch")
 
     @property
@@ -85,46 +100,12 @@ class DenseLayer:
 
     @property
     def output_size(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass
-class LstmCell:
-    """One LSTM layer for length-1 sequences from zero initial state.
-
-    Rows of weights (3 * hidden, in) and bias (3 * hidden,) hold the input,
-    candidate and output gates, in that order.
-    """
-
-    weights: np.ndarray
-    bias: np.ndarray
-    hidden_size: int
-
-    def __post_init__(self) -> None:
-        self.weights = np.array(_floats(self.weights))
-        self.bias = np.array(self.bias, dtype=self.weights.dtype)
-        rows = 3 * self.hidden_size
-        shape = self.weights.shape
-        if rows < 3 or len(shape) != 2 or shape[0] != rows or shape[1] < 1:
-            raise DataError("LSTM weights must be (3 * hidden_size, input), hidden_size >= 1")
-        if self.bias.shape != (rows,):
-            raise DataError("LSTM bias must have 3 * hidden_size entries")
-
-    @property
-    def input_size(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def output_size(self) -> int:
-        return self.hidden_size
-
-
-Layer = DenseLayer | LstmCell
+        rows = self.weights.shape[0]
+        return rows // 3 if self.activation == "lstm" else rows
 
 
 @dataclass
 class Model:
-    kind: str  # mlp | lstm
     layers: list[Layer]
     input_features: list[str]
     scaler: ScalerParams | None = None
@@ -136,18 +117,15 @@ class Model:
     def __post_init__(self) -> None:
         if not self.layers:
             raise DataError("model needs at least one layer")
-        kind = "lstm" if any(isinstance(l, LstmCell) for l in self.layers) else "mlp"
-        if self.kind != kind:
-            raise DataError(f"model kind must be {kind!r} for these layers, not {self.kind!r}")
         width = len(self.input_features)
         for pos, layer in enumerate(self.layers, 1):
             if layer.input_size != width:
                 raise DataError(f"layer {pos} takes {layer.input_size} inputs but gets {width}")
             width = layer.output_size
         head = self.layers[-1]
-        if not isinstance(head, DenseLayer) or head.output_size != 1 or head.activation != "sigmoid":
+        if head.activation != "sigmoid" or head.output_size != 1:
             raise DataError("last layer must be one sigmoid unit")
-        if any(isinstance(l, DenseLayer) and l.activation != "relu" for l in self.layers[:-1]):
+        if any(l.activation not in ("relu", "lstm") for l in self.layers[:-1]):
             raise DataError("hidden dense layers must be relu")
         dtype = np.result_type(*(l.weights for l in self.layers))  # float64 if layers mix
         self.params = np.empty(sum(l.weights.size + l.bias.size for l in self.layers), dtype)
@@ -156,6 +134,11 @@ class Model:
             layer.weights, layer.bias = w, b
         if not np.isfinite(self.params).all():
             raise DataError("model parameters must be finite")
+
+    @property
+    def kind(self) -> str:
+        """lstm if any layer is an LSTM cell, else mlp."""
+        return "lstm" if any(l.activation == "lstm" for l in self.layers) else "mlp"
 
 
 def _param_views(layers: list[Layer], flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -227,10 +210,10 @@ def build_mlp(
     layers: list[Layer] = []
     width = len(input_features)
     for h in hidden:
-        layers.append(DenseLayer(_glorot(rng, h, width).astype(np.float32), np.zeros(h), "relu"))
+        layers.append(Layer(_glorot(rng, h, width).astype(np.float32), np.zeros(h), "relu"))
         width = h
-    layers.append(DenseLayer(_glorot(rng, 1, width).astype(np.float32), np.zeros(1), "sigmoid"))
-    return Model(kind="mlp", layers=layers, input_features=list(input_features), init_seed=seed)
+    layers.append(Layer(_glorot(rng, 1, width).astype(np.float32), np.zeros(1), "sigmoid"))
+    return Model(layers=layers, input_features=list(input_features), init_seed=seed)
 
 
 def build_lstm(
@@ -249,29 +232,25 @@ def build_lstm(
     for h in hidden:
         w_i, _, w_g, w_o = [_glorot(rng, h, width + h)[:, :width] for _ in range(4)]
         gates = np.vstack([w_i, w_g, w_o]).astype(np.float32)
-        layers.append(LstmCell(gates, np.zeros(3 * h), h))
+        layers.append(Layer(gates, np.zeros(3 * h), "lstm"))
         width = h
-    layers.append(DenseLayer(_glorot(rng, 1, width).astype(np.float32), np.zeros(1), "sigmoid"))
-    return Model(kind="lstm", layers=layers, input_features=list(input_features), init_seed=seed)
+    layers.append(Layer(_glorot(rng, 1, width).astype(np.float32), np.zeros(1), "sigmoid"))
+    return Model(layers=layers, input_features=list(input_features), init_seed=seed)
 
 
-def _dense_apply(layer: DenseLayer, x: np.ndarray):
-    z = x @ layer.weights.T + layer.bias
-    return z, np.maximum(0.0, z) if layer.activation == "relu" else sigmoid(z)
-
-
-def lstm_cell_forward(cell: LstmCell, x: np.ndarray):
-    """Single-step cell pass from zero initial state: c = i * g, h = o * tanh(c).
-
-    Returns (h, cache) where cache carries what backward needs.
-    """
-    n = cell.hidden_size
-    z = x @ cell.weights.T + cell.bias
+def _activate(layer: Layer, z: np.ndarray):
+    """A layer's output from its pre-activation z, and the cache backward
+    needs: z itself for relu and sigmoid, the gates (i, g, o, tanh(c)) for lstm."""
+    if layer.activation == "relu":
+        return np.maximum(0.0, z), z
+    if layer.activation == "sigmoid":
+        return sigmoid(z), z
+    n = layer.output_size
     i = sigmoid(z[:, :n])
     g = np.tanh(z[:, n : 2 * n])
     o = sigmoid(z[:, 2 * n :])
-    tc = np.tanh(i * g)
-    return o * tc, (x, i, g, o, tc)
+    tc = np.tanh(i * g)  # c = i * g from zero cell state
+    return o * tc, (i, g, o, tc)
 
 
 def _forward_cached(model: Model, batch: np.ndarray):
@@ -283,14 +262,9 @@ def _forward_cached(model: Model, batch: np.ndarray):
         )
     caches = []
     for layer in model.layers:
-        if isinstance(layer, DenseLayer):
-            z, a = _dense_apply(layer, x)
-            caches.append((x, z))
-            x = a
-        else:
-            h, cache = lstm_cell_forward(layer, x)
-            caches.append(cache)
-            x = h
+        out, cache = _activate(layer, x @ layer.weights.T + layer.bias)
+        caches.append((x, cache))
+        x = out
     return x[:, 0], caches
 
 
@@ -328,28 +302,25 @@ def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.nd
     delta = ((probs - y) / y.size)[:, None]
     for pos in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[pos]
-        cache = caches[pos]
-        if isinstance(layer, DenseLayer):
-            x, z = cache
-            if pos != len(model.layers) - 1:  # hidden layers are ReLU
-                delta = delta * (z > 0)
-            dz = delta
-            if pos:  # the input layer passes no gradient on
-                delta = dz @ layer.weights
-        else:
-            x, i, g, o, tc = cache
-            h = layer.hidden_size
+        x, cache = caches[pos]
+        w = layer.weights
+        if layer.activation == "lstm":
+            i, g, o, tc = cache
+            h = i.shape[1]
             dz = np.empty((x.shape[0], 3 * h), x.dtype)
             dzi, dzg, dzo = dz[:, :h], dz[:, h : 2 * h], dz[:, 2 * h :]
             dc = delta * o * (1.0 - tc * tc)
             np.multiply(dc * g * i, 1.0 - i, out=dzi)
             np.multiply(dc * i, 1.0 - g * g, out=dzg)
             np.multiply(delta * tc * o, 1.0 - o, out=dzo)
-            w = layer.weights
             # One product per gate, not dz @ w: this summation order gives,
             # bit for bit, the weights that format-v1 code trained.
             if pos:
                 delta = dzi @ w[:h] + dzg @ w[h : 2 * h] + dzo @ w[2 * h :]
+        else:  # a relu layer, or the sigmoid head fused with the loss above
+            dz = delta * (cache > 0) if layer.activation == "relu" else delta
+            if pos:  # the input layer passes no gradient on
+                delta = dz @ w
         dw, db = views[pos]
         np.matmul(dz.T, x, out=dw)
         np.add.reduce(dz, axis=0, out=db)
@@ -483,10 +454,10 @@ def predict(model: Model, ds: FlowDataset) -> np.ndarray:
 
 
 def _layer_to_dict(layer: Layer) -> dict:
-    if isinstance(layer, DenseLayer):
-        head = {"type": "dense", "activation": layer.activation}
+    if layer.activation == "lstm":
+        head = {"type": "lstm", "hidden_size": layer.output_size}
     else:
-        head = {"type": "lstm", "hidden_size": layer.hidden_size}
+        head = {"type": "dense", "activation": layer.activation}
     return {**head, "weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
 
 
@@ -494,7 +465,7 @@ def _layer_from_dict(d: dict, version: int, dtype: str, what: str) -> Layer:
     if json_field(d, "type", one_of("dense", "lstm"), what) == "dense":
         weights = np.array(json_field(d, "weights", MATRIX, what), dtype)
         bias = json_field(d, "bias", NUMBERS, what)
-        return DenseLayer(weights, bias, json_field(d, "activation", STRING, what))
+        return Layer(weights, bias, json_field(d, "activation", one_of("relu", "sigmoid"), what))
     h = json_field(d, "hidden_size", INTEGER, what)
     if version == 1:
         # v1 stored all four gates, each (hidden, input + hidden); only the
@@ -506,9 +477,14 @@ def _layer_from_dict(d: dict, version: int, dtype: str, what: str) -> Layer:
             raise DataError("v1 LSTM gate matrices must be (hidden, input + hidden)")
         if any(b.shape != (h,) for b in biases):
             raise DataError("v1 LSTM gate biases must have hidden_size entries")
-        return LstmCell(np.vstack([w[:, : cols - h] for w in gates]), np.concatenate(biases), h)
-    weights = np.array(json_field(d, "weights", MATRIX, what), dtype)
-    return LstmCell(weights, json_field(d, "bias", NUMBERS, what), h)
+        weights, bias = np.vstack([w[:, : cols - h] for w in gates]), np.concatenate(biases)
+    else:
+        weights = np.array(json_field(d, "weights", MATRIX, what), dtype)
+        bias = json_field(d, "bias", NUMBERS, what)
+    if len(weights) != 3 * h:
+        raise DataError(f"{what} weights must have 3 * hidden_size = {3 * h} rows, "
+                        f"not {len(weights)}")
+    return Layer(weights, bias, "lstm")
 
 
 def save_model(model: Model, path) -> None:
@@ -553,8 +529,7 @@ def load_model(path) -> Model:
         with np.errstate(over="ignore"):  # a float32 overflow fails Model's finite check
             layers = [_layer_from_dict(d, version, dtype, f"layer {i}")
                       for i, d in enumerate(layers, 1)]
-        return Model(
-            kind=kind,
+        model = Model(
             layers=layers,
             input_features=features,
             scaler=None if scaler is None else ScalerParams.from_dict(scaler),
@@ -562,5 +537,8 @@ def load_model(path) -> Model:
             training_config=None if training is None else TrainingConfig.from_dict(training),
             init_seed=seed,
         )
-    except (TypeError, ValueError, IndexError) as exc:
+        if kind != model.kind:
+            raise DataError(f"model kind must be {model.kind!r} for these layers, not {kind!r}")
+    except (TypeError, ValueError, IndexError) as exc:  # DataError is a ValueError
         raise DataError(f"{path}: bad model file: {exc}") from exc
+    return model

@@ -65,19 +65,19 @@ def build_float64(kind: str, input_features, hidden: tuple[int, ...], seed: int)
     """build_mlp or build_lstm with float64 parameters: the same Glorot draws,
     not rounded to float32. Float64 pins (the oracles, the v1/v2 fixtures,
     finite differences) train these."""
-    from nfdlm.neuralnet import DenseLayer, LstmCell, _glorot
+    from nfdlm.neuralnet import _glorot
 
     rng = np.random.default_rng(seed)
     layers, width = [], len(input_features)
     for h in hidden:
         if kind == "mlp":
-            layers.append(DenseLayer(_glorot(rng, h, width), np.zeros(h), "relu"))
+            layers.append(nf.Layer(_glorot(rng, h, width), np.zeros(h), "relu"))
         else:
             w_i, _, w_g, w_o = [_glorot(rng, h, width + h)[:, :width] for _ in range(4)]
-            layers.append(LstmCell(np.vstack([w_i, w_g, w_o]), np.zeros(3 * h), h))
+            layers.append(nf.Layer(np.vstack([w_i, w_g, w_o]), np.zeros(3 * h), "lstm"))
         width = h
-    layers.append(DenseLayer(_glorot(rng, 1, width), np.zeros(1), "sigmoid"))
-    return nf.Model(kind=kind, layers=layers, input_features=list(input_features), init_seed=seed)
+    layers.append(nf.Layer(_glorot(rng, 1, width), np.zeros(1), "sigmoid"))
+    return nf.Model(layers=layers, input_features=list(input_features), init_seed=seed)
 
 
 def max_relative_gradient_error(model, x, y, h: float = 1e-5) -> float:
@@ -106,15 +106,13 @@ def max_relative_gradient_error(model, x, y, h: float = 1e-5) -> float:
 
 def relu_kink_margin(model, x) -> float:
     """Smallest |pre-activation| over every ReLU unit; FD checks need it > h."""
-    from nfdlm.neuralnet import DenseLayer, _forward_cached
+    from nfdlm.neuralnet import _forward_cached
 
     _, caches = _forward_cached(model, x)
     margin = np.inf
-    for layer, cache in zip(model.layers, caches):
-        if isinstance(layer, DenseLayer) and layer.activation == "relu":
-            z = cache[1]
-            if z.size:
-                margin = min(margin, float(np.min(np.abs(z))))
+    for layer, (_, z) in zip(model.layers, caches):
+        if layer.activation == "relu" and z.size:
+            margin = min(margin, float(np.min(np.abs(z))))
     return margin
 
 
@@ -125,8 +123,6 @@ def random_checkable_model(kind: str, seed: int, n_rows: int = 6):
     pre-activation sits within 1e-3 of its kink, where central differences
     and the subgradient convention legitimately disagree.
     """
-    from nfdlm.neuralnet import DenseLayer
-
     attempt = 0
     while True:
         rng = np.random.default_rng([seed, attempt])
@@ -138,7 +134,7 @@ def random_checkable_model(kind: str, seed: int, n_rows: int = 6):
             features = [f"x{i}" for i in range(3)]
             model = build_float64("lstm", features, (3, 3), seed * 11 + attempt)
         for layer in model.layers:
-            if isinstance(layer, DenseLayer):
+            if layer.activation != "lstm":
                 layer.bias += rng.uniform(-0.5, 0.5, layer.bias.shape)
         x = rng.standard_normal((n_rows, len(features)))
         y = rng.integers(0, 2, n_rows)

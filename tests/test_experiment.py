@@ -343,7 +343,8 @@ class TestCli:
         ("hidden_sigmoid_layer", "hidden dense layers must be relu"),
         ("string_input_features", "'input_features' must be a list of strings"),
         ("string_init_seed", "'init_seed' must be an integer or null"),
-        ("mlp_kind_on_lstm", "model kind must be 'lstm' for these layers, not 'mlp'"),
+        ("mlp_kind_on_lstm", "m.json: bad model file: model kind must be 'lstm' for these layers, "
+                             "not 'mlp'"),
         ("fractional_hidden_size", "layer 2 'hidden_size' must be an integer"),
         ("boolean_hidden_size", "layer 1 'hidden_size' must be an integer"),
         ("boolean_weight", "layer 1 'weights' must be a list of lists of numbers"),
@@ -356,19 +357,24 @@ class TestCli:
         ("float16_dtype", "'dtype' must be \"float32\" or \"float64\""),
         ("numeric_dtype", "'dtype' must be \"float32\" or \"float64\""),
         ("float32_overflow", "model parameters must be finite"),
+        ("dense_lstm_activation", "layer 1 'activation' must be \"relu\" or \"sigmoid\""),
+        ("dense_tanh_activation", "layer 1 'activation' must be \"relu\" or \"sigmoid\""),
+        ("lstm_hidden_size_mismatch", "layer 2 weights must have 3 * hidden_size = 9 rows, not 6"),
     ], ids=["missing_kind", "narrow_middle_layer", "nan_scaler_mean", "subnormal_scaler_stdev",
             "hidden_sigmoid_layer", "string_input_features", "string_init_seed",
             "mlp_kind_on_lstm", "fractional_hidden_size", "boolean_hidden_size", "boolean_weight",
             "string_column_names", "fractional_epochs", "boolean_batch_size",
             "unknown_training_key", "huge_weights", "missing_dtype", "float16_dtype",
-            "numeric_dtype", "float32_overflow"])
+            "numeric_dtype", "float32_overflow", "dense_lstm_activation", "dense_tanh_activation",
+            "lstm_hidden_size_mismatch"])
     def test_hostile_model_file_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data, model = tmp_path / "flows.ds", tmp_path / "m.json"
         nf.save_dataset(small_ds, data)
         names = small_ds.feature_names
         # Layer 1 of the LSTM has hidden size 1, so int(true) would fit it;
         # layer 2 has 2, so int(2.9) would.
-        lstm = breakage in ("mlp_kind_on_lstm", "fractional_hidden_size", "boolean_hidden_size")
+        lstm = breakage in ("mlp_kind_on_lstm", "fractional_hidden_size", "boolean_hidden_size",
+                            "lstm_hidden_size_mismatch")
         built = nf.build_lstm(names, hidden=(1, 2), seed=0) if lstm else nf.build_mlp(names, seed=0)
         nf.save_model(built, model)
         doc = json.loads(model.read_text(encoding="utf-8"))
@@ -382,6 +388,10 @@ class TestCli:
             doc["layers"][1]["hidden_size"] = 2.9
         elif breakage == "boolean_hidden_size":
             doc["layers"][0]["hidden_size"] = True
+        elif breakage == "lstm_hidden_size_mismatch":  # 6 rows fit 2 units, not 3
+            doc["layers"][1]["hidden_size"] = 3
+        elif breakage in ("dense_lstm_activation", "dense_tanh_activation"):
+            doc["layers"][0]["activation"] = breakage.split("_")[1]
         elif breakage == "boolean_weight":
             doc["layers"][0]["weights"][0][0] = True
         elif breakage == "string_column_names":

@@ -14,7 +14,7 @@ import pytest
 import nfdlm as nf
 from nfdlm import neuralnet
 from nfdlm.neuralnet import (
-    BCE_EPS, AdamState, DenseLayer, LstmCell, Model, _param_views, lstm_cell_forward,
+    BCE_EPS, AdamState, Layer, Model, _activate, _param_views,
 )
 
 from conftest import build_float64, max_relative_gradient_error, numeric_ds, random_checkable_model
@@ -58,8 +58,7 @@ class TestMlpForward:
 
     def test_hand_computed_single_layer(self):
         model = Model(
-            kind="mlp",
-            layers=[DenseLayer(np.array([[2.0, -1.0]]), np.array([0.5]), "sigmoid")],
+            layers=[Layer(np.array([[2.0, -1.0]]), np.array([0.5]), "sigmoid")],
             input_features=["a", "b"],
         )
         probs = nf.forward(model, np.array([[1.0, 3.0], [0.0, 0.0]]))
@@ -81,13 +80,13 @@ class TestMlpForward:
 class TestLstmForward:
     def test_scalar_cell_matches_hand_evaluation(self):
         # One unit, one input; rows are the input, candidate and output gates.
-        cell = LstmCell(np.array([[0.5], [0.3], [-0.4]]), np.array([0.1, -0.2, 0.05]), 1)
+        cell = Layer(np.array([[0.5], [0.3], [-0.4]]), np.array([0.1, -0.2, 0.05]), "lstm")
         x = 0.8
         i = 1.0 / (1.0 + math.exp(-(0.5 * x + 0.1)))
         g = math.tanh(0.3 * x - 0.2)
         o = 1.0 / (1.0 + math.exp(-(-0.4 * x + 0.05)))
         expected = o * math.tanh(i * g)
-        h, _ = lstm_cell_forward(cell, np.array([[x]]))
+        h, _ = _activate(cell, np.array([[x]]) @ cell.weights.T + cell.bias)
         assert abs(h[0, 0] - expected) < 1e-15
 
     def test_zero_parameters_give_sigmoid_of_head_bias(self):
@@ -103,17 +102,19 @@ class TestLstmForward:
             nf.forward(model, np.zeros((3, 2)))
 
     def test_packed_gate_matrix_shape(self):
-        cell = LstmCell(np.zeros((6, 3)), np.zeros(6), hidden_size=2)
+        cell = Layer(np.zeros((6, 3)), np.zeros(6), "lstm")
         assert (cell.input_size, cell.output_size) == (3, 2)
         bad = [
             (np.zeros((4, 3)), np.zeros(6)),  # rows for two gates, not three
+            (np.zeros((4, 3)), np.zeros(4)),
+            (np.zeros((0, 3)), np.zeros(0)),  # no unit
             (np.zeros(6), np.zeros(6)),
             (np.zeros((6, 0)), np.zeros(6)),
             (np.zeros((6, 3)), np.zeros(4)),
         ]
         for weights, bias in bad:
             with pytest.raises(nf.DataError, match=r"3 \* hidden_size"):
-                LstmCell(weights, bias, hidden_size=2)
+                Layer(weights, bias, "lstm")
 
 
 class TestParameterVector:
@@ -135,14 +136,14 @@ class TestParameterVector:
 
     def test_params_take_the_layers_dtype(self):
         def dense(dtype, activation="relu"):
-            return DenseLayer(np.ones((1, 1), dtype), np.zeros(1, dtype), activation)
+            return Layer(np.ones((1, 1), dtype), np.zeros(1, dtype), activation)
 
         for dtypes, want in [((np.float32, np.float32), np.float32),
                              ((np.float64, np.float64), np.float64),
                              ((np.float32, np.float64), np.float64),
                              ((np.int64, np.float32), np.float64)]:
             layers = [dense(dtypes[0]), dense(dtypes[1], "sigmoid")]
-            model = Model(kind="mlp", layers=layers, input_features=["a"])
+            model = Model(layers=layers, input_features=["a"])
             assert model.params.dtype == want
             assert all(l.weights.dtype == want and l.bias.dtype == want for l in model.layers)
 
@@ -190,8 +191,7 @@ class TestBackward:
         # Single sigmoid unit, zero input, label 0: dL/db = sigmoid(b).
         for b in (-1.3, 0.0, 0.7, 2.5):
             model = Model(
-                kind="mlp",
-                layers=[DenseLayer(np.zeros((1, 1)), np.array([b]), "sigmoid")],
+                layers=[Layer(np.zeros((1, 1)), np.array([b]), "sigmoid")],
                 input_features=["a"],
             )
             grads = nf.backward(model, np.zeros((1, 1)), np.zeros(1))
@@ -550,15 +550,15 @@ def oracle_backward(model, caches, probs, labels):
     delta = ((probs - y) / y.size)[:, None]
     for pos in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[pos]
-        if isinstance(layer, DenseLayer):
+        if layer.activation != "lstm":
             x, z = caches[pos]
             if pos != len(model.layers) - 1:
                 delta = delta * (z > 0)
             dz = delta
             delta = dz @ layer.weights
         else:
-            x, i, g, o, tc = caches[pos]
-            h = layer.hidden_size
+            x, (i, g, o, tc) = caches[pos]
+            h = layer.output_size
             dc = delta * o * (1.0 - tc * tc)
             dzi = dc * g * i * (1.0 - i)
             dzg = dc * i * (1.0 - g * g)
@@ -661,7 +661,7 @@ class TestTrainMatchesOracle:
                 got, want = nf.sigmoid(v), oracle_sigmoid(v)
                 assert type(got) is float
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            # The gate slices lstm_cell_forward passes: strided column blocks.
+            # The gate slices an lstm layer's _activate passes: strided column blocks.
             z = np.stack([np.roll(np.tile(edges, 3), r) for r in range(4)])
             h = edges.size
             for cols in (slice(0, h), slice(h, 2 * h), slice(2 * h, None)):
@@ -748,7 +748,8 @@ class TestGradientBuffer:
         vectors = 3 * n * item + 8 * n  # labels, shuffled labels, probabilities; the permutation
         assert peak < inputs + vectors + 2**21
 
-    def test_train_steps_through_module_globals(self, monkeypatch):
+    @pytest.mark.parametrize("build", [nf.build_mlp, nf.build_lstm])
+    def test_train_steps_through_module_globals(self, build, monkeypatch):
         # train must look each step function up in the module, so that a
         # wrapper put there (as a traced benchmark run does) sees every step
         # and every loss pass.
@@ -760,7 +761,7 @@ class TestGradientBuffer:
             monkeypatch.setattr(neuralnet, name, counted)
         ds = odd_sized_blobs()
         cfg = nf.TrainingConfig(epochs=2, batch_size=16, seed=2)
-        nf.train(nf.build_mlp(ds.feature_names, seed=2), ds, cfg)
+        nf.train(build(ds.feature_names, seed=2), ds, cfg)
         steps = cfg.epochs * math.ceil(ds.row_count / cfg.batch_size)
         # Per epoch, one loss call for the 8 whole batches (one block) and one
         # for the short last batch of 9 rows.
