@@ -178,9 +178,9 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
     leak into a feature matrix.
 
     Hard errors: missing file or label column, duplicate header names, ragged
-    rows, empty cells, non-finite numeric cells, and more than two distinct
-    label values (filter the file down to two classes first). Row numbers
-    count records after the header.
+    rows, empty cells, non-finite numeric cells, and a label cell that brings
+    a third distinct value (filter the file down to two classes first). Row
+    numbers count records after the header.
 
     The file is read PARSE_CHUNK_ROWS records at a time and numeric columns
     are converted chunk by chunk, so memory is the matrix plus one chunk of
@@ -294,12 +294,9 @@ def _parse_pass(
             if faults:
                 row, rank, j = min(faults)
                 if rank == 0:
-                    rest = csv.reader(fh)
-                    seen_labels.update(r[label_idx] for r in rest if len(r) == width)
-                    distinct = sorted(seen_labels)
                     raise DataError(
-                        f"{path}: label column '{label_column}' has {len(distinct)} distinct "
-                        f"values {distinct}; filter to two classes before ingesting"
+                        f"{path}: row {row}: label column '{label_column}' has a third value "
+                        f"{cols[j][row - done - 1]!r}; filter to two classes before ingesting"
                     )
                 raise DataError(f"{path}: row {row}: missing value in column '{header[j]}'")
             if ragged is not None:
@@ -457,8 +454,8 @@ def stratified_split(
     """Per-class random split; test gets round(fraction * class size) rows.
 
     Row order within each part follows the original dataset. Deterministic
-    for a given seed. Hard error if labels are absent or either class has
-    fewer than two rows.
+    for a given seed. Hard error if labels are absent, either class has
+    fewer than two rows, or the rounding leaves either part with no rows.
     """
     if ds.labels is None:
         raise DataError("stratified_split requires labels")
@@ -469,14 +466,17 @@ def stratified_split(
         raise DataError("stratified_split requires both classes present")
     if counts.min() < 2:
         raise DataError("stratified_split requires at least 2 rows per class")
+    n_tests = [int(round(test_fraction * count)) for count in counts.tolist()]
+    if sum(n_tests) in (0, ds.row_count):
+        part = "training" if sum(n_tests) else "test"
+        raise DataError(f"test_fraction {test_fraction} leaves the {part} part with no rows")
 
     rng = np.random.default_rng(seed)
     test_rows: list[np.ndarray] = []
     train_rows: list[np.ndarray] = []
-    for cls in classes:
+    for cls, n_test in zip(classes, n_tests):
         idx = np.flatnonzero(ds.labels == cls)
         perm = rng.permutation(idx.size)
-        n_test = int(round(test_fraction * idx.size))
         test_rows.append(idx[perm[:n_test]])
         train_rows.append(idx[perm[n_test:]])
     train_idx = np.sort(np.concatenate(train_rows))
@@ -678,10 +678,10 @@ def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
 
 def load_dataset(path: str | os.PathLike) -> FlowDataset:
     """Read a file save_dataset wrote: once the payload's size is checked, one
-    readinto fills the matrix and one more the labels. A version-1 file (the
-    matrix column by column, the labels a JSON list in the header) is read a
-    column at a time. A file that is not a regular file (a pipe, say) is read
-    whole first, since its size is known only then."""
+    readinto fills the matrix and one more the labels. A file that is not a
+    regular file (a pipe, say) is read whole first, since its size is known
+    only then. Only format version 2 is read: a .ds file is a cache, so an
+    older one fails with a DataError that says to rebuild it with nfdlm ingest."""
     what = f"{path}: dataset header"
     with _open_input(path, "rb") as fh:
         line = fh.readline()
@@ -690,14 +690,17 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
         header = json_object(line.decode("utf-8"), what)
         if json_field(header, "format", STRING, what) != DATASET_FORMAT:
             raise DataError(f"{path}: not a {DATASET_FORMAT} file")
-        version = json_field(header, "format_version", one_of(1, DATASET_FORMAT_VERSION), what)
+        if one_of(1)[1](header.get("format_version")):
+            raise DataError(f"{path}: dataset format version 1 is no longer read; "
+                            "run nfdlm ingest again to rebuild it")
+        json_field(header, "format_version", one_of(DATASET_FORMAT_VERSION), what)
         columns = [
             ColumnDescriptor(json_field(c, "name", STRING, f"{what} column {pos}"),
                              json_field(c, "kind", one_of(*COLUMN_KINDS), f"{what} column {pos}"))
             for pos, c in enumerate(json_field(header, "columns", OBJECTS, what), 1)
         ]
         n = json_field(header, "row_count", ROW_COUNT, what)
-        labeled = version != 1 and json_field(header, "labeled", one_of(True, False), what)
+        labeled = json_field(header, "labeled", one_of(True, False), what)
         strings = json_field(header, "strings", STRING_LISTS, what)
         n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
         info = os.fstat(fh.fileno())
@@ -708,26 +711,13 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
             payload, size = io.BytesIO(data), len(data)
         if size != 8 * n * n_numeric + (n if labeled else 0):
             raise DataError(f"{path}: payload size mismatch")
-        if version == 1:
-            labels = json_field(
-                header, "labels", or_null(("a list", lambda v: type(v) is list)), what
-            )
-            if labels is not None and bool in map(type, labels):  # numpy reads true as 1
-                raise DataError(f"{path}: bad dataset file: labels must be 0 or 1")
-            matrix = np.empty((n, n_numeric))
-            column = np.empty(n if n_numeric else 0, dtype="<f8")  # one column's payload
-            for k in range(n_numeric):
-                if payload.readinto(column) != column.nbytes:
-                    raise DataError(f"{path}: payload size mismatch")
-                matrix[:, k] = column
-        else:
-            matrix = np.empty((n, n_numeric), dtype="<f8")
-            labels = np.empty(n if labeled else 0, dtype=np.uint8)
-            if payload.readinto(matrix) + payload.readinto(labels) != size:
-                raise DataError(f"{path}: payload size mismatch")
-            if labels.max(initial=0) > 1:  # checked on the bytes: a bool view takes 2 as True
-                raise DataError(f"{path}: bad dataset file: labels must be 0 or 1")
-            labels = labels.view(bool) if labeled else None
+        matrix = np.empty((n, n_numeric), dtype="<f8")
+        labels = np.empty(n if labeled else 0, dtype=np.uint8)
+        if payload.readinto(matrix) + payload.readinto(labels) != size:
+            raise DataError(f"{path}: payload size mismatch")
+        if labels.max(initial=0) > 1:  # checked on the bytes: a bool view takes 2 as True
+            raise DataError(f"{path}: bad dataset file: labels must be 0 or 1")
+        labels = labels.view(bool) if labeled else None
     try:
         return FlowDataset(columns=columns, matrix=matrix, labels=labels, strings=strings)
     except (TypeError, ValueError) as exc:

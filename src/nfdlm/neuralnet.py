@@ -394,22 +394,20 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
         order = rng.permutation(n)
         np.take(x, order, axis=0, out=xs, mode="clip")
         np.take(y, order, out=ys, mode="clip")
+        for start in range(0, n, bs):
+            xb, yb = xs[start : start + bs], ys[start : start + bs]
+            probs, caches = _forward_cached(model, xb)
+            # The clamped loss is non-finite only when a probability is NaN.
+            if not math.isfinite(probs.sum()):
+                raise NumericError(f"non-finite loss at epoch {epoch + 1}, batch {start // bs + 1}")
+            ps[start : start + bs] = probs
+            _backward_from_caches(model, caches, probs, yb, grad_views)
+            adam_step(model.params, grads, state, cfg.learning_rate)
+        # Each block's whole batches in one loss call, then a short last
+        # batch; the sum still adds loss * size batch by batch.
         loss_sum = 0.0
         for first in range(0, n, block):
             last = min(first + block, n)
-            for start in range(first, last, bs):
-                xb, yb = xs[start : start + bs], ys[start : start + bs]
-                probs, caches = _forward_cached(model, xb)
-                # The clamped loss is non-finite only when a probability is NaN.
-                if not math.isfinite(probs.sum()):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch + 1}, batch {start // bs + 1}"
-                    )
-                ps[start : start + bs] = probs
-                _backward_from_caches(model, caches, probs, yb, grad_views)
-                adam_step(model.params, grads, state, cfg.learning_rate)
-            # The block's whole batches in one loss call, then a short last
-            # batch; the sum still adds loss * size batch by batch.
             whole = last - (last - first) % bs
             if whole > first:
                 losses = bce_loss(ps[first:whole].reshape(-1, bs), ys[first:whole].reshape(-1, bs))

@@ -50,6 +50,32 @@ def traced_peak(fn, *args):
             tracemalloc.stop()
 
 
+def count_mutants_that_load(original: bytes, path, load, seed: int, count: int) -> int:
+    """Write count seeded mutants of original to path in turn (cut short, one
+    bit flipped, one byte overwritten, one byte inserted) and call load(path)
+    on each. Returns how many loaded; any other must fail as a DataError."""
+    rng = np.random.default_rng(seed)
+    loaded = 0
+    for case in range(count):
+        data = bytearray(original)
+        at = int(rng.integers(len(data)))
+        if case % 4 == 0:
+            del data[at:]
+        elif case % 4 == 1:
+            data[at] ^= 1 << int(rng.integers(8))
+        elif case % 4 == 2:
+            data[at] = int(rng.integers(256))
+        else:
+            data.insert(at, int(rng.integers(256)))
+        path.write_bytes(data)
+        try:
+            load(path)
+        except nf.DataError:
+            continue
+        loaded += 1
+    return loaded
+
+
 def assert_datasets_equal(a: nf.FlowDataset, b: nf.FlowDataset) -> None:
     assert a.columns == b.columns
     assert a.matrix.shape == b.matrix.shape

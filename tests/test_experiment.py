@@ -15,6 +15,8 @@ from nfdlm.cli import main
 from nfdlm.experiment import PRESET_NAMES
 from nfdlm.flow_data import NUMERIC
 
+from conftest import count_mutants_that_load
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 SMALL_SPEC = nf.SynthesisSpec(
@@ -335,6 +337,20 @@ class TestCli:
         ])
         assert rc == 2
 
+    def test_version_1_dataset_file_says_to_ingest_again(self, tmp_path, capsys):
+        data = tmp_path / "flows.ds"
+        data.write_bytes((FIXTURES / "flows_v1.ds").read_bytes())
+        rc = main([
+            "train", "--data", str(data), "--preset", "FS1", "--seed", "1",
+            "--model-out", str(tmp_path / "m.json"),
+            "--report-out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"nfdlm: data error: {data}: dataset format version 1 is no longer read; "
+            "run nfdlm ingest again to rebuild it\n"
+        )
+
     @pytest.mark.parametrize("breakage,reason", [
         ("missing_kind", "lacks key 'kind'"),
         ("narrow_middle_layer", "layer 2 takes 5 inputs but gets 6"),
@@ -451,12 +467,11 @@ class TestCli:
     @pytest.mark.parametrize("breakage,reason", [
         ("columns", "lacks key 'columns'"),
         ("row_count", "lacks key 'row_count'"),
-        ("labels", "lacks key 'labels'"),
         ("strings", "lacks key 'strings'"),
         ("negative_row_count", "'row_count' must be a non-negative integer"),
         ("huge_row_count", "'row_count' must be a non-negative integer below 2**60"),
-        ("fractional_labels", "labels must be 0 or 1"),
-        ("boolean_labels", "labels must be 0 or 1"),
+        ("format_version_3", "'format_version' must be 2"),
+        ("boolean_format_version", "'format_version' must be 2"),
         ("unknown_column_kind", "column 1 'kind' must be \"numeric\" or"),
         ("labeled", "lacks key 'labeled'"),
         ("integer_labeled", "'labeled' must be true or false"),
@@ -464,17 +479,12 @@ class TestCli:
         ("label_byte_2", "bad dataset file: labels must be 0 or 1"),
         ("short_labels", "payload size mismatch"),
         ("long_labels", "payload size mismatch"),
-    ], ids=["columns", "row_count", "labels", "strings", "negative_row_count",
-            "huge_row_count", "fractional_labels", "boolean_labels", "unknown_column_kind",
-            "labeled", "integer_labeled", "null_labeled", "label_byte_2", "short_labels",
-            "long_labels"])
+    ], ids=["columns", "row_count", "strings", "negative_row_count", "huge_row_count",
+            "format_version_3", "boolean_format_version", "unknown_column_kind", "labeled",
+            "integer_labeled", "null_labeled", "label_byte_2", "short_labels", "long_labels"])
     def test_bad_dataset_header_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data = tmp_path / "flows.ds"
-        if breakage in ("labels", "fractional_labels", "boolean_labels"):
-            # Only a version-1 header holds the labels.
-            data.write_bytes((FIXTURES / "flows_v1.ds").read_bytes())
-        else:
-            nf.save_dataset(small_ds, data)
+        nf.save_dataset(small_ds, data)
         head, payload = data.read_bytes().split(b"\n", 1)
         header = json.loads(head)
         if breakage == "negative_row_count":
@@ -483,10 +493,8 @@ class TestCli:
             header.update(row_count=10**30, labeled=False, strings={},
                           columns=[{"name": "category", "kind": "meta"}])
             payload = b""
-        elif breakage == "fractional_labels":
-            header["labels"] = [0.9] * header["row_count"]
-        elif breakage == "boolean_labels":
-            header["labels"] = [bool(v) for v in header["labels"]]
+        elif breakage in ("format_version_3", "boolean_format_version"):
+            header["format_version"] = 3 if breakage == "format_version_3" else True
         elif breakage == "unknown_column_kind":
             header["columns"][0]["kind"] = "text"
         elif breakage in ("integer_labeled", "null_labeled"):
@@ -531,6 +539,16 @@ class TestCli:
         assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
         assert reason in err
         assert f"{report}: report file" in err
+
+    def test_mutated_reports_load_or_fail_as_data_error(self, tmp_path, small_ds):
+        path = tmp_path / "r.json"
+        nf.save_report(nf.run_experiment(nf.preset("FS2", seed=1, epochs=1), small_ds), path)
+
+        def load_and_tabulate(path):
+            nf.compare([nf.load_report(path)]).to_markdown()
+
+        loaded = count_mutants_that_load(path.read_bytes(), path, load_and_tabulate, 13, 2000)
+        assert 0 < loaded < 2000
 
     @pytest.mark.parametrize("bad", ["directory", "invalid_utf8"])
     @pytest.mark.parametrize("command", [

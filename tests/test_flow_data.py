@@ -6,7 +6,6 @@ import csv
 import os
 import stat
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +21,9 @@ from nfdlm.flow_data import (
     synthetic_signal_columns,
 )
 
-from conftest import SURROGATE_SPEC, assert_datasets_equal, numeric_ds, traced_peak
-
-FIXTURES = Path(__file__).parent / "fixtures"
+from conftest import (
+    SURROGATE_SPEC, assert_datasets_equal, count_mutants_that_load, numeric_ds, traced_peak,
+)
 
 
 def write_csv(path, header, rows):
@@ -254,9 +253,21 @@ class TestChunkedParse:
         rows = long_rows(LONG)
         rows[2 * PARSE_CHUNK_ROWS + 7][3] = "DoS"
         path = write_csv(tmp_path / "labels.csv", ["id", "v", "proto", "category"], rows)
+        row = 2 * PARSE_CHUNK_ROWS + 8
         with pytest.raises(
-            nf.DataError, match=r"3 distinct values \['DDoS', 'DoS', 'Normal'\]"
+            nf.DataError, match=f"row {row}: label column 'category' has a third value 'DoS'; "
         ):
+            nf.parse_flow_csv(path, "category", "DDoS")
+
+    def test_third_label_is_reported_before_a_later_fault(self, tmp_path):
+        # The parse stops at the third label, so it never decodes the bad byte.
+        rows = long_rows(10_010)
+        rows[4][3] = "DoS"
+        path = write_csv(tmp_path / "labels.csv", ["id", "v", "proto", "category"], rows)
+        data = path.read_bytes()
+        at = data.rindex(b"tcp")
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        with pytest.raises(nf.DataError, match="row 5: label column 'category' has a third"):
             nf.parse_flow_csv(path, "category", "DDoS")
 
     def test_quoted_cells_across_the_chunk_boundary(self, tmp_path):
@@ -552,6 +563,17 @@ class TestStratifiedSplit:
         assert sorted(map(tuple, joined)) == sorted(map(tuple, ds.matrix))
         assert train.row_count + test.row_count == ds.row_count
 
+    @pytest.mark.parametrize(
+        "n_pos, n_neg, fraction, part",
+        [(50, 10, 0.01, "test"), (2, 3, 0.9, "training")],
+        ids=["empty_test", "empty_training"],
+    )
+    def test_fraction_that_empties_a_part_errors(self, n_pos, n_neg, fraction, part):
+        with pytest.raises(
+            nf.DataError, match=f"^test_fraction {fraction} leaves the {part} part with no rows$"
+        ):
+            nf.stratified_split(self.make(n_pos, n_neg), fraction, seed=0)
+
     @pytest.mark.parametrize("fraction", [0.1, 0.2, 0.33, 0.5])
     def test_per_class_sizes_track_round(self, fraction):
         ds = self.make(41, 17, seed=2)
@@ -617,7 +639,8 @@ class TestGenerateSyntheticFlows:
 
 
 def fixture_dataset() -> nf.FlowDataset:
-    """The contents of fixtures/flows_v1.ds."""
+    """Extreme values, a categorical and a meta column: the contents of
+    fixtures/flows_v1.ds, a file in the retired .ds format version 1."""
     cols = [
         nf.ColumnDescriptor("a", NUMERIC),
         nf.ColumnDescriptor("proto", CATEGORICAL),
@@ -724,34 +747,10 @@ class TestDatasetFile:
             back = load_from_pipe(tmp_path, path.read_bytes())
         assert_bitwise_equal(back, ds)
 
-    def test_version_1_file_loads_bitwise(self):
-        # Written by the version-1 save_dataset, which stored the matrix column
-        # by column and the labels as a JSON list in the header.
-        assert_bitwise_equal(nf.load_dataset(FIXTURES / "flows_v1.ds"), fixture_dataset())
-
     def test_mutated_files_load_or_fail_as_data_error(self, tmp_path):
         path = tmp_path / "cache.ds"
         nf.save_dataset(fixture_dataset(), path)
-        original = path.read_bytes()
-        rng = np.random.default_rng(11)
-        loaded = 0
-        for case in range(2000):
-            data = bytearray(original)
-            at = int(rng.integers(len(data)))
-            if case % 4 == 0:  # truncate
-                del data[at:]
-            elif case % 4 == 1:  # flip one bit
-                data[at] ^= 1 << int(rng.integers(8))
-            elif case % 4 == 2:  # overwrite one byte
-                data[at] = int(rng.integers(256))
-            else:  # insert one byte
-                data.insert(at, int(rng.integers(256)))
-            path.write_bytes(data)
-            try:
-                nf.load_dataset(path)
-            except nf.DataError:
-                continue
-            loaded += 1
+        loaded = count_mutants_that_load(path.read_bytes(), path, nf.load_dataset, 11, 2000)
         assert 0 < loaded < 2000
 
     def test_rejects_foreign_files(self, tmp_path):
@@ -830,7 +829,6 @@ class TestLabels:
             synthetic,
             nf.parse_flow_csv(tiny_csv, "category", "DDoS"),
             nf.load_dataset(tmp_path / "cache.ds"),
-            nf.load_dataset(FIXTURES / "flows_v1.ds"),
             flow_data.take_rows(synthetic, [3, 1]),
             nf.smote_resample(synthetic, nf.SmoteConfig()),
         ):

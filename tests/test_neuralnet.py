@@ -17,7 +17,10 @@ from nfdlm.neuralnet import (
     BCE_EPS, AdamState, Layer, Model, _activate, _param_views,
 )
 
-from conftest import build_float64, max_relative_gradient_error, numeric_ds, random_checkable_model
+from conftest import (
+    build_float64, count_mutants_that_load, max_relative_gradient_error, numeric_ds,
+    random_checkable_model,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -521,6 +524,22 @@ class TestModelFile:
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(nf.DataError, match="not a nfdlm.model"):
             nf.load_model(path)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["lstm_v1.model.json", "mlp_v2.model.json", "mlp_v3.model.json", "lstm_v3.model.json"],
+    )
+    def test_mutated_files_load_and_score_or_fail_as_data_error(self, tmp_path, name):
+        rng = np.random.default_rng(12)
+
+        def load_and_score(path):
+            model = nf.load_model(path)
+            names = list(dict.fromkeys(model.input_features))
+            nf.predict_proba(model, numeric_ds(rng.standard_normal((4, len(names))), names=names))
+
+        original = (FIXTURES / name).read_bytes()
+        loaded = count_mutants_that_load(original, tmp_path / name, load_and_score, 12, 2000)
+        assert 0 < loaded < 2000
 
 
 # The training step as it was before it reused one gradient vector per train
