@@ -151,7 +151,6 @@ def _cmd_select(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    ds = load_dataset(args.data)
     cfg = preset(
         args.preset,
         seed=args.seed,
@@ -159,7 +158,9 @@ def _cmd_train(args) -> None:
         smote_k=args.smote_k,
         smote_before_split=args.smote_before_split,
     )
-    report = run_experiment(cfg, ds, source=str(args.data), model_path=args.model_out)
+    # No name here holds the dataset, so run_experiment can free it after the split.
+    report = run_experiment(cfg, load_dataset(args.data), source=str(args.data),
+                            model_path=args.model_out)
     save_report(report, args.report_out)
     print(
         f"{cfg.name}: test accuracy {report.metrics.accuracy:.4f}, "

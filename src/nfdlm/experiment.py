@@ -230,23 +230,41 @@ def run_experiment(
 
     with _stage("drop", seconds):
         work = drop_columns(ds, [], drop_string_columns=True)
+    del ds  # work shares its matrix; the split below releases both
+    provenance = {
+        "source": source,
+        "rows_total": work.row_count,
+        "class_counts": {
+            "benign": int((work.labels == 0).sum()),
+            "attack": int((work.labels == 1).sum()),
+        },
+        "rows_train_pre_smote": None,  # stays None when resampling precedes the split
+    }
 
+    # Each stage's input is released once its output exists, so one copy of
+    # the rows is live per stage, beside the raw test rows.
     if cfg.smote_before_split:
         with _stage("smote", seconds):
             resampled = smote_resample(work, cfg.smote)
+        del work
         with _stage("split", seconds):
             train_res, test_raw = stratified_split(resampled, cfg.split_fraction, cfg.seed)
-        rows_train_pre_smote = None  # resampling happened before the split
+        del resampled
     else:
         with _stage("split", seconds):
             train_raw, test_raw = stratified_split(work, cfg.split_fraction, cfg.seed)
-        rows_train_pre_smote = train_raw.row_count
+        del work
+        provenance["rows_train_pre_smote"] = train_raw.row_count
         with _stage("smote", seconds):
             train_res = smote_resample(train_raw, cfg.smote)
+        del train_raw
+    provenance["rows_train_post_smote"] = train_res.row_count
+    provenance["rows_test"] = test_raw.row_count
 
     with _stage("scale", seconds):
         scaler = fit_scaler(train_res)
         train_scaled = apply_scaler(scaler, train_res)
+    del train_res
 
     with _stage("selection", seconds):
         selection = _fit_selection(cfg, train_scaled)
@@ -259,6 +277,7 @@ def run_experiment(
         model.scaler = scaler
         model.selection = selection
         _, history = train(model, train_input, cfg.training)
+    del train_input
 
     with _stage("evaluation", seconds):
         # The model scores raw rows through its own scaler, as a loaded one does.
@@ -270,17 +289,7 @@ def run_experiment(
 
     return ExperimentReport(
         config=cfg.to_dict(),
-        provenance={
-            "source": source,
-            "rows_total": work.row_count,
-            "class_counts": {
-                "benign": int((work.labels == 0).sum()),
-                "attack": int((work.labels == 1).sum()),
-            },
-            "rows_train_pre_smote": rows_train_pre_smote,
-            "rows_train_post_smote": train_res.row_count,
-            "rows_test": test_raw.row_count,
-        },
+        provenance=provenance,
         selection=selection,
         metrics=result,
         history=history,

@@ -125,8 +125,8 @@ class FlowDataset:
             raise DataError(f"no such numeric column: '{name}'") from None
         return self.matrix[:, j]
 
-    def feature_matrix(self, names: list[str]) -> np.ndarray:
-        """Numeric sub-matrix with columns in the given name order."""
+    def feature_positions(self, names: list[str]) -> list[int]:
+        """The matrix column of each named numeric column, in the given order."""
         order = self.feature_names
         idx = []
         for name in names:
@@ -134,7 +134,12 @@ class FlowDataset:
                 idx.append(order.index(name))
             except ValueError:
                 raise DataError(f"no such numeric column: '{name}'") from None
-        return np.ascontiguousarray(self.matrix[:, idx])
+        return idx
+
+    def feature_matrix(self, names: list[str]) -> np.ndarray:
+        """Numeric sub-matrix with columns in the given name order, C-contiguous
+        as take writes it (a fancy index would give Fortran order, and a copy)."""
+        return np.take(self.matrix, self.feature_positions(names), axis=1)
 
 
 def as_labels(values) -> np.ndarray:
@@ -162,8 +167,10 @@ def take_rows(ds: FlowDataset, rows: np.ndarray) -> FlowDataset:
 
 
 def select_features(ds: FlowDataset, names: list[str]) -> FlowDataset:
-    """Modeling view keeping only the named numeric columns (plus labels)."""
-    matrix = ds.feature_matrix(names)
+    """Modeling view keeping only the named numeric columns (plus labels).
+    It shares ds's read-only matrix when names are all of its numeric
+    columns in order."""
+    matrix = ds.matrix if names == ds.feature_names else ds.feature_matrix(names)
     columns = [ColumnDescriptor(name, NUMERIC) for name in names]
     return FlowDataset(columns=columns, matrix=matrix, labels=ds.labels, strings={})
 
@@ -177,10 +184,10 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
     equals positive_label) and kept as a kind=meta descriptor so it can never
     leak into a feature matrix.
 
-    Hard errors: missing file or label column, duplicate header names, ragged
-    rows, empty cells, non-finite numeric cells, and a label cell that brings
-    a third distinct value (filter the file down to two classes first). Row
-    numbers count records after the header.
+    Hard errors: missing file or label column, duplicate header names, bytes
+    that are not UTF-8, ragged rows, empty cells, non-finite numeric cells,
+    and a label cell that brings a third distinct value (filter the file down
+    to two classes first). Row numbers count records after the header.
 
     The file is read PARSE_CHUNK_ROWS records at a time and numeric columns
     are converted chunk by chunk, so memory is the matrix plus one chunk of
@@ -197,12 +204,13 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
     read every block.
 
     A file with a single fault gives the same message as a whole-file parse.
-    A file with several faults reports the first one in file order, except
-    that a non-finite cell is reported only once the whole file is read: a
-    later non-numeric cell would make its column categorical, which is no
-    fault. A column that first fails to parse after the first chunk has lost
-    its earlier cells. The first pass finds every such column, so the file is
-    read once more, with them kept as strings from the start.
+    A file with several faults reports the first one in file order, a byte
+    that is not UTF-8 included, except that a non-finite cell is reported
+    only once the whole file is read: a later non-numeric cell would make
+    its column categorical, which is no fault. A column that first fails to
+    parse after the first chunk has lost its earlier cells. The first pass
+    finds every such column, so the file is read once more, with them kept
+    as strings from the start.
     """
     path = Path(path)
     ds, late = _parse_pass(path, label_column, positive_label, set())
@@ -222,10 +230,14 @@ def _parse_pass(
     Returns (dataset, empty set), or (None, late) where `late` holds the
     columns that stopped parsing as numbers after the first chunk.
     """
-    with _open_input(path, newline="", encoding="utf-8-sig") as fh:
+    # surrogateescape leaves a byte that is not UTF-8 for the block that holds
+    # it to report, so a fault earlier in the decoder's read-ahead comes first.
+    with _open_input(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         header = next(csv.reader(fh), None)
         if not header:
             raise DataError(f"{path}: empty file, expected a header row")
+        if _first_undecodable([header]) is not None:
+            raise DataError(f"{path}: header: not UTF-8 text")
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate column names in header")
         if label_column not in header:
@@ -245,6 +257,8 @@ def _parse_pass(
             lines = list(itertools.islice(fh, PARSE_CHUNK_ROWS))
             if not lines:
                 break
+            # (row, rank, column); undecodable rows rank first, then labels
+            faults: list[tuple[int, int, int]] = []
             block = _plain_block(lines, width, slots)
             if block is not None:
                 n, ragged = len(lines), None
@@ -257,9 +271,11 @@ def _parse_pass(
                 ragged_cells = None if ragged is None else len(chunk[ragged])
                 cols = dict(enumerate(zip(*chunk[:ragged])))
                 n = len(chunk) if ragged is None else ragged
+                undecodable = _first_undecodable(chunk[: n + 1])
+                if undecodable is not None:
+                    faults.append((done + undecodable + 1, -1, -1))
                 del chunk
                 values = {}
-            faults: list[tuple[int, int, int]] = []  # (row, rank, column); labels rank first
             for j, cells in cols.items():
                 if j == label_idx:
                     blank = _first_blank(cells)
@@ -293,6 +309,8 @@ def _parse_pass(
                     non_finite[j] = done + int(np.argmin(np.isfinite(column))) + 1
             if faults:
                 row, rank, j = min(faults)
+                if rank == -1:
+                    raise DataError(f"{path}: row {row}: not UTF-8 text")
                 if rank == 0:
                     raise DataError(
                         f"{path}: row {row}: label column '{label_column}' has a third value "
@@ -337,6 +355,25 @@ def _parse_pass(
         strings={header[j]: strings[j] for j in sorted(strings)},
     )
     return ds, set()
+
+
+def _first_undecodable(records: list[list[str]]) -> int | None:
+    """Index of the first record holding a byte that is not UTF-8, if any.
+
+    The CSV is decoded with errors="surrogateescape", which turns each such
+    byte into a lone surrogate. Valid UTF-8 never decodes to one, so a record
+    holds such a byte exactly when its text does not encode back to UTF-8.
+    """
+    try:
+        "".join(itertools.chain.from_iterable(records)).encode("utf-8")
+        return None
+    except UnicodeEncodeError:
+        pass
+    for i, record in enumerate(records):
+        try:
+            "".join(record).encode("utf-8")
+        except UnicodeEncodeError:
+            return i
 
 
 def _first_blank(cells: tuple[str, ...]) -> int | None:
@@ -455,7 +492,8 @@ def stratified_split(
 
     Row order within each part follows the original dataset. Deterministic
     for a given seed. Hard error if labels are absent, either class has
-    fewer than two rows, or the rounding leaves either part with no rows.
+    fewer than two rows, or the rounding leaves either part with no rows, or
+    with no rows of one class.
     """
     if ds.labels is None:
         raise DataError("stratified_split requires labels")
@@ -470,6 +508,13 @@ def stratified_split(
     if sum(n_tests) in (0, ds.row_count):
         part = "training" if sum(n_tests) else "test"
         raise DataError(f"test_fraction {test_fraction} leaves the {part} part with no rows")
+    for cls, count, n_test in zip(classes.tolist(), counts.tolist(), n_tests):
+        if n_test in (0, count):
+            part = "training" if n_test else "test"
+            name = "attack" if cls else "benign"
+            raise DataError(
+                f"test_fraction {test_fraction} leaves the {part} part with no {name} rows"
+            )
 
     rng = np.random.default_rng(seed)
     test_rows: list[np.ndarray] = []

@@ -39,6 +39,9 @@ BCE_EPS = 1e-12
 # train's loss pass takes whole batches up to this many rows at a time, so
 # its float64 temporaries stay small at any dataset size.
 LOSS_BLOCK_ROWS = 16384
+# predict_proba selects, scales and forwards this many rows at a time, so its
+# temporaries stay a few MB at any dataset size.
+SCORE_BLOCK_ROWS = 1024
 
 # Adam's moment decays and denominator guard, at the usual defaults. Older
 # model files also store them, and "shuffle", in their training_config.
@@ -253,13 +256,20 @@ def _activate(layer: Layer, z: np.ndarray):
     return o * tc, (i, g, o, tc)
 
 
-def _forward_cached(model: Model, batch: np.ndarray):
+def _model_input(model: Model, batch: np.ndarray) -> np.ndarray:
+    """batch in the model's dtype, checked to be (rows, model input width)."""
     x = np.asarray(batch, dtype=model.params.dtype)
     if x.ndim != 2 or x.shape[1] != model.layers[0].input_size:
         raise DataError(
             f"batch width {x.shape[1] if x.ndim == 2 else '?'} does not match "
             f"model input width {model.layers[0].input_size}"
         )
+    return x
+
+
+def _forward_cached(model: Model, batch: np.ndarray):
+    """forward's probabilities, and each layer's (input, cache) for backward."""
+    x = _model_input(model, batch)
     caches = []
     for layer in model.layers:
         out, cache = _activate(layer, x @ layer.weights.T + layer.bias)
@@ -270,9 +280,12 @@ def _forward_cached(model: Model, batch: np.ndarray):
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Per-row attack probabilities, in the model's dtype, for an already
-    scaled (rows, features) batch."""
-    probs, _ = _forward_cached(model, batch)
-    return probs
+    scaled (rows, features) batch. Each layer's input and cache are freed as
+    soon as the next layer has its output."""
+    x = _model_input(model, batch)
+    for layer in model.layers:
+        x = _activate(layer, x @ layer.weights.T + layer.bias)[0]
+    return x[:, 0]
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray):
@@ -424,10 +437,12 @@ def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
 
     Columns are selected by name and scaled in float64 with the stored
     ScalerParams, if the model has them; the forward pass casts them to the
-    model's dtype, which the probabilities have. Raises DataError if the
-    scaled inputs or the model's outputs are not finite.
+    model's dtype, which the probabilities have. This runs SCORE_BLOCK_ROWS
+    rows at a time into one output vector, so memory beyond it stays one
+    block's worth. Raises DataError if the scaled inputs or, once every block
+    is scored, the model's outputs are not finite.
     """
-    x = ds.feature_matrix(model.input_features)
+    columns = ds.feature_positions(model.input_features)
     if model.scaler is not None:
         positions = []
         for name in model.input_features:
@@ -435,12 +450,18 @@ def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
                 positions.append(model.scaler.column_names.index(name))
             except ValueError:
                 raise DataError(f"scaler has no parameters for column '{name}'") from None
-        with np.errstate(over="ignore"):  # reported as the DataError below
-            x = scale_columns(x, model.scaler.means[positions], model.scaler.stdevs[positions])
-        if not np.isfinite(x).all():
-            raise DataError("scaled inputs are not finite")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as the DataError below
-        probs = forward(model, x)
+        means, stdevs = model.scaler.means[positions], model.scaler.stdevs[positions]
+    probs = np.empty(ds.row_count, model.params.dtype)
+    for start in range(0, ds.row_count, SCORE_BLOCK_ROWS):
+        rows = slice(start, start + SCORE_BLOCK_ROWS)
+        x = np.take(ds.matrix[rows], columns, axis=1)
+        if model.scaler is not None:
+            with np.errstate(over="ignore"):  # reported as the DataError below
+                x = scale_columns(x, means, stdevs)
+            if not np.isfinite(x).all():
+                raise DataError("scaled inputs are not finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as the DataError below
+            probs[rows] = forward(model, x)
     if not np.isfinite(probs).all():
         raise DataError("model outputs are not finite")
     return probs

@@ -15,7 +15,7 @@ from nfdlm.cli import main
 from nfdlm.experiment import PRESET_NAMES
 from nfdlm.flow_data import NUMERIC
 
-from conftest import count_mutants_that_load
+from conftest import count_mutants_that_load, traced_peak
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -185,6 +185,18 @@ class TestRunExperiment:
         stages = {"drop", "split", "smote", "scale", "selection", "training", "evaluation"}
         assert set(report.phase_seconds) == (stages | {"save"} if save else stages)
         assert all(seconds >= 0.0 for seconds in report.phase_seconds.values())
+
+    @pytest.mark.parametrize("smote_first", [False, True], ids=["split_first", "smote_first"])
+    @pytest.mark.parametrize("name", ["FS1", "FS4"])
+    def test_memory_is_bounded_by_the_training_matrix(self, surrogate, name, smote_first):
+        # Each stage's input is released once its output exists, and scoring
+        # runs in blocks, so beyond the input the peak is two training-sized
+        # matrices (while scaling, or the correlation filter's centred copy)
+        # and the raw test rows.
+        cfg = nf.preset(name, seed=1, epochs=1, smote_before_split=smote_first)
+        report, peak = traced_peak(nf.run_experiment, cfg, surrogate)
+        training = report.provenance["rows_train_post_smote"] * surrogate.matrix[0].nbytes
+        assert peak <= 3 * training
 
     def test_unlabeled_dataset_rejected(self, small_ds):
         bare = nf.FlowDataset(list(small_ds.columns), small_ds.matrix)

@@ -184,6 +184,13 @@ class TestChunkedParse:
         monkeypatch.setattr(flow_data, "_parse_pass", counted)
         return calls
 
+    def put_bad_byte(self, path, i):
+        """Overwrite the first byte of record i's proto cell with 0xff."""
+        lines = path.read_bytes().split(b"\n")
+        at = lines[i + 1].index(b",", lines[i + 1].index(b",") + 1) + 1
+        lines[i + 1] = lines[i + 1][:at] + b"\xff" + lines[i + 1][at + 1 :]
+        path.write_bytes(b"\n".join(lines))
+
     def test_columns_turning_categorical_late(self, tmp_path, monkeypatch):
         rows = long_rows(LONG)
         for i, row in enumerate(rows):
@@ -223,6 +230,7 @@ class TestChunkedParse:
             ("empty", "row {row}: missing value in column 'v'"),
             ("blank", "row {row}: missing value in column 'proto'"),
             ("non_finite", "row {row}: non-finite value in column 'v'"),
+            ("not_utf8", "row {row}: not UTF-8 text"),
         ],
     )
     def test_fault_past_first_chunk_names_its_row(self, tmp_path, fault, message):
@@ -234,9 +242,11 @@ class TestChunkedParse:
             rows[i][1] = ""
         elif fault == "blank":
             rows[i][2] = "  "
-        else:
+        elif fault == "non_finite":
             rows[i][1] = "-inf"
         path = write_csv(tmp_path / "fault.csv", ["id", "v", "proto", "category"], rows)
+        if fault == "not_utf8":
+            self.put_bad_byte(path, i)
         with pytest.raises(nf.DataError, match=message.format(row=i + 1)):
             nf.parse_flow_csv(path, "category", "DDoS")
 
@@ -268,6 +278,25 @@ class TestChunkedParse:
         at = data.rindex(b"tcp")
         path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
         with pytest.raises(nf.DataError, match="row 5: label column 'category' has a third"):
+            nf.parse_flow_csv(path, "category", "DDoS")
+
+    @pytest.mark.parametrize("empty_row", [None, 4], ids=["alone", "after_an_empty_cell"])
+    def test_bad_byte_in_the_read_ahead_keeps_file_order(self, tmp_path, empty_row):
+        # Row 50's bad byte falls in the text decoder's first 8 KB read, which
+        # decodes past row 5's empty cell.
+        rows = long_rows(100)
+        if empty_row is not None:
+            rows[empty_row][1] = ""
+        path = write_csv(tmp_path / "faults.csv", ["id", "v", "proto", "category"], rows)
+        self.put_bad_byte(path, 49)
+        message = "row 5: missing value in column 'v'" if empty_row else "row 50: not UTF-8 text"
+        with pytest.raises(nf.DataError, match=f": {message}$"):
+            nf.parse_flow_csv(path, "category", "DDoS")
+
+    def test_byte_that_is_not_utf8_in_the_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"id,v\xff,category\n1,2,DDoS\n")
+        with pytest.raises(nf.DataError, match=": header: not UTF-8 text$"):
             nf.parse_flow_csv(path, "category", "DDoS")
 
     def test_quoted_cells_across_the_chunk_boundary(self, tmp_path):
@@ -564,14 +593,16 @@ class TestStratifiedSplit:
         assert train.row_count + test.row_count == ds.row_count
 
     @pytest.mark.parametrize(
-        "n_pos, n_neg, fraction, part",
-        [(50, 10, 0.01, "test"), (2, 3, 0.9, "training")],
-        ids=["empty_test", "empty_training"],
+        "n_pos, n_neg, fraction, empty",
+        [(50, 10, 0.01, "test part with no rows"), (2, 3, 0.9, "training part with no rows"),
+         (50, 10, 0.05, "test part with no benign rows"),
+         (10, 50, 0.05, "test part with no attack rows"),
+         (40, 2, 0.75, "training part with no benign rows")],
+        ids=["empty_test", "empty_training", "empty_test_benign", "empty_test_attack",
+             "empty_training_benign"],
     )
-    def test_fraction_that_empties_a_part_errors(self, n_pos, n_neg, fraction, part):
-        with pytest.raises(
-            nf.DataError, match=f"^test_fraction {fraction} leaves the {part} part with no rows$"
-        ):
+    def test_fraction_that_empties_a_part_errors(self, n_pos, n_neg, fraction, empty):
+        with pytest.raises(nf.DataError, match=f"^test_fraction {fraction} leaves the {empty}$"):
             nf.stratified_split(self.make(n_pos, n_neg), fraction, seed=0)
 
     @pytest.mark.parametrize("fraction", [0.1, 0.2, 0.33, 0.5])

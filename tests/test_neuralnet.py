@@ -14,12 +14,12 @@ import pytest
 import nfdlm as nf
 from nfdlm import neuralnet
 from nfdlm.neuralnet import (
-    BCE_EPS, AdamState, Layer, Model, _activate, _param_views,
+    BCE_EPS, SCORE_BLOCK_ROWS, AdamState, Layer, Model, _activate, _param_views,
 )
 
 from conftest import (
     build_float64, count_mutants_that_load, max_relative_gradient_error, numeric_ds,
-    random_checkable_model,
+    random_checkable_model, traced_peak,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -385,6 +385,51 @@ class TestPredict:
         ds_fwd = numeric_ds(np.array([[3.0, 9.0]]), names=["c0", "c1"])
         ds_rev = numeric_ds(np.array([[9.0, 3.0]]), names=["c1", "c0"])
         assert nf.predict_proba(model, ds_fwd) == nf.predict_proba(model, ds_rev)
+
+
+    def scored_rows(self, kind, rows):
+        """An FS2/FS4-shaped model with its scaler, and rows it scores in
+        several blocks, the last one short."""
+        names = [f"c{j:02d}" for j in range(11)]
+        ds = numeric_ds(np.random.default_rng(9).standard_normal((rows, 11)) * 3.0 + 1.0,
+                        names=names)
+        model = (nf.build_mlp if kind == "mlp" else nf.build_lstm)(names, seed=9)
+        model.scaler = nf.fit_scaler(ds)
+        return model, ds
+
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_block_scores_match_whole_matrix_scores(self, kind):
+        rows = 3 * SCORE_BLOCK_ROWS + 77
+        model, ds = self.scored_rows(kind, rows)
+        whole = nf.forward(model, nf.apply_scaler(model.scaler, ds).matrix)
+        blocks = nf.predict_proba(model, ds)
+        assert blocks.dtype == whole.dtype == np.float32
+        if kind == "lstm":
+            assert blocks.tobytes() == whole.tobytes()
+        else:
+            # The head's (n, 6) @ (6, 1) product takes bits that depend on n.
+            # An untrained model's scores sit near 0.5, where that is a few
+            # ulp; a saturated score can move by more ulp of its tiny value.
+            np.testing.assert_array_max_ulp(blocks, whole, maxulp=2)
+            assert ((blocks > 0.5) == (whole > 0.5)).all()
+
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_forward_equals_the_cached_forward(self, kind):
+        model, ds = self.scored_rows(kind, 2 * SCORE_BLOCK_ROWS + 5)
+        x = nf.apply_scaler(model.scaler, ds).matrix
+        cached, _ = neuralnet._forward_cached(model, x)
+        assert nf.forward(model, x).tobytes() == cached.tobytes()
+
+    def test_scoring_memory_grows_by_the_output_alone(self):
+        # Whole-matrix scoring kept every layer's temporaries for all rows:
+        # 5,508 bytes a row for this FS4-shaped LSTM. A block at a time,
+        # twice the rows cost only the longer output vector.
+        model, large = self.scored_rows("lstm", 40_000)
+        small = numeric_ds(large.matrix[:20_000], names=large.feature_names)
+        probs, small_peak = traced_peak(nf.predict_proba, model, small)
+        _, large_peak = traced_peak(nf.predict_proba, model, large)
+        assert large_peak <= small_peak + 20_000 * probs.itemsize + 2**16
+        assert large_peak < 0.05 * 5508 * large.row_count
 
 
 class TestModelFile:
