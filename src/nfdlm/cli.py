@@ -158,7 +158,9 @@ def _cmd_train(args) -> None:
         smote_k=args.smote_k,
         smote_before_split=args.smote_before_split,
     )
-    # No name here holds the dataset, so run_experiment can free it after the split.
+    # No name here holds the dataset, so on Python 3.11+ (where a call's
+    # arguments move into the callee's frame) run_experiment can free it
+    # after the split. On 3.10 the caller's stack keeps it until the return.
     report = run_experiment(cfg, load_dataset(args.data), source=str(args.data),
                             model_path=args.model_out)
     save_report(report, args.report_out)

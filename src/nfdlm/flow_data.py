@@ -364,11 +364,6 @@ def _first_undecodable(records: list[list[str]]) -> int | None:
     byte into a lone surrogate. Valid UTF-8 never decodes to one, so a record
     holds such a byte exactly when its text does not encode back to UTF-8.
     """
-    try:
-        "".join(itertools.chain.from_iterable(records)).encode("utf-8")
-        return None
-    except UnicodeEncodeError:
-        pass
     for i, record in enumerate(records):
         try:
             "".join(record).encode("utf-8")

@@ -256,20 +256,13 @@ def _activate(layer: Layer, z: np.ndarray):
     return o * tc, (i, g, o, tc)
 
 
-def _model_input(model: Model, batch: np.ndarray) -> np.ndarray:
-    """batch in the model's dtype, checked to be (rows, model input width)."""
+def _forward_cached(model: Model, batch: np.ndarray):
     x = np.asarray(batch, dtype=model.params.dtype)
     if x.ndim != 2 or x.shape[1] != model.layers[0].input_size:
         raise DataError(
             f"batch width {x.shape[1] if x.ndim == 2 else '?'} does not match "
             f"model input width {model.layers[0].input_size}"
         )
-    return x
-
-
-def _forward_cached(model: Model, batch: np.ndarray):
-    """forward's probabilities, and each layer's (input, cache) for backward."""
-    x = _model_input(model, batch)
     caches = []
     for layer in model.layers:
         out, cache = _activate(layer, x @ layer.weights.T + layer.bias)
@@ -280,12 +273,9 @@ def _forward_cached(model: Model, batch: np.ndarray):
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Per-row attack probabilities, in the model's dtype, for an already
-    scaled (rows, features) batch. Each layer's input and cache are freed as
-    soon as the next layer has its output."""
-    x = _model_input(model, batch)
-    for layer in model.layers:
-        x = _activate(layer, x @ layer.weights.T + layer.bias)[0]
-    return x[:, 0]
+    scaled (rows, features) batch."""
+    probs, _ = _forward_cached(model, batch)
+    return probs
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray):

@@ -404,21 +404,13 @@ class TestPredict:
         whole = nf.forward(model, nf.apply_scaler(model.scaler, ds).matrix)
         blocks = nf.predict_proba(model, ds)
         assert blocks.dtype == whole.dtype == np.float32
-        if kind == "lstm":
-            assert blocks.tobytes() == whole.tobytes()
-        else:
-            # The head's (n, 6) @ (6, 1) product takes bits that depend on n.
-            # An untrained model's scores sit near 0.5, where that is a few
-            # ulp; a saturated score can move by more ulp of its tiny value.
-            np.testing.assert_array_max_ulp(blocks, whole, maxulp=2)
-            assert ((blocks > 0.5) == (whole > 0.5)).all()
-
-    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
-    def test_forward_equals_the_cached_forward(self, kind):
-        model, ds = self.scored_rows(kind, 2 * SCORE_BLOCK_ROWS + 5)
-        x = nf.apply_scaler(model.scaler, ds).matrix
-        cached, _ = neuralnet._forward_cached(model, x)
-        assert nf.forward(model, x).tobytes() == cached.tobytes()
+        # A matrix product's bits depend on its row count, and on where BLAS
+        # threads split the rows: the head's (n, 6) @ (6, 1) product for the
+        # MLP, and the same for the LSTM wherever a thread's rows start. An
+        # untrained model's scores sit near 0.5, where that is a few ulp; a
+        # saturated score can move by more ulp of its tiny value.
+        np.testing.assert_array_max_ulp(blocks, whole, maxulp=2)
+        assert ((blocks > 0.5) == (whole > 0.5)).all()
 
     def test_scoring_memory_grows_by_the_output_alone(self):
         # Whole-matrix scoring kept every layer's temporaries for all rows:
