@@ -268,16 +268,16 @@ def run_experiment(
 
     with _stage("selection", seconds):
         selection = _fit_selection(cfg, train_scaled)
-        train_input = select_features(train_scaled, selection.kept)
-        del train_scaled  # frees room for train's per-epoch shuffled copy
+        # train empties the list: it holds the only reference to the rows.
+        train_input = [select_features(train_scaled, selection.kept)]
+        del train_scaled
 
     with _stage("training", seconds):
         build = build_mlp if cfg.classifier == "mlp" else build_lstm
         model = build(selection.kept, seed=cfg.seed + 3)
         model.scaler = scaler
         model.selection = selection
-        _, history = train(model, train_input, cfg.training)
-    del train_input
+        _, history = train(model, train_input.pop(), cfg.training)
 
     with _stage("evaluation", seconds):
         # The model scores raw rows through its own scaler, as a loaded one does.

@@ -163,27 +163,16 @@ def correlation_filter(ds: FlowDataset, threshold: float) -> SelectedFeatures:
     )
 
 
-def _equal_frequency_bins(x: np.ndarray, bins: int) -> np.ndarray:
-    """Bin ids in [0, bins) by value rank; ties always share a bin.
-
-    Distinct values are packed toward equal per-bin counts using integer
-    arithmetic only, so any strictly increasing transform of x yields the
-    identical binning.
-    """
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    if counts.size <= bins:
-        return inverse
-    cum_before = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    value_bin = (cum_before * bins) // x.size
-    return value_bin[inverse]
-
-
 def mutual_information(x: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_MI_BINS) -> float:
     """Plug-in mutual information (nats) between a feature and binary labels.
 
     The feature is discretized into at most `bins` equal-frequency cells and
     MI is the sum of p(b, l) * ln(p(b, l) / (p(b) p(l))) over the contingency
-    table, with 0 * ln 0 taken as 0.
+    table, with 0 * ln 0 taken as 0. A value with r smaller values falls in
+    cell (r * bins) // n, so ties share a cell; at most `bins` distinct values
+    get one cell each. Cell counts come from np.searchsorted on one sort of x
+    and one of its attack values: bitwise the table of a full np.unique
+    ranking, trailing empty cells dropped. Raises DataError if x is not finite.
     """
     x = np.asarray(x, dtype=np.float64)
     labels = as_labels(labels)
@@ -196,9 +185,20 @@ def mutual_information(x: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_MI
     if bins < 2:
         raise DataError("bins must be at least 2")
 
-    bin_ids = _equal_frequency_bins(x, bins)
-    n_bins = int(bin_ids.max()) + 1
-    joint = np.bincount(bin_ids * 2 + labels, minlength=n_bins * 2).reshape(n_bins, 2)
+    s = np.sort(x)
+    if not (math.isfinite(s[0]) and math.isfinite(s[-1])):  # NaN sorts last
+        raise DataError("mutual_information needs finite feature values")
+    run_ends = np.flatnonzero(s[1:] != s[:-1])
+    if run_ends.size < bins:
+        uppers = s[run_ends]  # one cell per distinct value
+    else:
+        # Cell b starts above the edge s[ceil(b * n / bins) - 1], b = 1 .. bins-1.
+        uppers = s[-(np.arange(1, bins) * -x.size // bins) - 1]
+        uppers = uppers[uppers < s[-1]]
+    uppers = np.append(uppers, s[-1])
+    totals = np.diff(np.searchsorted(s, uppers, side="right"), prepend=0)
+    attacks = np.diff(np.searchsorted(np.sort(x[labels]), uppers, side="right"), prepend=0)
+    joint = np.stack([totals - attacks, attacks], axis=1)
     p = joint / x.size
     pb = p.sum(axis=1, keepdims=True)
     pl = p.sum(axis=0, keepdims=True)

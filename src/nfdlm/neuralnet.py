@@ -366,7 +366,9 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
 
     The dataset must already be scaled and reduced to the model's input
     features. It is cast once to the dtype of model.params, which every
-    step buffer then follows. Raises NumericError if the loss goes non-finite.
+    step buffer then follows, and train_ds is dropped (so are its rows, if
+    the caller held no other reference). Raises NumericError if the loss goes
+    non-finite.
     """
     if train_ds.row_count == 0:
         raise DataError("cannot train on an empty dataset")
@@ -379,6 +381,7 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
         )
     x = np.ascontiguousarray(train_ds.matrix, dtype=model.params.dtype)
     y = train_ds.labels.astype(model.params.dtype)
+    del train_ds
     n, bs = x.shape[0], cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.for_params(model.params)

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DataError
 from .flow_data import NUMBERS, STRINGS, FlowDataset, json_field
 
-# Minority rows whose neighbor distances are sorted at a time.
+# Minority rows whose neighbor distances are searched at a time.
 SMOTE_BLOCK_ROWS = 512
 # Rows whose squared deviations fit_scaler sums at a time.
 SCALER_BLOCK_ROWS = 4096
@@ -191,10 +191,13 @@ def _nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
     """Ids of each row's k nearest other rows by squared Euclidean distance,
     nearest first; ties keep the lower id.
 
-    The Gram product is taken once, whole, and the distances and the stable
-    sort a block of rows at a time. Each distance is the same elementwise
-    arithmetic as in the full m x m matrix, so the ids are too, while the
-    temporary memory beyond the Gram product stays one block.
+    The Gram product is taken once, whole, and the distances a block of rows
+    at a time, with the elementwise arithmetic of the full m x m matrix. A
+    row with exactly k distances at or below its k-th smallest (np.partition)
+    stable-sorts just those k, in id order; any other row (a tie across the
+    k-th place, a NaN) stable-sorts whole. So the ids are bitwise those of a
+    stable sort of each full row, and memory beyond the Gram product is one
+    block.
     """
     m = rows.shape[0]
     sq = np.einsum("ij,ij->i", rows, rows)
@@ -204,5 +207,12 @@ def _nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
         stop = min(start + SMOTE_BLOCK_ROWS, m)
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram[start:stop]
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # self excluded
-        ids[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        near = d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+        exact = np.count_nonzero(near, axis=1) == k
+        near &= exact[:, None]
+        r, c = np.nonzero(near)  # row-major: each exact row's k ids, ascending
+        order = np.argsort(d2[r, c].reshape(-1, k), axis=1, kind="stable")
+        block = ids[start:stop]
+        block[exact] = np.take_along_axis(c.reshape(-1, k), order, axis=1)
+        block[~exact] = np.argsort(d2[~exact], axis=1, kind="stable")[:, :k]
     return ids

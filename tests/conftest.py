@@ -35,6 +35,37 @@ def numeric_ds(matrix, labels=None, names=None):
     return nf.FlowDataset(cols, matrix, labels=labels)
 
 
+def full_sort_neighbors(rows, k):
+    """Each row's k nearest other rows from a stable sort of the whole m x m
+    squared-distance matrix: the reference the blocked search must match."""
+    sq = np.einsum("ij,ij->i", rows, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (rows @ rows.T)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def unique_bincount_mi(x, labels, bins):
+    """(mutual information, contingency table) with every value ranked by a
+    full np.unique: the reference the sorted-column computation must match."""
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    if counts.size <= bins:
+        bin_ids = inverse
+    else:
+        cum_before = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        bin_ids = ((cum_before * bins) // x.size)[inverse]
+    n_bins = int(bin_ids.max()) + 1
+    joint = np.bincount(bin_ids * 2 + labels, minlength=n_bins * 2).reshape(n_bins, 2)
+    p = joint / x.size
+    pb = p.sum(axis=1, keepdims=True)
+    pl = p.sum(axis=0, keepdims=True)
+    nz = p > 0
+    mi = float(np.sum(p[nz] * np.log(p[nz] / (pb @ pl)[nz])))
+    return max(mi, 0.0), joint
+
+
 def traced_peak(fn, *args):
     """fn(*args), and the tracemalloc peak it reaches above what was traced before."""
     started = not tracemalloc.is_tracing()

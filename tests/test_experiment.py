@@ -5,12 +5,14 @@ from __future__ import annotations
 import copy
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nfdlm as nf
+from nfdlm import neuralnet
 from nfdlm.cli import main
 from nfdlm.experiment import PRESET_NAMES
 from nfdlm.flow_data import NUMERIC
@@ -197,6 +199,37 @@ class TestRunExperiment:
         report, peak = traced_peak(nf.run_experiment, cfg, surrogate)
         training = report.provenance["rows_train_post_smote"] * surrogate.matrix[0].nbytes
         assert peak <= 3 * training
+
+    @pytest.mark.parametrize("name", ["BASE", "FS2"])
+    def test_float64_training_rows_are_freed_before_the_first_step(
+        self, surrogate, name, monkeypatch
+    ):
+        # train holds the only reference to the selected float64 rows and drops
+        # it once they are cast. So beside the raw test rows, the first step
+        # sees the float32 rows and their shuffled copy (together the size of
+        # the float64 rows) and under 32 bytes a row of labels, shuffled
+        # labels, step probabilities and permutation; not the float64 rows too.
+        forward, live = neuralnet._forward_cached, []
+
+        def first_step(model, batch):
+            if not live:
+                live.append(tracemalloc.get_traced_memory()[0])
+            return forward(model, batch)
+
+        monkeypatch.setattr(neuralnet, "_forward_cached", first_step)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = nf.run_experiment(nf.preset(name, seed=1, epochs=1), surrogate)
+        finally:
+            if started:
+                tracemalloc.stop()
+        rows = report.provenance["rows_train_post_smote"]
+        training = rows * report.feature_count * 8
+        test = report.provenance["rows_test"] * surrogate.matrix[0].nbytes
+        assert live[0] - before - test <= training + 32 * rows
 
     def test_unlabeled_dataset_rejected(self, small_ds):
         bare = nf.FlowDataset(list(small_ds.columns), small_ds.matrix)

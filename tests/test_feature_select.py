@@ -10,7 +10,7 @@ import pytest
 import nfdlm as nf
 from nfdlm.feature_select import DEFAULT_MI_BINS
 
-from conftest import numeric_ds
+from conftest import numeric_ds, unique_bincount_mi
 
 
 class TestPearsonR:
@@ -163,6 +163,13 @@ class TestCorrelationFilter:
             nf.correlation_filter(surrogate, 1.5)
 
 
+def assert_mi_matches_unique(x, labels, bins):
+    """Bitwise the np.unique + bincount score; returns that oracle's table."""
+    expected, joint = unique_bincount_mi(x, labels, bins)
+    assert nf.mutual_information(x, labels, bins).hex() == expected.hex()
+    return joint
+
+
 class TestMutualInformation:
     def test_constant_feature_gives_zero(self):
         labels = np.array([0, 1] * 10)
@@ -210,6 +217,57 @@ class TestMutualInformation:
         labels = rng.integers(0, 2, 1_000)
         for bins in (2, 8, DEFAULT_MI_BINS):
             assert nf.mutual_information(x, labels, bins=bins) >= 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, value):
+        x = np.arange(10.0)
+        x[3] = value
+        with pytest.raises(nf.DataError, match="finite"):
+            nf.mutual_information(x, np.arange(10) % 2)
+
+    # Cases checked bitwise against the np.unique + bincount oracle.
+    N = 5_000
+
+    def labels(self, seed=12):
+        return np.random.default_rng(seed).random(self.N) < 0.4
+
+    def normal(self, seed):
+        return np.random.default_rng(seed).standard_normal(self.N)
+
+    @pytest.mark.parametrize("distinct", [2, 17, DEFAULT_MI_BINS - 1, DEFAULT_MI_BINS,
+                                          DEFAULT_MI_BINS + 1, 500])
+    def test_distinct_value_counts(self, distinct):
+        x = np.random.default_rng(distinct).integers(0, distinct, self.N) * 0.3 - 7.0
+        x[:distinct] = np.arange(distinct) * 0.3 - 7.0  # every value present
+        joint = assert_mi_matches_unique(x, self.labels(), DEFAULT_MI_BINS)
+        if distinct <= DEFAULT_MI_BINS:
+            assert joint.shape[0] == distinct  # one bin per value
+
+    def test_ties_spanning_several_edges_leave_empty_bins(self):
+        x = self.normal(13)
+        x[np.random.default_rng(14).random(self.N) < 0.3] = 0.0
+        joint = assert_mi_matches_unique(x, self.labels(), 20)
+        assert joint.shape[0] == 20 and (joint.sum(axis=1) == 0).sum() >= 3
+
+    def test_ties_at_the_maximum_trim_the_bins(self):
+        x = self.normal(15)
+        x[np.random.default_rng(16).random(self.N) < 0.25] = 9.0
+        joint = assert_mi_matches_unique(x, self.labels(), DEFAULT_MI_BINS)
+        assert joint.shape[0] < DEFAULT_MI_BINS
+
+    @pytest.mark.parametrize("label", [False, True], ids=["benign", "attack"])
+    def test_single_class(self, label):
+        assert_mi_matches_unique(self.normal(17), np.full(self.N, label), DEFAULT_MI_BINS)
+
+    def test_two_bins(self):
+        labels = self.labels()
+        x = self.normal(18) + labels
+        for values in (x, np.round(x), np.round(x, 1)):
+            assert_mi_matches_unique(values, labels, 2)
+
+    def test_surrogate_columns(self, surrogate):
+        for column in surrogate.matrix.T:
+            assert_mi_matches_unique(column, surrogate.labels, DEFAULT_MI_BINS)
 
 
 class TestMiRankSelect:

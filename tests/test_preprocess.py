@@ -12,7 +12,7 @@ import nfdlm as nf
 from nfdlm.flow_data import CATEGORICAL, NUMERIC
 from nfdlm.preprocess import SCALER_BLOCK_ROWS, SMOTE_BLOCK_ROWS, _column_stdevs, _nearest_neighbors
 
-from conftest import assert_datasets_equal, numeric_ds, traced_peak
+from conftest import assert_datasets_equal, full_sort_neighbors, numeric_ds, traced_peak
 
 
 class TestScaler:
@@ -185,10 +185,7 @@ def full_matrix_smote(ds, cfg):
     minority = ds.matrix[ds.labels == minority_label]
     m = minority.shape[0]
     k = min(cfg.k_neighbors, m - 1)
-    sq = np.einsum("ij,ij->i", minority, minority)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (minority @ minority.T)
-    np.fill_diagonal(d2, np.inf)
-    neighbor_ids = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    neighbor_ids = full_sort_neighbors(minority, k)
     need = ds.row_count - 2 * m
     base, extra = divmod(need, m)
     synthetic = []
@@ -206,7 +203,8 @@ class TestSmoteMatchesFullSearch:
     def check(self, ds, cfg):
         ids, matrix = full_matrix_smote(ds, cfg)
         minority = ds.matrix[ds.labels == 0]  # class 0 is the minority in every case
-        assert (_nearest_neighbors(minority, ids.shape[1]) == ids).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (_nearest_neighbors(minority, ids.shape[1]) == ids).all()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = nf.smote_resample(ds, cfg)
@@ -234,6 +232,36 @@ class TestSmoteMatchesFullSearch:
         labels = np.concatenate([np.zeros(len(minority), int), np.ones(len(majority), int)])
         ds = numeric_ds(np.vstack([minority, majority]), labels=labels)
         self.check(ds, nf.SmoteConfig(k_neighbors=5, seed=4))
+
+    def labeled(self, minority, seed):
+        majority = np.random.default_rng(seed).standard_normal((3 * len(minority), 3))
+        labels = np.concatenate([np.zeros(len(minority), int), np.ones(len(majority), int)])
+        return numeric_ds(np.vstack([minority, majority]), labels=labels)
+
+    def test_ties_across_the_kth_place_take_the_full_sort(self):
+        # Rows on a 4 x 4 grid (about 38 copies of each point) have more than
+        # k distances equal to their k-th, so they fall back to the stable
+        # sort of the whole row; the scattered rows take the partition path.
+        rng = np.random.default_rng(9)
+        grid = rng.integers(0, 4, (SMOTE_BLOCK_ROWS + 100, 3)).astype(float)
+        grid[:, 2] = 0.0
+        scattered = rng.standard_normal((200, 3)) + 10.0
+        minority = rng.permutation(np.vstack([grid, scattered]))
+        k = 5
+        d2 = np.sort(np.linalg.norm(minority[:, None] - minority[None], axis=2), axis=1)
+        straddled = d2[:, k] == d2[:, k + 1]  # column 0 is the row itself
+        assert 0.5 < straddled.mean() < 1.0
+        self.check(self.labeled(minority, 10), nf.SmoteConfig(k_neighbors=k, seed=5))
+
+    def test_overflowing_distances_order_as_the_full_sort(self):
+        # Near 1e160 a squared norm overflows to inf, so distances between
+        # such rows are inf - inf = NaN and those to the other rows inf.
+        rng = np.random.default_rng(11)
+        scale = rng.choice([1.0, 1e150, 1e160], size=SMOTE_BLOCK_ROWS + 60)
+        minority = rng.standard_normal((scale.size, 3)) * scale[:, None]
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.einsum("ij,ij->i", minority, minority)).mean() > 0.2
+        self.check(self.labeled(minority, 12), nf.SmoteConfig(k_neighbors=5, seed=6))
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_k_clamped_at_small_minority(self, m):
