@@ -27,8 +27,10 @@ from .flow_data import (
     atomic_write_text,
     drop_columns,
     generate_synthetic_flows,
+    LABEL_COLUMN,
     load_dataset,
     parse_flow_csv,
+    POSITIVE_LABEL,
     save_dataset,
     SynthesisSpec,
     write_flow_csv,
@@ -49,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse a flow CSV into a cached dataset file")
     p.add_argument("--input", required=True, help="CSV file with a header row")
-    p.add_argument("--label-column", default="category")
-    p.add_argument("--positive", default="DDoS", help="label value mapped to attack (1)")
+    p.add_argument("--label-column", default=LABEL_COLUMN)
+    p.add_argument("--positive", default=POSITIVE_LABEL, help="label value mapped to attack (1)")
     p.add_argument(
         "--drop",
         default=None,
@@ -174,8 +176,6 @@ def _cmd_train(args) -> None:
 def _cmd_evaluate(args) -> None:
     model = load_model(args.model)
     ds = load_dataset(args.data)
-    if ds.labels is None:
-        raise DataError("evaluate needs a labeled dataset")
     preds = predict(model, ds)
     result = metrics(confusion(preds, ds.labels))
     doc = {

@@ -172,7 +172,8 @@ def mutual_information(x: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_MI
     cell (r * bins) // n, so ties share a cell; at most `bins` distinct values
     get one cell each. Cell counts come from np.searchsorted on one sort of x
     and one of its attack values: bitwise the table of a full np.unique
-    ranking, trailing empty cells dropped. Raises DataError if x is not finite.
+    ranking, trailing empty cells dropped. Labels of one class give exactly
+    0.0, not the rounding noise of the sum. Raises DataError if x is not finite.
     """
     x = np.asarray(x, dtype=np.float64)
     labels = as_labels(labels)
@@ -188,6 +189,9 @@ def mutual_information(x: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_MI
     s = np.sort(x)
     if not (math.isfinite(s[0]) and math.isfinite(s[-1])):  # NaN sorts last
         raise DataError("mutual_information needs finite feature values")
+    attack_values = np.sort(x[labels])
+    if attack_values.size in (0, x.size):
+        return 0.0
     run_ends = np.flatnonzero(s[1:] != s[:-1])
     if run_ends.size < bins:
         uppers = s[run_ends]  # one cell per distinct value
@@ -197,7 +201,7 @@ def mutual_information(x: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_MI
         uppers = uppers[uppers < s[-1]]
     uppers = np.append(uppers, s[-1])
     totals = np.diff(np.searchsorted(s, uppers, side="right"), prepend=0)
-    attacks = np.diff(np.searchsorted(np.sort(x[labels]), uppers, side="right"), prepend=0)
+    attacks = np.diff(np.searchsorted(attack_values, uppers, side="right"), prepend=0)
     joint = np.stack([totals - attacks, attacks], axis=1)
     p = joint / x.size
     pb = p.sum(axis=1, keepdims=True)
@@ -214,8 +218,6 @@ def mi_rank_select(ds: FlowDataset, k: int, bins: int = DEFAULT_MI_BINS) -> Sele
     result depends only on the multiset of (feature, label) value pairs, not
     on row order.
     """
-    if ds.labels is None:
-        raise DataError("mi_rank_select requires labels")
     names = ds.feature_names
     if not 1 <= k <= len(names):
         raise DataError(f"k must be in [1, {len(names)}], got {k}")

@@ -1,7 +1,7 @@
 """Flow-record datasets: CSV ingestion, pruning, splitting, synthesis, and caching.
 
 A FlowDataset is the currency passed between every pipeline stage: a numeric
-feature matrix plus column descriptors, optional bool labels (True = attack),
+feature matrix plus column descriptors, bool labels (True = attack),
 and raw string storage for categorical columns. A .ds cache file is a JSON
 header line, the matrix as it lies in memory, then one label byte per row.
 """
@@ -29,6 +29,12 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical-string"
 META = "meta"
 COLUMN_KINDS = (NUMERIC, CATEGORICAL, META)
+
+# Bot-IoT's label column and its two classes: nfdlm ingest's defaults, and
+# what write_flow_csv writes.
+LABEL_COLUMN = "category"
+POSITIVE_LABEL = "DDoS"
+NEGATIVE_LABEL = "Normal"
 
 # Flow identifiers and timestamps carry no detection signal.
 DEFAULT_DROP_COLUMNS = ("pkSeqID", "stime", "ltime")
@@ -63,13 +69,13 @@ class FlowDataset:
 
     A C-contiguous float64 matrix is adopted, not copied, and frozen: the
     caller's array becomes read-only. Any other array-like is converted.
-    Labels follow the same rule as a bool vector (see as_labels), so stages
-    that keep row order share one label array.
+    Labels, one per row, follow the same rule as a bool vector (see
+    as_labels), so stages that keep row order share one label array.
     """
 
     columns: list[ColumnDescriptor]
     matrix: np.ndarray
-    labels: np.ndarray | None = None
+    labels: np.ndarray
     strings: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -87,10 +93,9 @@ class FlowDataset:
         flat = self.matrix.reshape(-1)  # checked in blocks: no bool copy of the matrix
         if not all(np.isfinite(flat[i : i + 65536]).all() for i in range(0, flat.size, 65536)):
             raise DataError("matrix contains NaN or Inf values")
-        if self.labels is not None:
-            self.labels = as_labels(self.labels)
-            if self.labels.shape != (self.row_count,):
-                raise DataError("labels length does not match row count")
+        self.labels = as_labels(self.labels)
+        if self.labels.shape != (self.row_count,):
+            raise DataError("labels length does not match row count")
         expected_strings = {c.name for c in self.columns if c.kind == CATEGORICAL}
         if set(self.strings) != expected_strings:
             raise DataError("string storage does not match categorical columns")
@@ -161,7 +166,7 @@ def take_rows(ds: FlowDataset, rows: np.ndarray) -> FlowDataset:
     return FlowDataset(
         columns=list(ds.columns),
         matrix=ds.matrix[rows],
-        labels=None if ds.labels is None else ds.labels[rows],
+        labels=ds.labels[rows],
         strings={name: [vals[i] for i in rows] for name, vals in ds.strings.items()},
     )
 
@@ -486,12 +491,10 @@ def stratified_split(
     """Per-class random split; test gets round(fraction * class size) rows.
 
     Row order within each part follows the original dataset. Deterministic
-    for a given seed. Hard error if labels are absent, either class has
-    fewer than two rows, or the rounding leaves either part with no rows, or
-    with no rows of one class.
+    for a given seed. Hard error if either class has fewer than two rows, or
+    the rounding leaves either part with no rows, or with no rows of one
+    class.
     """
-    if ds.labels is None:
-        raise DataError("stratified_split requires labels")
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
     classes, counts = np.unique(ds.labels, return_counts=True)
@@ -700,20 +703,20 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
     """Cache a dataset: one JSON header line, then the matrix as it lies in
     memory, written without a copy (little-endian float64 in C order, so values
-    round-trip bitwise), then the labels' own bool bytes if the dataset is labeled."""
+    round-trip bitwise), then the labels' own bool bytes. "labeled" is always
+    true: it stays in the header so that format 2 files keep their bytes."""
     header = {
         "format": DATASET_FORMAT,
         "format_version": DATASET_FORMAT_VERSION,
         "row_count": ds.row_count,
         "columns": [{"name": c.name, "kind": c.kind} for c in ds.columns],
         "strings": ds.strings,
-        "labeled": ds.labels is not None,
+        "labeled": True,
     }
     with _atomic_open(path) as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         fh.write(ds.matrix.astype("<f8", copy=False))
-        if ds.labels is not None:
-            fh.write(ds.labels)
+        fh.write(ds.labels)
 
 
 def load_dataset(path: str | os.PathLike) -> FlowDataset:
@@ -740,7 +743,7 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
             for pos, c in enumerate(json_field(header, "columns", OBJECTS, what), 1)
         ]
         n = json_field(header, "row_count", ROW_COUNT, what)
-        labeled = json_field(header, "labeled", one_of(True, False), what)
+        json_field(header, "labeled", one_of(True), what)
         strings = json_field(header, "strings", STRING_LISTS, what)
         n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
         info = os.fstat(fh.fileno())
@@ -749,38 +752,32 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
         else:
             data = fh.read()
             payload, size = io.BytesIO(data), len(data)
-        if size != 8 * n * n_numeric + (n if labeled else 0):
+        if size != 8 * n * n_numeric + n:
             raise DataError(f"{path}: payload size mismatch")
         matrix = np.empty((n, n_numeric), dtype="<f8")
-        labels = np.empty(n if labeled else 0, dtype=np.uint8)
+        labels = np.empty(n, dtype=np.uint8)
         if payload.readinto(matrix) + payload.readinto(labels) != size:
             raise DataError(f"{path}: payload size mismatch")
         if labels.max(initial=0) > 1:  # checked on the bytes: a bool view takes 2 as True
             raise DataError(f"{path}: bad dataset file: labels must be 0 or 1")
-        labels = labels.view(bool) if labeled else None
+        labels = labels.view(bool)
     try:
         return FlowDataset(columns=columns, matrix=matrix, labels=labels, strings=strings)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad dataset file: {exc}") from exc
 
 
-def write_flow_csv(
-    ds: FlowDataset,
-    path: str | os.PathLike,
-    label_column: str = "category",
-    positive_label: str = "DDoS",
-    negative_label: str = "Normal",
-) -> None:
+def write_flow_csv(ds: FlowDataset, path: str | os.PathLike) -> None:
     """Write a dataset back to CSV.
 
     Numeric cells use shortest round-trip formatting, so parse -> write ->
     parse is bitwise lossless on numeric columns. Meta columns are re-emitted
-    from the label vector; if the dataset has labels but no meta column, a
-    label column is appended.
+    from the label vector as POSITIVE_LABEL or NEGATIVE_LABEL; a dataset with
+    no meta column gets a LABEL_COLUMN appended.
     """
     columns = list(ds.columns)
-    if ds.labels is not None and not any(c.kind == META for c in columns):
-        columns.append(ColumnDescriptor(label_column, META))
+    if not any(c.kind == META for c in columns):
+        columns.append(ColumnDescriptor(LABEL_COLUMN, META))
     numeric_index = {name: j for j, name in enumerate(ds.feature_names)}
     header, getters = [], []
     for c in columns:
@@ -788,10 +785,8 @@ def write_flow_csv(
             getters.append(lambda i, j=numeric_index[c.name]: repr(float(ds.matrix[i, j])))
         elif c.kind == CATEGORICAL:
             getters.append(ds.strings[c.name].__getitem__)
-        elif ds.labels is not None:  # meta: regenerate from labels
-            getters.append(lambda i: positive_label if ds.labels[i] else negative_label)
-        else:
-            continue
+        else:  # meta: regenerate from labels
+            getters.append(lambda i: POSITIVE_LABEL if ds.labels[i] else NEGATIVE_LABEL)
         header.append(c.name)
 
     with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:

@@ -372,8 +372,6 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
     """
     if train_ds.row_count == 0:
         raise DataError("cannot train on an empty dataset")
-    if train_ds.labels is None:
-        raise DataError("training data must be labeled")
     if train_ds.feature_names != model.input_features:
         raise DataError(
             "training columns do not match model input features: "

@@ -132,8 +132,6 @@ def smote_resample(train: FlowDataset, cfg: SmoteConfig) -> FlowDataset:
     position), so output is reproducible bitwise regardless of how the work
     might be scheduled.
     """
-    if train.labels is None:
-        raise DataError("smote_resample requires labels")
     if train.strings:
         raise DataError(
             "smote_resample requires numeric features only; "

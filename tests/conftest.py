@@ -28,10 +28,13 @@ def surrogate() -> nf.FlowDataset:
 
 
 def numeric_ds(matrix, labels=None, names=None):
-    """A dataset of numeric columns c0, c1, ... (or the given names)."""
+    """A dataset of numeric columns c0, c1, ... (or the given names), all
+    benign unless labels are given."""
     matrix = np.asarray(matrix, dtype=float)
     names = names or [f"c{j}" for j in range(matrix.shape[1])]
     cols = [nf.ColumnDescriptor(n, NUMERIC) for n in names]
+    if labels is None:
+        labels = np.zeros(matrix.shape[0], bool)
     return nf.FlowDataset(cols, matrix, labels=labels)
 
 
@@ -111,10 +114,7 @@ def assert_datasets_equal(a: nf.FlowDataset, b: nf.FlowDataset) -> None:
     assert a.columns == b.columns
     assert a.matrix.shape == b.matrix.shape
     assert (a.matrix == b.matrix).all()
-    if a.labels is None:
-        assert b.labels is None
-    else:
-        assert (a.labels == b.labels).all()
+    assert (a.labels == b.labels).all()
     assert a.strings == b.strings
 
 

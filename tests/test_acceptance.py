@@ -227,7 +227,7 @@ class TestCriterion8RoundTrips:
 
         rng = np.random.default_rng(80)
         cols = [nf.ColumnDescriptor(n, "numeric") for n in surrogate_ds.feature_names]
-        probe = nf.FlowDataset(cols, rng.standard_normal((1000, len(cols))))
+        probe = nf.FlowDataset(cols, rng.standard_normal((1000, len(cols))), np.zeros(1000, bool))
         roundtrip = tmp_path / "fs2.model.roundtrip.json"
         nf.save_model(model, roundtrip)
         reloaded = nf.load_model(roundtrip)

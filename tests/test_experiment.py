@@ -231,11 +231,6 @@ class TestRunExperiment:
         test = report.provenance["rows_test"] * surrogate.matrix[0].nbytes
         assert live[0] - before - test <= training + 32 * rows
 
-    def test_unlabeled_dataset_rejected(self, small_ds):
-        bare = nf.FlowDataset(list(small_ds.columns), small_ds.matrix)
-        with pytest.raises(nf.DataError, match="labeled"):
-            nf.run_experiment(nf.preset("FS2", seed=0), bare)
-
     @pytest.mark.parametrize("stage", ["split", "selection"])
     def test_stage_name_attached_to_errors(self, stage):
         # One class cannot be split; MI k=11 cannot be met by two features.
@@ -519,14 +514,16 @@ class TestCli:
         ("boolean_format_version", "'format_version' must be 2"),
         ("unknown_column_kind", "column 1 'kind' must be \"numeric\" or"),
         ("labeled", "lacks key 'labeled'"),
-        ("integer_labeled", "'labeled' must be true or false"),
-        ("null_labeled", "'labeled' must be true or false"),
+        ("integer_labeled", "'labeled' must be true"),
+        ("null_labeled", "'labeled' must be true"),
+        ("false_labeled", "'labeled' must be true"),
         ("label_byte_2", "bad dataset file: labels must be 0 or 1"),
         ("short_labels", "payload size mismatch"),
         ("long_labels", "payload size mismatch"),
     ], ids=["columns", "row_count", "strings", "negative_row_count", "huge_row_count",
             "format_version_3", "boolean_format_version", "unknown_column_kind", "labeled",
-            "integer_labeled", "null_labeled", "label_byte_2", "short_labels", "long_labels"])
+            "integer_labeled", "null_labeled", "false_labeled", "label_byte_2", "short_labels",
+            "long_labels"])
     def test_bad_dataset_header_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data = tmp_path / "flows.ds"
         nf.save_dataset(small_ds, data)
@@ -534,16 +531,16 @@ class TestCli:
         header = json.loads(head)
         if breakage == "negative_row_count":
             header["row_count"] = -1
-        elif breakage == "huge_row_count":  # no numeric column or labels, so no payload to size
-            header.update(row_count=10**30, labeled=False, strings={},
+        elif breakage == "huge_row_count":  # one meta column: only labels to size
+            header.update(row_count=10**30, strings={},
                           columns=[{"name": "category", "kind": "meta"}])
             payload = b""
         elif breakage in ("format_version_3", "boolean_format_version"):
             header["format_version"] = 3 if breakage == "format_version_3" else True
         elif breakage == "unknown_column_kind":
             header["columns"][0]["kind"] = "text"
-        elif breakage in ("integer_labeled", "null_labeled"):
-            header["labeled"] = 1 if breakage == "integer_labeled" else None
+        elif breakage.endswith("_labeled"):
+            header["labeled"] = {"integer": 1, "null": None, "false": False}[breakage[:-8]]
         elif breakage == "label_byte_2":
             payload = payload[:-1] + b"\x02"
         elif breakage == "short_labels":

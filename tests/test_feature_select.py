@@ -257,7 +257,8 @@ class TestMutualInformation:
 
     @pytest.mark.parametrize("label", [False, True], ids=["benign", "attack"])
     def test_single_class(self, label):
-        assert_mi_matches_unique(self.normal(17), np.full(self.N, label), DEFAULT_MI_BINS)
+        # The oracle's sum leaves rounding noise here (1.33e-15 nats).
+        assert nf.mutual_information(self.normal(17), np.full(self.N, label)) == 0.0
 
     def test_two_bins(self):
         labels = self.labels()
@@ -296,10 +297,15 @@ class TestMiRankSelect:
         with pytest.raises(nf.DataError, match="k must be"):
             nf.mi_rank_select(surrogate, 31)
 
-    def test_unlabeled_errors(self):
-        ds = numeric_ds(np.zeros((5, 2)) + np.arange(5)[:, None])
-        with pytest.raises(nf.DataError, match="labels"):
-            nf.mi_rank_select(ds, 1)
+    @pytest.mark.parametrize("label", [False, True], ids=["benign", "attack"])
+    def test_single_class_keeps_column_order(self, label):
+        rng = np.random.default_rng(19)
+        matrix = np.column_stack([rng.standard_normal(5_000), rng.integers(0, 3, 5_000),
+                                  rng.exponential(size=5_000), np.round(rng.normal(size=5_000), 1),
+                                  rng.uniform(size=5_000)])
+        selection = nf.mi_rank_select(numeric_ds(matrix, labels=np.full(5_000, label)), 5)
+        assert selection.kept == ["c0", "c1", "c2", "c3", "c4"]
+        assert selection.scores == [0.0] * 5
 
     def test_row_order_does_not_matter(self):
         ds = self.noisy_ds(seed=10)

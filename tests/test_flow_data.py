@@ -12,6 +12,7 @@ import pytest
 
 import nfdlm as nf
 from nfdlm import flow_data
+from nfdlm.cli import main
 from nfdlm.flow_data import (
     CATEGORICAL,
     META,
@@ -455,6 +456,32 @@ class TestPlainBlocks:
         assert_matches_whole_file(ds, path)
 
 
+def test_mutated_csvs_parse_or_fail_as_data_error(tmp_path, monkeypatch, capsys):
+    """Seeded truncations, bit flips and byte edits of a CSV whose proto
+    column is categorical from the start and whose late column turns
+    categorical in its third chunk. Every 40th mutant goes through nfdlm
+    ingest, which exits 0 or 2 with one line."""
+    monkeypatch.setattr(flow_data, "PARSE_CHUNK_ROWS", 8)
+    rows = [row + [i if i != 19 else "0x0303"] for i, row in enumerate(long_rows(30))]
+    path = write_csv(tmp_path / "flows.csv", ["pkSeqID", "v", "proto", "category", "late"], rows)
+    assert nf.parse_flow_csv(path, "category", "DDoS").column("late").kind == CATEGORICAL
+    calls = []
+
+    def parse_or_ingest(mutant):
+        calls.append(mutant)
+        if len(calls) % 40:
+            return nf.parse_flow_csv(mutant, "category", "DDoS")
+        rc = main(["ingest", "--input", str(mutant), "--out", str(tmp_path / "flows.ds")])
+        err = capsys.readouterr().err
+        assert rc in (0, 2)
+        if rc == 2:
+            assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
+            raise nf.DataError(err)
+
+    loaded = count_mutants_that_load(path.read_bytes(), path, parse_or_ingest, 19, 2000)
+    assert 0 < loaded < 2000
+
+
 # Allowed tracemalloc peak of parse_flow_csv beyond 1.5x its matrix: one
 # chunk of cells and interpreter noise. The file below measures 4.9 MB; a
 # parse that keeps every cell as a string measures 37.5 MB.
@@ -687,7 +714,6 @@ def fixture_dataset() -> nf.FlowDataset:
 def assert_bitwise_equal(a: nf.FlowDataset, b: nf.FlowDataset) -> None:
     assert_datasets_equal(a, b)
     assert a.matrix.tobytes() == b.matrix.tobytes()
-    assert (a.labels is None) == (b.labels is None)
 
 
 def load_from_pipe(tmp_path, data: bytes) -> nf.FlowDataset:
@@ -761,15 +787,13 @@ class TestDatasetFile:
                 load_from_pipe(tmp_path, data)
 
     @pytest.mark.parametrize("source", ["file", "pipe"])
-    @pytest.mark.parametrize("labels", ["present", "empty", "none"])
+    @pytest.mark.parametrize("labels", ["present", "empty"])
     def test_round_trip_keeps_labels(self, tmp_path, labels, source):
         if source == "pipe" and not hasattr(os, "mkfifo"):
             pytest.skip("needs named pipes")
         ds = fixture_dataset()
         if labels == "empty":
             ds = flow_data.take_rows(ds, [])
-        elif labels == "none":
-            ds = nf.FlowDataset(ds.columns, ds.matrix, None, ds.strings)
         path = tmp_path / "cache.ds"
         nf.save_dataset(ds, path)
         if source == "file":
@@ -847,6 +871,10 @@ class TestLabels:
         labels = numeric_ds(np.zeros((3, 1)), labels=values).labels
         assert labels.dtype == bool and not labels.flags.writeable
         assert labels.tolist() == [True, False, True]
+
+    def test_a_dataset_without_labels_is_refused(self):
+        with pytest.raises(nf.DataError, match="labels must be 0 or 1"):
+            nf.FlowDataset([nf.ColumnDescriptor("a", NUMERIC)], np.zeros((2, 1)), labels=None)
 
     def test_a_bool_vector_is_adopted(self):
         labels = np.array([True, False])

@@ -158,11 +158,6 @@ class TestSmote:
         with pytest.raises(nf.DataError, match="minority"):
             nf.smote_resample(ds, nf.SmoteConfig(seed=0))
 
-    def test_unlabeled_errors(self):
-        ds = numeric_ds(np.zeros((10, 2)) + np.arange(10)[:, None])
-        with pytest.raises(nf.DataError, match="labels"):
-            nf.smote_resample(ds, nf.SmoteConfig(seed=0))
-
     def test_categorical_columns_rejected(self):
         cols = [
             nf.ColumnDescriptor("a", NUMERIC),

@@ -55,5 +55,6 @@ def test_mutual_information_matches_unique(cells, pool, step, bins):
     # on both sides of `bins` distinct values.
     x = np.array([v % pool for v, _ in cells]) * step
     labels = np.array([label for _, label in cells])
-    expected, _ = unique_bincount_mi(x, labels, bins)
+    # One class gives exactly 0.0, where the oracle's sum can leave rounding noise.
+    expected = unique_bincount_mi(x, labels, bins)[0] if 0 < labels.sum() < labels.size else 0.0
     assert nf.mutual_information(x, labels, bins).hex() == expected.hex()
