@@ -25,10 +25,12 @@ from .experiment import (
 from .feature_select import correlation_filter, mi_rank_select
 from .flow_data import (
     atomic_write_text,
+    CATEGORICAL,
     drop_columns,
     generate_synthetic_flows,
     LABEL_COLUMN,
     load_dataset,
+    PARSE_CHUNK_ROWS,
     parse_flow_csv,
     POSITIVE_LABEL,
     save_dataset,
@@ -49,8 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nfdlm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("ingest", help="parse a flow CSV into a cached dataset file")
-    p.add_argument("--input", required=True, help="CSV file with a header row")
+    p = sub.add_parser("ingest", help="parse a flow CSV into a cached dataset file",
+                       description="Parse a flow CSV into a cached dataset file of its numeric "
+                       "columns. Categorical columns are dropped; the summary line names them.")
+    p.add_argument("--input", required=True, help="CSV file with a header row; a regular file, "
+                   f"not a pipe, when a column turns categorical after row {PARSE_CHUNK_ROWS}")
     p.add_argument("--label-column", default=LABEL_COLUMN)
     p.add_argument("--positive", default=POSITIVE_LABEL, help="label value mapped to attack (1)")
     p.add_argument(
@@ -59,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated columns to drop; defaults to pkSeqID,stime,ltime "
         "where present; pass an empty string to drop nothing",
     )
-    p.add_argument("--drop-strings", action="store_true", help="drop categorical columns")
     p.add_argument("--out", required=True, help="dataset file to write")
 
     p = sub.add_parser("synth", help="generate a synthetic flow CSV")
@@ -115,10 +119,12 @@ def _cmd_ingest(args) -> None:
     ds = parse_flow_csv(args.input, args.label_column, args.positive)
     parse_seconds = time.perf_counter() - started
     drop = None if args.drop is None else [name for name in args.drop.split(",") if name]
-    ds = drop_columns(ds, drop, drop_string_columns=args.drop_strings)
+    categorical = [c.name for c in ds.columns if c.kind == CATEGORICAL]
+    ds = drop_columns(ds, drop, drop_string_columns=True)
     save_dataset(ds, args.out)
+    dropped = f" (dropped categorical {', '.join(categorical)})" if categorical else ""
     print(
-        f"ingested {ds.row_count} rows, {len(ds.feature_names)} numeric features, "
+        f"ingested {ds.row_count} rows, {len(ds.feature_names)} numeric features{dropped}, "
         f"{int(ds.labels.sum())} attack / {int((ds.labels == 0).sum())} benign -> {args.out} "
         f"(parsed in {parse_seconds:.2f} s, {ds.row_count / parse_seconds:.0f} rows/s, "
         f"peak RSS {_peak_rss_mb():.1f} MB)"

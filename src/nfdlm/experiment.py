@@ -369,15 +369,10 @@ def _comparison_row(doc: dict, what: str) -> ComparisonRow:
 
 
 def compare(reports) -> ComparisonTable:
-    """One row per report, ordered by experiment name.
-
-    Accepts ExperimentReport objects or previously serialized report dicts.
-    """
+    """One row per report dict (see load_report and ExperimentReport.to_dict),
+    ordered by experiment name."""
     if not reports:
         raise DataError("compare needs at least one report")
-    rows = [
-        _comparison_row(rep.to_dict() if isinstance(rep, ExperimentReport) else rep, "report")
-        for rep in reports
-    ]
+    rows = [_comparison_row(rep, "report") for rep in reports]
     rows.sort(key=lambda r: r.name)
     return ComparisonTable(rows=rows)

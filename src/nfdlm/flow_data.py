@@ -112,24 +112,6 @@ class FlowDataset:
     def feature_names(self) -> list[str]:
         return [c.name for c in self.columns if c.kind == NUMERIC]
 
-    @property
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
-    def column(self, name: str) -> ColumnDescriptor:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise DataError(f"no such column: '{name}'")
-
-    def feature_column(self, name: str) -> np.ndarray:
-        """One numeric column as a vector."""
-        try:
-            j = self.feature_names.index(name)
-        except ValueError:
-            raise DataError(f"no such numeric column: '{name}'") from None
-        return self.matrix[:, j]
-
     def feature_positions(self, names: list[str]) -> list[int]:
         """The matrix column of each named numeric column, in the given order."""
         order = self.feature_names
@@ -140,11 +122,6 @@ class FlowDataset:
             except ValueError:
                 raise DataError(f"no such numeric column: '{name}'") from None
         return idx
-
-    def feature_matrix(self, names: list[str]) -> np.ndarray:
-        """Numeric sub-matrix with columns in the given name order, C-contiguous
-        as take writes it (a fancy index would give Fortran order, and a copy)."""
-        return np.take(self.matrix, self.feature_positions(names), axis=1)
 
 
 def as_labels(values) -> np.ndarray:
@@ -174,8 +151,12 @@ def take_rows(ds: FlowDataset, rows: np.ndarray) -> FlowDataset:
 def select_features(ds: FlowDataset, names: list[str]) -> FlowDataset:
     """Modeling view keeping only the named numeric columns (plus labels).
     It shares ds's read-only matrix when names are all of its numeric
-    columns in order."""
-    matrix = ds.matrix if names == ds.feature_names else ds.feature_matrix(names)
+    columns in order, and otherwise takes one copy, C-contiguous as take
+    writes it (a fancy index would give Fortran order, and a copy)."""
+    if names == ds.feature_names:
+        matrix = ds.matrix
+    else:
+        matrix = np.take(ds.matrix, ds.feature_positions(names), axis=1)
     columns = [ColumnDescriptor(name, NUMERIC) for name in names]
     return FlowDataset(columns=columns, matrix=matrix, labels=ds.labels, strings={})
 
@@ -215,7 +196,8 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
     its column categorical, which is no fault. A column that first fails to
     parse after the first chunk has lost its earlier cells. The first pass
     finds every such column, so the file is read once more, with them kept
-    as strings from the start.
+    as strings from the start. Only a regular file can be read again: from
+    a pipe, such a column is a DataError that names it.
     """
     path = Path(path)
     ds, late = _parse_pass(path, label_column, positive_label, set())
@@ -338,6 +320,13 @@ def _parse_pass(
                 if j in values:
                     matrix[done : done + n, k] = values[j]
             done += n
+        if late and not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            names = ", ".join(repr(header[j]) for j in sorted(late))
+            raise DataError(
+                f"{path}: column{'s' * (len(late) > 1)} {names} turned categorical after row "
+                f"{PARSE_CHUNK_ROWS}, which takes a second read; write the CSV to a regular "
+                "file first"
+            )
 
     if late:
         return None, late
@@ -463,7 +452,7 @@ def drop_columns(
     The result shares the labels, and the matrix too when every numeric
     column stays: a dataset is read-only, so sharing is safe.
     """
-    present = set(ds.column_names)
+    present = {c.name for c in ds.columns}
     if drop_names is None:
         to_drop = {n for n in DEFAULT_DROP_COLUMNS if n in present}
     else:

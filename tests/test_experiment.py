@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import re
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import nfdlm as nf
-from nfdlm import neuralnet
+from nfdlm import cli, neuralnet
 from nfdlm.cli import main
 from nfdlm.experiment import PRESET_NAMES
 from nfdlm.flow_data import NUMERIC
@@ -278,7 +279,7 @@ class TestCompare:
 
     def test_single_report(self, small_ds):
         report = nf.run_experiment(nf.preset("BASE", seed=71), small_ds)
-        table = nf.compare([report])
+        table = nf.compare([report.to_dict()])
         assert len(table.rows) == 1
         assert table.rows[0].name == "BASE"
         assert table.rows[0].features == 12
@@ -337,6 +338,18 @@ class TestCli:
             r"\(parsed in (\d+\.\d\d) s, (\d+) rows/s, peak RSS (\d+\.\d) MB\)", out
         )
         assert fields and int(fields[2]) > 0 and float(fields[3]) > 0.0
+
+    def test_readme_commands_parse(self):
+        """Every nfdlm command in README's CLI block, joined across backslash
+        continuations, parses with the CLI's parser; none is run."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("nfdlm ")]
+        assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+        parser = cli._build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
     def test_synthetic_csv_matches_library_output(self, tmp_path):
         csv = tmp_path / "flows.csv"

@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +52,7 @@ class TestParseFlowCsv:
         assert (ds.labels == [1, 0, 1]).all()
         kinds = {c.name: c.kind for c in ds.columns}
         assert kinds == {"pkSeqID": NUMERIC, "bytes": NUMERIC, "category": META}
-        assert (ds.feature_column("bytes") == [100.0, 250.0, 90.0]).all()
+        assert (ds.matrix[:, ds.feature_positions(["bytes"])[0]] == [100.0, 250.0, 90.0]).all()
 
     def test_label_sum_matches_positive_rows(self, tmp_path):
         rows = [[i, i * 10, "DDoS" if i % 3 else "Normal"] for i in range(1, 21)]
@@ -59,7 +62,7 @@ class TestParseFlowCsv:
 
     def test_row_order_preserved(self, tiny_csv):
         ds = nf.parse_flow_csv(tiny_csv, "category", "DDoS")
-        assert (ds.feature_column("pkSeqID") == [1.0, 2.0, 3.0]).all()
+        assert (ds.matrix[:, ds.feature_positions(["pkSeqID"])[0]] == [1.0, 2.0, 3.0]).all()
 
     def test_mixed_column_is_categorical(self, tmp_path):
         path = write_csv(
@@ -68,7 +71,7 @@ class TestParseFlowCsv:
             [["80", "DDoS"], ["0x0303", "Normal"]],
         )
         ds = nf.parse_flow_csv(path, "category", "DDoS")
-        assert ds.column("sport").kind == CATEGORICAL
+        assert {c.name: c.kind for c in ds.columns}["sport"] == CATEGORICAL
         assert ds.strings["sport"] == ["80", "0x0303"]
 
     def test_ragged_row_names_row_number(self, tmp_path):
@@ -318,6 +321,59 @@ class TestChunkedParse:
         assert_matches_whole_file(ds, path)
 
 
+def ingest_from_fifo(tmp_path, data: bytes) -> subprocess.CompletedProcess:
+    """nfdlm ingest of a named pipe that one writer thread feeds data into,
+    run in a child process with a timeout, so that a second open of the pipe,
+    which no writer would ever answer, fails the test instead of hanging it."""
+    fifo = tmp_path / "flows.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            fifo.write_bytes(data)
+        except BrokenPipeError:  # the reader stopped before the end
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    env = {**os.environ, "PYTHONPATH": str(Path(nf.__file__).parents[1])}
+    argv = ["ingest", "--input", str(fifo), "--drop", "", "--out", str(tmp_path / "fifo.ds")]
+    try:
+        return subprocess.run([sys.executable, "-m", "nfdlm.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+    finally:
+        if writer.is_alive():  # the child never opened the pipe: let the writer's open return
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("turns", ["in_the_first_chunk", "late"])
+def test_ingest_from_a_named_pipe(tmp_path, capsys, turns):
+    """A column that turns categorical after the first chunk needs a second
+    read, which a pipe cannot give: one data error line names the column.
+    Any other file parses from a pipe as from a regular file."""
+    rows = [row + [i] for i, row in enumerate(long_rows(LONG))]
+    rows[PARSE_CHUNK_ROWS + 17 if turns == "late" else 17][4] = "0x0303"
+    path = write_csv(tmp_path / "flows.csv", ["id", "v", "proto", "category", "tag"], rows)
+    done = ingest_from_fifo(tmp_path, path.read_bytes())
+    if turns == "late":
+        assert done.returncode == 2
+        assert done.stderr == (
+            f"nfdlm: data error: {tmp_path / 'flows.fifo'}: column 'tag' turned categorical "
+            f"after row {PARSE_CHUNK_ROWS}, which takes a second read; write the CSV to a "
+            "regular file first\n"
+        )
+        assert not (tmp_path / "fifo.ds").exists()
+    else:
+        assert (done.returncode, done.stderr) == (0, "")
+        assert main(["ingest", "--input", str(path), "--drop", "",
+                     "--out", str(tmp_path / "file.ds")]) == 0
+        assert (tmp_path / "fifo.ds").read_bytes() == (tmp_path / "file.ds").read_bytes()
+        assert done.stdout.split(" -> ")[0] == capsys.readouterr().out.split(" -> ")[0]
+
+
 class TestPlainBlocks:
     """np.loadtxt converts each plain block, the first one included;
     csv.reader and float() read one chunk of records wherever a block is not
@@ -386,7 +442,7 @@ class TestPlainBlocks:
         path = write_csv(tmp_path / "cell.csv", self.HEADER, rows)
         calls = self.count_loadtxt(monkeypatch)
         ds = nf.parse_flow_csv(path, "category", "DDoS")
-        assert ds.column("v").kind == kind
+        assert {c.name: c.kind for c in ds.columns}["v"] == kind
         assert len(calls) == loadtxt_calls
         assert_matches_whole_file(ds, path)
 
@@ -423,7 +479,10 @@ class TestPlainBlocks:
         calls = self.count_loadtxt(monkeypatch)
         ds = nf.parse_flow_csv(path, "category", "DDoS")
         assert calls == [self.CHUNK] * 4 + [7]  # every block but block 3
-        got = ds.strings[column][i] if column == "proto" else ds.feature_column(column)[i]
+        if column == "proto":
+            got = ds.strings[column][i]
+        else:
+            got = ds.matrix[i, ds.feature_positions([column])[0]]
         assert got == value
         assert_matches_whole_file(ds, path)
 
@@ -435,7 +494,7 @@ class TestPlainBlocks:
         calls = self.count_loadtxt(monkeypatch)
         ds = nf.parse_flow_csv(path, "category", "DDoS")
         assert calls == []
-        assert ds.column("v").kind == NUMERIC
+        assert {c.name: c.kind for c in ds.columns}["v"] == NUMERIC
         assert_matches_whole_file(ds, path)
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
@@ -464,7 +523,8 @@ def test_mutated_csvs_parse_or_fail_as_data_error(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(flow_data, "PARSE_CHUNK_ROWS", 8)
     rows = [row + [i if i != 19 else "0x0303"] for i, row in enumerate(long_rows(30))]
     path = write_csv(tmp_path / "flows.csv", ["pkSeqID", "v", "proto", "category", "late"], rows)
-    assert nf.parse_flow_csv(path, "category", "DDoS").column("late").kind == CATEGORICAL
+    ds = nf.parse_flow_csv(path, "category", "DDoS")
+    assert {c.name: c.kind for c in ds.columns}["late"] == CATEGORICAL
     calls = []
 
     def parse_or_ingest(mutant):
@@ -557,6 +617,18 @@ class TestDropColumns:
         out = nf.drop_columns(ds, drop_string_columns=True)
         assert len(out.feature_names) == 30
         assert out.labels is not None and (out.labels == ds.labels).all()
+
+    def test_ingest_drops_categorical_columns_and_names_them(self, tmp_path, capsys):
+        path, out = botiot_like_csv(tmp_path), tmp_path / "flows.ds"
+        assert main(["ingest", "--input", str(path), "--out", str(out)]) == 0
+        ds = nf.load_dataset(out)
+        assert CATEGORICAL not in [c.kind for c in ds.columns] and ds.strings == {}
+        assert len(ds.feature_names) == 30
+        assert ("30 numeric features (dropped categorical flgs, proto, saddr, sport, daddr, "
+                "dport, state, smac, dmac), 9 attack / 3 benign") in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ingest", "--input", str(path), "--drop-strings", "--out", str(out)])
+        assert excinfo.value.code == 1
 
     def test_empty_drop_list_is_identity(self, tiny_csv):
         ds = nf.parse_flow_csv(tiny_csv, "category", "DDoS")
@@ -854,7 +926,8 @@ class TestSelectFeatures:
     def test_subset_and_order(self, surrogate):
         view = nf.select_features(surrogate, ["f05", "f02"])
         assert view.feature_names == ["f05", "f02"]
-        assert (view.matrix[:, 0] == surrogate.feature_column("f05")).all()
+        f05 = surrogate.feature_positions(["f05"])[0]
+        assert (view.matrix[:, 0] == surrogate.matrix[:, f05]).all()
         assert (view.labels == surrogate.labels).all()
 
     def test_unknown_column(self, surrogate):
