@@ -30,7 +30,6 @@ from .flow_data import (
     generate_synthetic_flows,
     LABEL_COLUMN,
     load_dataset,
-    PARSE_CHUNK_ROWS,
     parse_flow_csv,
     POSITIVE_LABEL,
     save_dataset,
@@ -54,8 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse a flow CSV into a cached dataset file",
                        description="Parse a flow CSV into a cached dataset file of its numeric "
                        "columns. Categorical columns are dropped; the summary line names them.")
-    p.add_argument("--input", required=True, help="CSV file with a header row; a regular file, "
-                   f"not a pipe, when a column turns categorical after row {PARSE_CHUNK_ROWS}")
+    p.add_argument("--input", required=True, help="CSV file with a header row")
     p.add_argument("--label-column", default=LABEL_COLUMN)
     p.add_argument("--positive", default=POSITIVE_LABEL, help="label value mapped to attack (1)")
     p.add_argument(

@@ -214,7 +214,7 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one full pipeline and return its report.
 
-    Stage order: drop remaining string columns, stratified split, SMOTE on
+    Stage order: drop categorical columns, stratified split, SMOTE on
     the training rows, standard scaling fitted on the training rows, feature
     selection fitted on the training rows, classifier training, evaluation on
     the raw held-out test rows through the model's stored scaler, and saving

@@ -1,9 +1,10 @@
 """Flow-record datasets: CSV ingestion, pruning, splitting, synthesis, and caching.
 
 A FlowDataset is the currency passed between every pipeline stage: a numeric
-feature matrix plus column descriptors, bool labels (True = attack),
-and raw string storage for categorical columns. A .ds cache file is a JSON
-header line, the matrix as it lies in memory, then one label byte per row.
+feature matrix plus column descriptors and bool labels (True = attack).
+Categorical columns are descriptors only; no cell of theirs is kept. A .ds
+cache file is a JSON header line, the matrix as it lies in memory, then one
+label byte per row.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import json
 import math
 import os
 import stat
-import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ NEGATIVE_LABEL = "Normal"
 DEFAULT_DROP_COLUMNS = ("pkSeqID", "stime", "ltime")
 
 # Records parse_flow_csv converts at a time. A chunk's cells are the only
-# strings the parse holds for numeric columns.
+# strings the parse holds.
 PARSE_CHUNK_ROWS = 4096
 
 DATASET_FORMAT = "nfdlm.dataset"
@@ -63,9 +63,8 @@ class FlowDataset:
     """Column-described flow records.
 
     matrix holds only the numeric columns (row-major, float64, one column per
-    kind=numeric descriptor, in descriptor order). Categorical-string columns
-    keep their raw cell values in `strings`; meta columns (e.g. the consumed
-    label column) keep descriptors only.
+    kind=numeric descriptor, in descriptor order). Categorical columns and
+    meta columns (e.g. the consumed label column) are descriptors only.
 
     A C-contiguous float64 matrix is adopted, not copied, and frozen: the
     caller's array becomes read-only. Any other array-like is converted.
@@ -76,7 +75,6 @@ class FlowDataset:
     columns: list[ColumnDescriptor]
     matrix: np.ndarray
     labels: np.ndarray
-    strings: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=np.float64, order="C")
@@ -96,13 +94,13 @@ class FlowDataset:
         self.labels = as_labels(self.labels)
         if self.labels.shape != (self.row_count,):
             raise DataError("labels length does not match row count")
-        expected_strings = {c.name for c in self.columns if c.kind == CATEGORICAL}
-        if set(self.strings) != expected_strings:
-            raise DataError("string storage does not match categorical columns")
-        for name, values in self.strings.items():
-            if len(values) != self.row_count:
-                raise DataError(f"string column '{name}' has wrong length")
         self.matrix.flags.writeable = False  # datasets are immutable once built
+
+    @property
+    def strings(self) -> dict:
+        """Always empty: no dataset keeps a categorical cell. It stays only
+        because perfbench/workloads.py still reads it."""
+        return {}
 
     @property
     def row_count(self) -> int:
@@ -144,7 +142,6 @@ def take_rows(ds: FlowDataset, rows: np.ndarray) -> FlowDataset:
         columns=list(ds.columns),
         matrix=ds.matrix[rows],
         labels=ds.labels[rows],
-        strings={name: [vals[i] for i in rows] for name, vals in ds.strings.items()},
     )
 
 
@@ -158,17 +155,18 @@ def select_features(ds: FlowDataset, names: list[str]) -> FlowDataset:
     else:
         matrix = np.take(ds.matrix, ds.feature_positions(names), axis=1)
     columns = [ColumnDescriptor(name, NUMERIC) for name in names]
-    return FlowDataset(columns=columns, matrix=matrix, labels=ds.labels, strings={})
+    return FlowDataset(columns=columns, matrix=matrix, labels=ds.labels)
 
 
 def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: str) -> FlowDataset:
-    """Load a header-bearing CSV of flow records.
+    """Load a header-bearing CSV of flow records, reading it once.
 
     Column kinds are inferred per column: if every cell parses with float()
-    as a finite number the column is numeric, otherwise categorical-string.
-    The label column is consumed into the 0/1 label vector (1 where the cell
-    equals positive_label) and kept as a kind=meta descriptor so it can never
-    leak into a feature matrix.
+    as a finite number the column is numeric, otherwise categorical. A
+    categorical column is a descriptor only: its cells are checked for blanks
+    and not kept. The label column is consumed into the 0/1 label vector (1
+    where the cell equals positive_label) and kept as a kind=meta descriptor
+    so it can never leak into a feature matrix.
 
     Hard errors: missing file or label column, duplicate header names, bytes
     that are not UTF-8, ragged rows, empty cells, non-finite numeric cells,
@@ -177,8 +175,7 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
 
     The file is read PARSE_CHUNK_ROWS records at a time and numeric columns
     are converted chunk by chunk, so memory is the matrix plus one chunk of
-    cells, plus the kept cells of categorical columns (interned, so a
-    repeated value is stored once).
+    cells.
 
     csv.reader reads the header. Each block of PARSE_CHUNK_ROWS lines after
     it that is plain (see _plain_block: ASCII, no quote, stray control byte
@@ -193,30 +190,11 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
     A file with several faults reports the first one in file order, a byte
     that is not UTF-8 included, except that a non-finite cell is reported
     only once the whole file is read: a later non-numeric cell would make
-    its column categorical, which is no fault. A column that first fails to
-    parse after the first chunk has lost its earlier cells. The first pass
-    finds every such column, so the file is read once more, with them kept
-    as strings from the start. Only a regular file can be read again: from
-    a pipe, such a column is a DataError that names it.
+    its column categorical, which is no fault. The matrix holds the columns
+    that were numeric through the first chunk; one that turns categorical
+    later is taken out of it at the end, in place (see _keep_columns).
     """
     path = Path(path)
-    ds, late = _parse_pass(path, label_column, positive_label, set())
-    if ds is None:
-        ds, _ = _parse_pass(path, label_column, positive_label, late)
-    return ds
-
-
-def _parse_pass(
-    path: Path, label_column: str, positive_label: str, categorical: set[int]
-) -> tuple[FlowDataset | None, set[int]]:
-    """Read the file once, keeping the columns in `categorical` as strings.
-
-    np.loadtxt converts each plain block of PARSE_CHUNK_ROWS lines; csv.reader
-    reads any other as one chunk of records, so the next block starts at a record.
-
-    Returns (dataset, empty set), or (None, late) where `late` holds the
-    columns that stopped parsing as numbers after the first chunk.
-    """
     # surrogateescape leaves a byte that is not UTF-8 for the block that holds
     # it to report, so a fault earlier in the decoder's read-ahead comes first.
     with _open_input(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -231,11 +209,10 @@ def _parse_pass(
             raise DataError(f"{path}: label column '{label_column}' not in header")
         width = len(header)
         label_idx = header.index(label_column)
-        strings: dict[int, list[str]] = {j: [] for j in categorical}
-        late: set[int] = set()
+        categorical: set[int] = set()
         non_finite: dict[int, int] = {}  # numeric column -> first row holding inf or nan
-        # The numeric columns in matrix order; fixed once the first chunk is read.
-        slots = [j for j in range(width) if j != label_idx and j not in categorical]
+        # The matrix's columns; fixed once the first chunk is read.
+        slots = [j for j in range(width) if j != label_idx]
         matrix = None
         label_parts: list[np.ndarray] = []
         seen_labels: set[str] = set()
@@ -246,11 +223,12 @@ def _parse_pass(
                 break
             # (row, rank, column); undecodable rows rank first, then labels
             faults: list[tuple[int, int, int]] = []
-            block = _plain_block(lines, width, slots)
+            numeric = [j for j in slots if j not in categorical]
+            block = _plain_block(lines, width, numeric)
             if block is not None:
                 n, ragged = len(lines), None
-                cols = {j: _plain_cells(lines, j, width) for j in (label_idx, *strings)}
-                values = {j: block[:, k] for k, j in enumerate(slots)}
+                cols = {j: _plain_cells(lines, j, width) for j in (label_idx, *categorical)}
+                values = {j: block[:, k] for k, j in enumerate(numeric)}
             else:  # csv.reader reads one chunk of records from the block's first line
                 records = csv.reader(itertools.chain(lines, fh))
                 chunk = list(itertools.islice(records, PARSE_CHUNK_ROWS))
@@ -272,9 +250,7 @@ def _parse_pass(
                     label_parts.append(
                         np.fromiter(map(positive_label.__eq__, cells), dtype=bool, count=n)
                     )
-                elif j in strings or j in late:
-                    if j in strings:
-                        strings[j].extend(map(sys.intern, cells))
+                elif j in categorical:
                     blank = _first_blank(cells)
                 else:
                     try:
@@ -282,10 +258,8 @@ def _parse_pass(
                     except ValueError:
                         bad = next(i for i, cell in enumerate(cells) if not _is_number(cell))
                         if cells[bad].strip():  # a non-number: the column is categorical
-                            if done:  # late: the re-read reports its non-finite cells
-                                late.add(j)
-                            else:
-                                strings[j] = list(map(sys.intern, cells))
+                            categorical.add(j)
+                            non_finite.pop(j, None)
                         blank = _first_blank(cells)
                     else:
                         blank = None
@@ -309,7 +283,7 @@ def _parse_pass(
                     f"{path}: row {done + ragged + 1} has {ragged_cells} cells, expected {width}"
                 )
             if matrix is None:
-                slots = [j for j in slots if j not in strings]
+                slots = [j for j in slots if j not in categorical]
                 matrix = np.empty((max(n, PARSE_CHUNK_ROWS), len(slots)))
             elif done + n > matrix.shape[0]:
                 # Growth reallocates in place where it can; the trim below
@@ -320,16 +294,7 @@ def _parse_pass(
                 if j in values:
                     matrix[done : done + n, k] = values[j]
             done += n
-        if late and not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            names = ", ".join(repr(header[j]) for j in sorted(late))
-            raise DataError(
-                f"{path}: column{'s' * (len(late) > 1)} {names} turned categorical after row "
-                f"{PARSE_CHUNK_ROWS}, which takes a second read; write the CSV to a regular "
-                "file first"
-            )
 
-    if late:
-        return None, late
     if non_finite:
         row, j = min((row, j) for j, row in non_finite.items())
         raise DataError(f"{path}: row {row}: non-finite value in column '{header[j]}'")
@@ -337,18 +302,32 @@ def _parse_pass(
         matrix = np.empty((0, len(slots)))
     else:
         matrix.resize((done, len(slots)), refcheck=False)
+        keep = [k for k, j in enumerate(slots) if j not in categorical]
+        if len(keep) < len(slots):  # a column turned categorical after the first chunk
+            _keep_columns(matrix, keep)
     labels = np.concatenate(label_parts) if label_parts else np.empty(0, bool)
     columns = [
-        ColumnDescriptor(name, META if j == label_idx else CATEGORICAL if j in strings else NUMERIC)
+        ColumnDescriptor(name, META if j == label_idx else CATEGORICAL if j in categorical else NUMERIC)
         for j, name in enumerate(header)
     ]
-    ds = FlowDataset(
-        columns=columns,
-        matrix=matrix,
-        labels=labels,
-        strings={header[j]: strings[j] for j in sorted(strings)},
-    )
-    return ds, set()
+    return FlowDataset(columns=columns, matrix=matrix, labels=labels)
+
+
+def _keep_columns(matrix: np.ndarray, keep: list[int]) -> None:
+    """Keep only the columns `keep` of a C-order matrix that owns its data,
+    in place.
+
+    A block of rows at a time, row i's kept cells move to offset i·k of the
+    flat buffer, for k = len(keep) of the w columns. Since i·k ≤ i·w, no row
+    not yet copied is overwritten, so memory beyond the matrix is one block.
+    """
+    rows, k = matrix.shape[0], len(keep)
+    flat = matrix.reshape(-1)
+    for start in range(0, rows, PARSE_CHUNK_ROWS):
+        block = np.take(matrix[start : start + PARSE_CHUNK_ROWS], keep, axis=1)  # a copy
+        flat[start * k : start * k + block.size] = block.reshape(-1)
+    del flat
+    matrix.resize((rows, k), refcheck=False)
 
 
 def _first_undecodable(records: list[list[str]]) -> int | None:
@@ -445,12 +424,13 @@ def drop_columns(
     drop_names: list[str] | None = None,
     drop_string_columns: bool = False,
 ) -> FlowDataset:
-    """Remove named columns and, optionally, every categorical-string column.
+    """Remove named columns and, optionally, every categorical column.
 
     drop_names=None applies DEFAULT_DROP_COLUMNS restricted to columns that
     exist; explicitly named columns must exist or this is a hard error.
     The result shares the labels, and the matrix too when every numeric
-    column stays: a dataset is read-only, so sharing is safe.
+    column stays: a dataset is read-only, so sharing is safe. Otherwise the
+    kept columns are one C-order copy, as select_features takes them.
     """
     present = {c.name for c in ds.columns}
     if drop_names is None:
@@ -468,9 +448,8 @@ def drop_columns(
     keeps_all = len(kept_numeric) == ds.matrix.shape[1]
     return FlowDataset(
         columns=kept,
-        matrix=ds.matrix if keeps_all else ds.matrix[:, kept_numeric],
+        matrix=ds.matrix if keeps_all else np.take(ds.matrix, kept_numeric, axis=1),
         labels=ds.labels,
-        strings={n: v for n, v in ds.strings.items() if n not in to_drop},
     )
 
 
@@ -585,7 +564,7 @@ def generate_synthetic_flows(spec: SynthesisSpec) -> FlowDataset:
 
     width = max(2, len(str(spec.feature_count - 1)))
     columns = [ColumnDescriptor(f"f{j:0{width}d}", NUMERIC) for j in range(spec.feature_count)]
-    return FlowDataset(columns=columns, matrix=matrix, labels=labels, strings={})
+    return FlowDataset(columns=columns, matrix=matrix, labels=labels)
 
 
 @contextmanager
@@ -657,8 +636,6 @@ STRINGS = ("a list of strings", lambda v: type(v) is list and all(map(STRING[1],
 NUMBERS = ("a list of numbers", lambda v: type(v) is list and all(map(NUMBER[1], v)))
 MATRIX = ("a list of lists of numbers", lambda v: type(v) is list and all(map(NUMBERS[1], v)))
 OBJECTS = ("a list of objects", lambda v: type(v) is list and all(map(OBJECT[1], v)))
-STRING_LISTS = ("an object of string lists",
-                lambda v: type(v) is dict and all(map(STRINGS[1], v.values())))
 
 
 def or_null(rule):
@@ -692,14 +669,15 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
     """Cache a dataset: one JSON header line, then the matrix as it lies in
     memory, written without a copy (little-endian float64 in C order, so values
-    round-trip bitwise), then the labels' own bool bytes. "labeled" is always
-    true: it stays in the header so that format 2 files keep their bytes."""
+    round-trip bitwise), then the labels' own bool bytes. "strings" is always
+    empty and "labeled" always true: both stay in the header so that format 2
+    files keep their bytes."""
     header = {
         "format": DATASET_FORMAT,
         "format_version": DATASET_FORMAT_VERSION,
         "row_count": ds.row_count,
         "columns": [{"name": c.name, "kind": c.kind} for c in ds.columns],
-        "strings": ds.strings,
+        "strings": {},
         "labeled": True,
     }
     with _atomic_open(path) as fh:
@@ -712,8 +690,9 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
     """Read a file save_dataset wrote: once the payload's size is checked, one
     readinto fills the matrix and one more the labels. A file that is not a
     regular file (a pipe, say) is read whole first, since its size is known
-    only then. Only format version 2 is read: a .ds file is a cache, so an
-    older one fails with a DataError that says to rebuild it with nfdlm ingest."""
+    only then. Only format version 2 without categorical cells is read: a .ds
+    file is a cache, so an older one fails with a DataError that says to
+    rebuild it with nfdlm ingest."""
     what = f"{path}: dataset header"
     with _open_input(path, "rb") as fh:
         line = fh.readline()
@@ -733,7 +712,9 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
         ]
         n = json_field(header, "row_count", ROW_COUNT, what)
         json_field(header, "labeled", one_of(True), what)
-        strings = json_field(header, "strings", STRING_LISTS, what)
+        if json_field(header, "strings", OBJECT, what):
+            raise DataError(f"{path}: dataset categorical cells are no longer read; "
+                            "run nfdlm ingest again to rebuild it")
         n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode):
@@ -751,7 +732,7 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
             raise DataError(f"{path}: bad dataset file: labels must be 0 or 1")
         labels = labels.view(bool)
     try:
-        return FlowDataset(columns=columns, matrix=matrix, labels=labels, strings=strings)
+        return FlowDataset(columns=columns, matrix=matrix, labels=labels)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad dataset file: {exc}") from exc
 
@@ -762,9 +743,10 @@ def write_flow_csv(ds: FlowDataset, path: str | os.PathLike) -> None:
     Numeric cells use shortest round-trip formatting, so parse -> write ->
     parse is bitwise lossless on numeric columns. Meta columns are re-emitted
     from the label vector as POSITIVE_LABEL or NEGATIVE_LABEL; a dataset with
-    no meta column gets a LABEL_COLUMN appended.
+    no meta column gets a LABEL_COLUMN appended. Categorical columns, which
+    hold no cells, are left out.
     """
-    columns = list(ds.columns)
+    columns = [c for c in ds.columns if c.kind != CATEGORICAL]
     if not any(c.kind == META for c in columns):
         columns.append(ColumnDescriptor(LABEL_COLUMN, META))
     numeric_index = {name: j for j, name in enumerate(ds.feature_names)}
@@ -772,8 +754,6 @@ def write_flow_csv(ds: FlowDataset, path: str | os.PathLike) -> None:
     for c in columns:
         if c.kind == NUMERIC:
             getters.append(lambda i, j=numeric_index[c.name]: repr(float(ds.matrix[i, j])))
-        elif c.kind == CATEGORICAL:
-            getters.append(ds.strings[c.name].__getitem__)
         else:  # meta: regenerate from labels
             getters.append(lambda i: POSITIVE_LABEL if ds.labels[i] else NEGATIVE_LABEL)
         header.append(c.name)

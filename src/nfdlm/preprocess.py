@@ -117,7 +117,6 @@ def apply_scaler(params: ScalerParams, ds: FlowDataset) -> FlowDataset:
         columns=list(ds.columns),
         matrix=scale_columns(ds.matrix, params.means, params.stdevs),
         labels=ds.labels,
-        strings=dict(ds.strings),
     )
 
 
@@ -132,11 +131,6 @@ def smote_resample(train: FlowDataset, cfg: SmoteConfig) -> FlowDataset:
     position), so output is reproducible bitwise regardless of how the work
     might be scheduled.
     """
-    if train.strings:
-        raise DataError(
-            "smote_resample requires numeric features only; "
-            "drop categorical columns first"
-        )
     n_pos = int(train.labels.sum())
     n_neg = train.row_count - n_pos
     if n_pos == n_neg:
@@ -181,10 +175,10 @@ def smote_resample(train: FlowDataset, cfg: SmoteConfig) -> FlowDataset:
         columns=list(train.columns),
         matrix=matrix,
         labels=np.concatenate([train.labels, np.full(need, minority_label)]),
-        strings={},
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
 def _nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
     """Ids of each row's k nearest other rows by squared Euclidean distance,
     nearest first; ties keep the lower id.
@@ -192,10 +186,12 @@ def _nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
     The Gram product is taken once, whole, and the distances a block of rows
     at a time, with the elementwise arithmetic of the full m x m matrix. A
     row with exactly k distances at or below its k-th smallest (np.partition)
-    stable-sorts just those k, in id order; any other row (a tie across the
-    k-th place, a NaN) stable-sorts whole. So the ids are bitwise those of a
-    stable sort of each full row, and memory beyond the Gram product is one
-    block.
+    stable-sorts just those k, in id order; a row with a tie across the k-th
+    place stable-sorts whole. So the ids are bitwise those of a stable sort
+    of each full row, and memory beyond the Gram product is one block.
+
+    Rows far enough from 0 overflow a squared norm or distance, which leaves
+    no order to find: that is a DataError, not a sort of infs and NaNs.
     """
     m = rows.shape[0]
     sq = np.einsum("ij,ij->i", rows, rows)
@@ -204,6 +200,11 @@ def _nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
     for start in range(0, m, SMOTE_BLOCK_ROWS):
         stop = min(start + SMOTE_BLOCK_ROWS, m)
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram[start:stop]
+        if not np.isfinite(d2).all():
+            raise DataError(
+                "SMOTE cannot rank neighbours: a squared distance between two minority "
+                "rows is not finite; scale or clip the features first"
+            )
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # self excluded
         near = d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1, None]
         exact = np.count_nonzero(near, axis=1) == k

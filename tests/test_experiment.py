@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -141,6 +144,34 @@ class TestRunExperiment:
         doc_a = json.dumps(strip_timings(a.to_dict()), sort_keys=True)
         doc_b = json.dumps(strip_timings(b.to_dict()), sort_keys=True)
         assert doc_a == doc_b
+
+    def test_model_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """FS2 and FS4, one epoch each, in a child process with NFDLM_THREADS=1
+        and in one with =2, the BLAS variables unset so that the package sets
+        them. The split holds 1,050 rows, so scoring runs a full block."""
+        script = (
+            "import os\n"
+            "import nfdlm as nf\n"
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == os.environ['NFDLM_THREADS']\n"
+            "ds = nf.generate_synthetic_flows(nf.SynthesisSpec(5000, 250, 30, 5, 6.0, seed=1))\n"
+            "for name in ('FS2', 'FS4'):\n"
+            "    cfg = nf.preset(name, seed=1, epochs=1)\n"
+            "    report = nf.run_experiment(cfg, ds, model_path=name + '.model.json')\n"
+            "    nf.save_report(report, name + '.report.json')\n"
+        )
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {key: value for key, value in os.environ.items() if key not in blas}
+        env["PYTHONPATH"] = str(Path(nf.__file__).parents[1])
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            subprocess.run([sys.executable, "-c", script], cwd=tmp_path / threads, check=True,
+                           env={**env, "NFDLM_THREADS": threads}, timeout=300)
+        for name in ("FS2", "FS4"):
+            model = f"{name}.model.json"
+            assert (tmp_path / "1" / model).read_bytes() == (tmp_path / "2" / model).read_bytes()
+            reports = [json.loads((tmp_path / t / f"{name}.report.json").read_text()) for t in "12"]
+            assert reports[0]["provenance"]["rows_test"] == 1050
+            assert strip_timings(reports[0]) == strip_timings(reports[1])
 
     def test_fitted_parameters_ignore_test_rows(self, small_ds, tmp_path):
         cfg = nf.preset("FS2", seed=31)
@@ -521,6 +552,8 @@ class TestCli:
         ("columns", "lacks key 'columns'"),
         ("row_count", "lacks key 'row_count'"),
         ("strings", "lacks key 'strings'"),
+        ("categorical_cells", "dataset categorical cells are no longer read; "
+                              "run nfdlm ingest again to rebuild it"),
         ("negative_row_count", "'row_count' must be a non-negative integer"),
         ("huge_row_count", "'row_count' must be a non-negative integer below 2**60"),
         ("format_version_3", "'format_version' must be 2"),
@@ -533,10 +566,10 @@ class TestCli:
         ("label_byte_2", "bad dataset file: labels must be 0 or 1"),
         ("short_labels", "payload size mismatch"),
         ("long_labels", "payload size mismatch"),
-    ], ids=["columns", "row_count", "strings", "negative_row_count", "huge_row_count",
-            "format_version_3", "boolean_format_version", "unknown_column_kind", "labeled",
-            "integer_labeled", "null_labeled", "false_labeled", "label_byte_2", "short_labels",
-            "long_labels"])
+    ], ids=["columns", "row_count", "strings", "categorical_cells", "negative_row_count",
+            "huge_row_count", "format_version_3", "boolean_format_version",
+            "unknown_column_kind", "labeled", "integer_labeled", "null_labeled", "false_labeled",
+            "label_byte_2", "short_labels", "long_labels"])
     def test_bad_dataset_header_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data = tmp_path / "flows.ds"
         nf.save_dataset(small_ds, data)
@@ -548,6 +581,8 @@ class TestCli:
             header.update(row_count=10**30, strings={},
                           columns=[{"name": "category", "kind": "meta"}])
             payload = b""
+        elif breakage == "categorical_cells":  # as datasets kept them before
+            header["strings"] = {"proto": ["tcp"] * header["row_count"]}
         elif breakage in ("format_version_3", "boolean_format_version"):
             header["format_version"] = 3 if breakage == "format_version_3" else True
         elif breakage == "unknown_column_kind":

@@ -72,7 +72,9 @@ class TestParseFlowCsv:
         )
         ds = nf.parse_flow_csv(path, "category", "DDoS")
         assert {c.name: c.kind for c in ds.columns}["sport"] == CATEGORICAL
-        assert ds.strings["sport"] == ["80", "0x0303"]
+        # A descriptor only: the matrix has no column for it and no cell is kept.
+        assert ds.feature_names == [] and ds.matrix.shape == (2, 0)
+        assert ds.strings == {}
 
     def test_ragged_row_names_row_number(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -131,12 +133,13 @@ class TestParseFlowCsv:
 
 def whole_file_parse(path, label_column, positive_label):
     """Reference reading of a fault-free file: every record at once, a column
-    numeric only when float() takes each of its cells."""
+    numeric only when float() takes each of its cells. A categorical column's
+    cells are not kept."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         header, *rows = list(csv.reader(fh))
     cells = list(zip(*rows))
     label_idx = header.index(label_column)
-    kinds, numeric, strings = {}, [], {}
+    kinds, numeric = {}, []
     for j, name in enumerate(header):
         if j == label_idx:
             kinds[name] = META
@@ -146,19 +149,17 @@ def whole_file_parse(path, label_column, positive_label):
             kinds[name] = NUMERIC
         except ValueError:
             kinds[name] = CATEGORICAL
-            strings[name] = list(cells[j])
     matrix = np.array(numeric, dtype=np.float64).T.reshape(len(rows), len(numeric))
     labels = np.array([v == positive_label for v in cells[label_idx]], dtype=np.int64)
-    return kinds, matrix, labels, strings
+    return kinds, matrix, labels
 
 
 def assert_matches_whole_file(ds, path):
-    kinds, matrix, labels, strings = whole_file_parse(path, "category", "DDoS")
+    kinds, matrix, labels = whole_file_parse(path, "category", "DDoS")
     assert {c.name: c.kind for c in ds.columns} == kinds
     assert [c.name for c in ds.columns] == list(kinds)
     assert ds.matrix.tobytes() == np.ascontiguousarray(matrix).tobytes()
     assert (ds.labels == labels).all()
-    assert ds.strings == strings
 
 
 def long_rows(n, seed=0):
@@ -177,15 +178,16 @@ LONG = 2 * PARSE_CHUNK_ROWS + 300  # rows past the first chunk boundary
 class TestChunkedParse:
     """Files longer than one chunk parse as if read whole."""
 
-    def count_passes(self, monkeypatch):
+    def count_reads(self, monkeypatch):
+        """Paths parse_flow_csv opens, one entry per open."""
         calls = []
-        real = flow_data._parse_pass
+        real = flow_data._open_input
 
-        def counted(*args):
-            calls.append(args[-1].copy())
-            return real(*args)
+        def counted(path, *args, **kwargs):
+            calls.append(path)
+            return real(path, *args, **kwargs)
 
-        monkeypatch.setattr(flow_data, "_parse_pass", counted)
+        monkeypatch.setattr(flow_data, "_open_input", counted)
         return calls
 
     def put_bad_byte(self, path, i):
@@ -208,24 +210,26 @@ class TestChunkedParse:
         rows[PARSE_CHUNK_ROWS + 40][7] = "n/a"
         header = ["pkSeqID", "bytes", "proto", "category", "late", "later", "early", "odd"]
         path = write_csv(tmp_path / "late.csv", header, rows)
-        passes = self.count_passes(monkeypatch)
+        reads = self.count_reads(monkeypatch)
         ds = nf.parse_flow_csv(path, "category", "DDoS")
         kinds = {c.name: c.kind for c in ds.columns}
         assert [n for n, k in kinds.items() if k == CATEGORICAL] == [
             "proto", "late", "later", "early", "odd",
         ]
+        # odd's nan, seen while it was numeric, goes with the column.
         assert_matches_whole_file(ds, path)
-        # One read, then one re-read that keeps the late columns as strings.
-        assert passes == [set(), {4, 5, 7}]
+        assert ds.matrix.flags.c_contiguous and ds.matrix.flags.owndata
+        # One read: the late columns leave the matrix at the end.
+        assert reads == [path]
 
     def test_early_failure_needs_no_reread(self, tmp_path, monkeypatch):
         rows = long_rows(LONG)
         rows[PARSE_CHUNK_ROWS - 1][2] = "icmp"
         path = write_csv(tmp_path / "early.csv", ["id", "v", "proto", "category"], rows)
-        passes = self.count_passes(monkeypatch)
+        reads = self.count_reads(monkeypatch)
         ds = nf.parse_flow_csv(path, "category", "DDoS")
         assert_matches_whole_file(ds, path)
-        assert len(passes) == 1
+        assert reads == [path]
 
     @pytest.mark.parametrize(
         "fault, message",
@@ -310,7 +314,7 @@ class TestChunkedParse:
         path = write_csv(tmp_path / "quoted.csv", ["id", "v", "proto", "category"], rows)
         ds = nf.parse_flow_csv(path, "category", "DDoS")
         assert ds.row_count == LONG
-        assert ds.strings["proto"][PARSE_CHUNK_ROWS - 1] == "a,\nb"
+        assert {c.name: c.kind for c in ds.columns}["proto"] == CATEGORICAL
         assert_matches_whole_file(ds, path)
 
     def test_utf8_bom(self, tmp_path):
@@ -351,27 +355,20 @@ def ingest_from_fifo(tmp_path, data: bytes) -> subprocess.CompletedProcess:
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("turns", ["in_the_first_chunk", "late"])
 def test_ingest_from_a_named_pipe(tmp_path, capsys, turns):
-    """A column that turns categorical after the first chunk needs a second
-    read, which a pipe cannot give: one data error line names the column.
-    Any other file parses from a pipe as from a regular file."""
+    """The parse reads its input once, so a file parses from a pipe as from a
+    regular file, one whose column turns categorical after the first chunk
+    included."""
     rows = [row + [i] for i, row in enumerate(long_rows(LONG))]
     rows[PARSE_CHUNK_ROWS + 17 if turns == "late" else 17][4] = "0x0303"
     path = write_csv(tmp_path / "flows.csv", ["id", "v", "proto", "category", "tag"], rows)
     done = ingest_from_fifo(tmp_path, path.read_bytes())
-    if turns == "late":
-        assert done.returncode == 2
-        assert done.stderr == (
-            f"nfdlm: data error: {tmp_path / 'flows.fifo'}: column 'tag' turned categorical "
-            f"after row {PARSE_CHUNK_ROWS}, which takes a second read; write the CSV to a "
-            "regular file first\n"
-        )
-        assert not (tmp_path / "fifo.ds").exists()
-    else:
-        assert (done.returncode, done.stderr) == (0, "")
-        assert main(["ingest", "--input", str(path), "--drop", "",
-                     "--out", str(tmp_path / "file.ds")]) == 0
-        assert (tmp_path / "fifo.ds").read_bytes() == (tmp_path / "file.ds").read_bytes()
-        assert done.stdout.split(" -> ")[0] == capsys.readouterr().out.split(" -> ")[0]
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main(["ingest", "--input", str(path), "--drop", "",
+                 "--out", str(tmp_path / "file.ds")]) == 0
+    assert (tmp_path / "fifo.ds").read_bytes() == (tmp_path / "file.ds").read_bytes()
+    out = capsys.readouterr().out
+    assert done.stdout.split(" -> ")[0] == out.split(" -> ")[0]
+    assert "2 numeric features (dropped categorical proto, tag)" in out
 
 
 class TestPlainBlocks:
@@ -407,7 +404,8 @@ class TestPlainBlocks:
             header, rows = ["id", "v", "category"], [[i, v, label] for i, v, _, label in rows]
         path = write_csv(tmp_path / "flows.csv", header, rows)
         if ending == "crlf":  # csv.writer ends every record with CRLF
-            nf.write_flow_csv(nf.parse_flow_csv(path, "category", "DDoS"), path)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header, *rows])
             assert path.read_bytes().count(b"\r\n") == self.ROWS + 1
         calls = self.count_loadtxt(monkeypatch)
         readers = []
@@ -425,9 +423,9 @@ class TestPlainBlocks:
     @pytest.mark.parametrize(
         "cell, kind, loadtxt_calls",
         [
-            # Block 4 is not plain: blocks 1-3 and 5-6 on the read and on the re-read.
-            ("\x1f1.5", CATEGORICAL, 10),
-            ("1.5\x1c", CATEGORICAL, 10),
+            # Block 4 is not plain: blocks 1-3 and 5-6.
+            ("\x1f1.5", CATEGORICAL, 5),
+            ("1.5\x1c", CATEGORICAL, 5),
             (" 1.5\t", NUMERIC, 6),  # plain: every block runs loadtxt
             ("1_000", NUMERIC, 6),  # plain, but loadtxt refuses it
             ("\u0661\u0662", NUMERIC, 5),  # not ASCII
@@ -479,11 +477,8 @@ class TestPlainBlocks:
         calls = self.count_loadtxt(monkeypatch)
         ds = nf.parse_flow_csv(path, "category", "DDoS")
         assert calls == [self.CHUNK] * 4 + [7]  # every block but block 3
-        if column == "proto":
-            got = ds.strings[column][i]
-        else:
-            got = ds.matrix[i, ds.feature_positions([column])[0]]
-        assert got == value
+        if column == "v":
+            assert ds.matrix[i, ds.feature_positions([column])[0]] == value
         assert_matches_whole_file(ds, path)
 
     def test_every_cell_quoted(self, tmp_path, monkeypatch):
@@ -511,7 +506,7 @@ class TestPlainBlocks:
         rows[3 * self.CHUNK + 5][0] = "#1"
         path = write_csv(tmp_path / "hash.csv", self.HEADER, rows)
         ds = nf.parse_flow_csv(path, "category", "DDoS")
-        assert ds.strings["id"][3 * self.CHUNK + 5] == "#1"
+        assert {c.name: c.kind for c in ds.columns}["id"] == CATEGORICAL
         assert_matches_whole_file(ds, path)
 
 
@@ -548,24 +543,42 @@ def test_mutated_csvs_parse_or_fail_as_data_error(tmp_path, monkeypatch, capsys)
 PARSE_MEMORY_SLACK = 8_000_000
 
 
-def test_parse_memory_is_bounded_by_the_matrix(tmp_path):
-    rows, features = 50_000, 4
+def write_wide_csv(path, rows, features, proto):
+    """pkSeqID, stime, proto (the cell proto(i) of row i), features standard
+    normal columns and a label."""
     rng = np.random.default_rng(5)
     values = rng.standard_normal((rows, features)).tolist()
-    path = tmp_path / "wide.csv"
     header = ["pkSeqID", "stime", "proto", *(f"f{j}" for j in range(features)), "category"]
     line = "%d,%.6f,%s," + ",".join(["%r"] * features) + ",%s\n"
     path.write_text(
         ",".join(header) + "\n" + "".join(
-            line % (i, 1.5e9 + i * 7.31e-4, ("tcp", "udp", "arp")[i % 3], *v,
-                    "Normal" if i % 40 == 0 else "DDoS")
+            line % (i, 1.5e9 + i * 7.31e-4, proto(i), *v, "Normal" if i % 40 == 0 else "DDoS")
             for i, v in enumerate(values)
         ),
         encoding="utf-8",
     )
-    del values
+    return path
+
+
+def test_parse_memory_is_bounded_by_the_matrix(tmp_path):
+    rows, features = 50_000, 4
+    path = write_wide_csv(tmp_path / "wide.csv", rows, features,
+                          lambda i: ("tcp", "udp", "arp")[i % 3])
     ds, peak = traced_peak(nf.parse_flow_csv, path, "category", "DDoS")
     assert ds.matrix.shape == (rows, features + 2)
+    assert peak <= 1.5 * ds.matrix.nbytes + PARSE_MEMORY_SLACK
+
+
+def test_late_column_leaves_the_matrix_in_place(tmp_path):
+    """A column numeric for 40,000 rows, then categorical: its slot is
+    compacted out of the matrix in place, within the same bound."""
+    rows, features = 50_000, 4
+    path = write_wide_csv(tmp_path / "late.csv", rows, features,
+                          lambda i: "tcp" if i == 40_000 else str(i % 3))
+    ds, peak = traced_peak(nf.parse_flow_csv, path, "category", "DDoS")
+    assert {c.name: c.kind for c in ds.columns}["proto"] == CATEGORICAL
+    assert ds.matrix.shape == (rows, features + 2)
+    assert_matches_whole_file(ds, path)
     assert peak <= 1.5 * ds.matrix.nbytes + PARSE_MEMORY_SLACK
 
 
@@ -650,6 +663,15 @@ class TestDropColumns:
         out = nf.drop_columns(ds, ["pkSeqID"])
         assert out.feature_names == ["bytes"]
         assert out.matrix.shape == (3, 1)
+
+    def test_copy_is_one_c_order_take(self):
+        """Dropping a numeric column takes one C-order copy of the rest."""
+        ds = nf.generate_synthetic_flows(nf.SynthesisSpec(16_000, 4_000, 38, 0, 2.0, seed=3))
+        kept = [j for j in range(38) if j not in (5, 30)]
+        out, peak = traced_peak(nf.drop_columns, ds, ["f05", "f30"])
+        assert out.matrix.flags.c_contiguous
+        assert out.matrix.tobytes() == np.ascontiguousarray(ds.matrix[:, kept]).tobytes()
+        assert peak <= 1.05 * out.matrix.nbytes
 
     def test_shares_the_matrix_unless_a_numeric_column_goes(self, tmp_path):
         ds = nf.parse_flow_csv(botiot_like_csv(tmp_path), "category", "DDoS")
@@ -769,8 +791,9 @@ class TestGenerateSyntheticFlows:
 
 
 def fixture_dataset() -> nf.FlowDataset:
-    """Extreme values, a categorical and a meta column: the contents of
-    fixtures/flows_v1.ds, a file in the retired .ds format version 1."""
+    """Extreme values, a categorical and a meta column: the columns and values
+    of fixtures/flows_v1.ds, a file in the retired .ds format version 1, less
+    its categorical cells."""
     cols = [
         nf.ColumnDescriptor("a", NUMERIC),
         nf.ColumnDescriptor("proto", CATEGORICAL),
@@ -779,8 +802,7 @@ def fixture_dataset() -> nf.FlowDataset:
     ]
     matrix = np.array([[1e300, 1e-300], [-1e300, -1e-300], [-0.0, 5e-324],
                        [1.7976931348623157e308, 0.1], [2.5, -3.0]])
-    return nf.FlowDataset(cols, matrix, labels=np.array([1, 0, 1, 1, 0]),
-                          strings={"proto": ["tcp", "udp", "tcp", "arp", "icmp"]})
+    return nf.FlowDataset(cols, matrix, labels=np.array([1, 0, 1, 1, 0]))
 
 
 def assert_bitwise_equal(a: nf.FlowDataset, b: nf.FlowDataset) -> None:
@@ -812,13 +834,14 @@ class TestDatasetFile:
         matrix = np.column_stack(
             [rng.standard_normal(5) * 1e300, rng.standard_normal(5) * 1e-300]
         )
-        ds = nf.FlowDataset(
-            cols, matrix, labels=np.array([0, 1, 1, 0, 1]),
-            strings={"proto": ["tcp", "udp", "tcp", "arp", "udp"]},
-        )
+        ds = nf.FlowDataset(cols, matrix, labels=np.array([0, 1, 1, 0, 1]))
         path = tmp_path / "cache.ds"
         nf.save_dataset(ds, path)
-        assert_datasets_equal(nf.load_dataset(path), ds)
+        back = nf.load_dataset(path)
+        assert_datasets_equal(back, ds)
+        # The categorical column comes back as the descriptor it was.
+        assert back.columns[1] == nf.ColumnDescriptor("proto", CATEGORICAL)
+        assert back.feature_names == ["a", "b"] and back.strings == {}
 
     @pytest.mark.parametrize(
         "change, message",
@@ -919,7 +942,8 @@ class TestDatasetFile:
         second = nf.parse_flow_csv(path, "category", "DDoS")
         assert (second.matrix == first.matrix).all()
         assert (second.labels == first.labels).all()
-        assert second.strings == first.strings
+        # Categorical columns hold no cells to write, so the CSV leaves them out.
+        assert second.columns == [c for c in first.columns if c.kind != CATEGORICAL]
 
 
 class TestSelectFeatures:

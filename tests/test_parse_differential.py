@@ -44,7 +44,7 @@ def outcome(path):
     except nf.DataError as exc:
         return str(exc)
     kinds = [(c.name, c.kind) for c in ds.columns]
-    return kinds, ds.matrix.tobytes(), ds.labels.tobytes(), ds.strings
+    return kinds, ds.matrix.tobytes(), ds.labels.tobytes()
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=900)

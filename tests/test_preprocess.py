@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nfdlm as nf
+from nfdlm.cli import main
 from nfdlm.flow_data import CATEGORICAL, NUMERIC
 from nfdlm.preprocess import SCALER_BLOCK_ROWS, SMOTE_BLOCK_ROWS, _column_stdevs, _nearest_neighbors
 
@@ -158,19 +159,19 @@ class TestSmote:
         with pytest.raises(nf.DataError, match="minority"):
             nf.smote_resample(ds, nf.SmoteConfig(seed=0))
 
-    def test_categorical_columns_rejected(self):
+    def test_categorical_descriptors_pass_through(self):
+        # A categorical column holds no cells, so SMOTE keeps its descriptor
+        # and resamples the numeric matrix alone.
         cols = [
             nf.ColumnDescriptor("a", NUMERIC),
             nf.ColumnDescriptor("proto", CATEGORICAL),
         ]
         ds = nf.FlowDataset(
-            cols,
-            np.arange(4, dtype=float)[:, None],
-            labels=np.array([0, 0, 1, 1]),
-            strings={"proto": ["tcp"] * 4},
+            cols, np.arange(8, dtype=float)[:, None], labels=np.array([0, 0, 0, 1, 1, 1, 1, 1])
         )
-        with pytest.raises(nf.DataError, match="categorical"):
-            nf.smote_resample(ds, nf.SmoteConfig(seed=0))
+        out = nf.smote_resample(ds, nf.SmoteConfig(k_neighbors=1, seed=0))
+        assert out.columns == cols and out.strings == {}
+        assert out.matrix.shape == (10, 1) and int((out.labels == 0).sum()) == 5
 
 
 def full_matrix_smote(ds, cfg):
@@ -198,8 +199,7 @@ class TestSmoteMatchesFullSearch:
     def check(self, ds, cfg):
         ids, matrix = full_matrix_smote(ds, cfg)
         minority = ds.matrix[ds.labels == 0]  # class 0 is the minority in every case
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert (_nearest_neighbors(minority, ids.shape[1]) == ids).all()
+        assert (_nearest_neighbors(minority, ids.shape[1]) == ids).all()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = nf.smote_resample(ds, cfg)
@@ -248,15 +248,37 @@ class TestSmoteMatchesFullSearch:
         assert 0.5 < straddled.mean() < 1.0
         self.check(self.labeled(minority, 10), nf.SmoteConfig(k_neighbors=k, seed=5))
 
-    def test_overflowing_distances_order_as_the_full_sort(self):
+    @pytest.mark.parametrize("overflows", ["norm", "distance"])
+    def test_overflowing_distances_fail_as_data_error(self, overflows, tmp_path, capsys):
         # Near 1e160 a squared norm overflows to inf, so distances between
-        # such rows are inf - inf = NaN and those to the other rows inf.
+        # such rows are inf - inf = NaN and those to the other rows inf. Two
+        # opposite rows near 9e153 have finite norms and Gram product but an
+        # infinite distance, here in the last block only. Neither leaves a
+        # neighbour order to find.
         rng = np.random.default_rng(11)
-        scale = rng.choice([1.0, 1e150, 1e160], size=SMOTE_BLOCK_ROWS + 60)
-        minority = rng.standard_normal((scale.size, 3)) * scale[:, None]
-        with np.errstate(over="ignore"):
-            assert np.isinf(np.einsum("ij,ij->i", minority, minority)).mean() > 0.2
-        self.check(self.labeled(minority, 12), nf.SmoteConfig(k_neighbors=5, seed=6))
+        if overflows == "norm":
+            scale = rng.choice([1.0, 1e150, 1e160], size=SMOTE_BLOCK_ROWS + 60)
+            minority = rng.standard_normal((scale.size, 3)) * scale[:, None]
+            with np.errstate(over="ignore"):
+                assert np.isinf(np.einsum("ij,ij->i", minority, minority)).mean() > 0.2
+        else:
+            minority = rng.standard_normal((SMOTE_BLOCK_ROWS + 60, 3))
+            minority[-2:, 0] = [9e153, -9e153]
+        ds = self.labeled(minority, 12)
+        message = (
+            "SMOTE cannot rank neighbours: a squared distance between two minority rows "
+            "is not finite; scale or clip the features first"
+        )
+        with pytest.raises(nf.DataError, match=f"^{message}$"):
+            nf.smote_resample(ds, nf.SmoteConfig(k_neighbors=5, seed=6))
+        # nfdlm train resamples the raw training rows and exits 2.
+        nf.save_dataset(ds, tmp_path / "flows.ds")
+        rc = main(["train", "--data", str(tmp_path / "flows.ds"), "--preset", "BASE",
+                   "--seed", "1", "--model-out", str(tmp_path / "m.json"),
+                   "--report-out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"nfdlm: data error: smote: {message}\n"
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_k_clamped_at_small_minority(self, m):

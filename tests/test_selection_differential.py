@@ -17,7 +17,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 # Grid steps: exact small integers, inexact decimals, cancellation far from
-# the origin, and squared norms that overflow to inf (distances inf and NaN).
+# the origin, and squared norms that overflow to inf (distances inf and NaN),
+# which the search refuses as the reference does.
 SCALES = [1.0, 0.37, 1e6, 1e160]
 
 
@@ -37,10 +38,13 @@ def test_neighbors_match_the_full_sort(points, picks, dims, scale, offset, k_sha
     # Rows are picks from a few grid points, so most rows have exact twins.
     rows = np.array([points[i % len(points)][:dims] for i in picks]) * scale + offset
     k = 1 + int(k_share * (len(rows) - 2))
+    expected = full_sort_neighbors(rows, k)
     with mock.patch.object(preprocess, "SMOTE_BLOCK_ROWS", block):
-        with np.errstate(over="ignore", invalid="ignore"):
-            ids = preprocess._nearest_neighbors(rows, k)
-    assert (ids == full_sort_neighbors(rows, k)).all()
+        if expected is None:
+            with pytest.raises(nf.DataError, match="^SMOTE cannot rank neighbours: "):
+                preprocess._nearest_neighbors(rows, k)
+        else:
+            assert (preprocess._nearest_neighbors(rows, k) == expected).all()
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
