@@ -7,6 +7,10 @@ gradients share its layout, so Adam updates a model with a few ufunc calls.
 The vector has its layers' dtype: new models are float32, and the step
 functions compute in the dtype they are given, so models loaded from older
 float64 files train and score in float64 through the same code.
+A step allocates nothing: every array a forward and backward pass writes
+lives in one StepBuffers, built once per model and batch row count, and
+Adam's scratch and constants live in its AdamState. Each operation keeps the
+order and operand dtypes of the allocating form, so the bits are the same.
 Every layer is one Layer: x @ weights.T + bias, then its activation. Hidden
 dense layers are relu and the head is one sigmoid unit. Flows are independent
 records, so the LSTM consumes each row as a length-1 sequence with zero
@@ -17,6 +21,7 @@ Layer with activation "lstm": three weight rows per unit, one per gate.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -57,6 +62,17 @@ def _floats(values) -> np.ndarray:
     return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
 
 
+def _sigmoid_into(x, e, out, zero, one) -> np.ndarray:
+    """sigmoid(x) written to out, with e as scratch: arrays of x's shape and
+    dtype that do not overlap x. zero and one are 0 and 1 in any form that
+    converts to x's dtype."""
+    np.abs(x, out=e)
+    np.exp(np.negative(e, out=e), out=e)
+    np.greater_equal(x, zero, out=out)
+    np.maximum(out, e, out=out)
+    return np.divide(out, np.add(e, one, out=e), out=out)
+
+
 def sigmoid(x):
     """1 / (1 + e^-x), computed from e = exp(-|x|) so large |x| cannot overflow.
 
@@ -64,11 +80,8 @@ def sigmoid(x):
     e elsewhere, so one unmasked divide gives both branches, NaN included.
     """
     arr = _floats(x)
-    e = np.abs(arr, out=np.empty(arr.shape, arr.dtype))  # arrays of our own, 0-d too
-    np.exp(np.negative(e, out=e), out=e)
-    out = np.greater_equal(arr, 0.0, out=np.empty(arr.shape, arr.dtype))
-    np.maximum(out, e, out=out)
-    np.divide(out, np.add(e, 1.0, out=e), out=out)
+    out = _sigmoid_into(arr, np.empty(arr.shape, arr.dtype), np.empty(arr.shape, arr.dtype),
+                        0.0, 1.0)  # arrays of our own, 0-d too
     return float(out) if arr.ndim == 0 else out
 
 
@@ -190,9 +203,20 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, plus what a step writes besides them:
+    two scratch vectors, and beta1, beta2, 1 - beta1, 1 - beta2, eps and the
+    two bias corrections as 0-d arrays, all in the moments' dtype."""
+
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        self.beta1, self.beta2, self.decay1, self.decay2, self.eps, self.c1, self.c2 = (
+            np.array(value, self.m.dtype)
+            for value in (ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2, ADAM_EPS,
+                          1.0, 1.0))
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
@@ -241,41 +265,82 @@ def build_lstm(
     return Model(layers=layers, input_features=list(input_features), init_seed=seed)
 
 
-def _activate(layer: Layer, z: np.ndarray):
-    """A layer's output from its pre-activation z, and the cache backward
-    needs: z itself for relu and sigmoid, the gates (i, g, o, tanh(c)) for lstm."""
-    if layer.activation == "relu":
-        return np.maximum(0.0, z), z
-    if layer.activation == "sigmoid":
-        return sigmoid(z), z
-    n = layer.output_size
-    i = sigmoid(z[:, :n])
-    g = np.tanh(z[:, n : 2 * n])
-    o = sigmoid(z[:, 2 * n :])
-    tc = np.tanh(i * g)  # c = i * g from zero cell state
-    return o * tc, (i, g, o, tc)
+class _LayerBuffers:
+    """One layer's arrays in a StepBuffers, each (rows, width).
+
+    Forward records the layer's input x and writes z (the pre-activation)
+    and out; an lstm layer also writes its gates i, g, o and tanh(i * g).
+    Backward writes dz (the head's is the loss delta it starts from) and
+    delta, the gradient passed to the layer below; an lstm layer also writes
+    dc and gate_delta, one gate's share of delta. scratch and scratch2 hold
+    nothing between calls.
+    """
+
+    def __init__(self, layer: Layer, rows: int, dtype, first: bool, backward: bool) -> None:
+        def new(width: int) -> np.ndarray:
+            return np.empty((rows, width), dtype)
+
+        lstm, n = layer.activation == "lstm", layer.output_size
+        self.x = None
+        self.z, self.out = new(layer.weights.shape[0]), new(n)
+        self.scratch = None if layer.activation == "relu" else new(n)
+        self.gates = tuple(new(n) for _ in range(4)) if lstm else ()
+        self.dz = new(layer.weights.shape[0]) if backward else None
+        self.delta = new(layer.input_size) if backward and not first else None
+        self.dc, self.scratch2 = (new(n), new(n)) if backward and lstm else (None, None)
+        self.gate_delta = new(layer.input_size) if backward and lstm and not first else None
 
 
-def _forward_cached(model: Model, batch: np.ndarray):
+class StepBuffers:
+    """Every array that one forward pass, and with backward=True one backward
+    pass, writes for a model at one batch row count, with 0, 1 and the row
+    count as 0-d arrays in the parameters' dtype. Each pass overwrites the
+    last one's arrays: probabilities and caches last until the next pass.
+    """
+
+    def __init__(self, model: Model, rows: int, backward: bool = True) -> None:
+        dtype = model.params.dtype
+        self.zero, self.one, self.count = (np.array(v, dtype) for v in (0, 1, rows))
+        self.layers = [_LayerBuffers(layer, rows, dtype, pos == 0, backward)
+                       for pos, layer in enumerate(model.layers)]
+
+
+def _forward_cached(model: Model, batch: np.ndarray, bufs: StepBuffers) -> np.ndarray:
+    """Probabilities for a batch of the row count bufs was built for, as a
+    view into bufs, where every layer's input and cache stay for
+    _backward_from_caches."""
     x = np.asarray(batch, dtype=model.params.dtype)
     if x.ndim != 2 or x.shape[1] != model.layers[0].input_size:
         raise DataError(
             f"batch width {x.shape[1] if x.ndim == 2 else '?'} does not match "
             f"model input width {model.layers[0].input_size}"
         )
-    caches = []
-    for layer in model.layers:
-        out, cache = _activate(layer, x @ layer.weights.T + layer.bias)
-        caches.append((x, cache))
+    zero, one = bufs.zero, bufs.one
+    for layer, lb in zip(model.layers, bufs.layers):
+        lb.x, z, out = x, lb.z, lb.out
+        np.matmul(x, layer.weights.T, out=z)
+        z += layer.bias
+        if layer.activation == "relu":
+            np.maximum(zero, z, out=out)
+        elif layer.activation == "sigmoid":
+            _sigmoid_into(z, lb.scratch, out, zero, one)
+        else:
+            n = layer.output_size
+            i, g, o, tc = lb.gates
+            _sigmoid_into(z[:, :n], lb.scratch, i, zero, one)
+            np.tanh(z[:, n : 2 * n], out=g)
+            _sigmoid_into(z[:, 2 * n :], lb.scratch, o, zero, one)
+            np.tanh(np.multiply(i, g, out=lb.scratch), out=tc)  # c = i * g from zero cell state
+            np.multiply(o, tc, out=out)
         x = out
-    return x[:, 0], caches
+    return x[:, 0]
 
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Per-row attack probabilities, in the model's dtype, for an already
     scaled (rows, features) batch."""
-    probs, _ = _forward_cached(model, batch)
-    return probs
+    x = np.asarray(batch)
+    return _forward_cached(model, x, StepBuffers(model, len(x) if x.ndim else 0, backward=False))
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray):
@@ -296,36 +361,49 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray):
     return float(loss) if p.ndim == 1 else loss
 
 
-def _backward_from_caches(model: Model, caches, probs: np.ndarray, labels: np.ndarray,
-                          views: list[tuple[np.ndarray, np.ndarray]]) -> None:
+def _backward_from_caches(model: Model, bufs: StepBuffers, probs: np.ndarray,
+                          labels: np.ndarray, views: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Overwrite every entry of the gradient that views (from _param_views)
-    lay out with the gradient of bce_loss, in the dtype of probs."""
+    lay out with the gradient of bce_loss, in the dtype of probs, from the
+    caches that the last _forward_cached call left in bufs."""
     y = np.asarray(labels, dtype=probs.dtype)
+    one = bufs.one
     # Sigmoid head fused with BCE: dL/dz = (p - y) / n.
-    delta = ((probs - y) / y.size)[:, None]
+    delta = bufs.layers[-1].dz
+    np.divide(np.subtract(probs, y, out=delta[:, 0]), bufs.count, out=delta[:, 0])
     for pos in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[pos]
-        x, cache = caches[pos]
-        w = layer.weights
+        layer, lb = model.layers[pos], bufs.layers[pos]
+        w, dz = layer.weights, lb.dz
         if layer.activation == "lstm":
-            i, g, o, tc = cache
+            i, g, o, tc = lb.gates
             h = i.shape[1]
-            dz = np.empty((x.shape[0], 3 * h), x.dtype)
             dzi, dzg, dzo = dz[:, :h], dz[:, h : 2 * h], dz[:, 2 * h :]
-            dc = delta * o * (1.0 - tc * tc)
-            np.multiply(dc * g * i, 1.0 - i, out=dzi)
-            np.multiply(dc * i, 1.0 - g * g, out=dzg)
-            np.multiply(delta * tc * o, 1.0 - o, out=dzo)
+            dc, s, s2 = lb.dc, lb.scratch, lb.scratch2
+            # dc = delta * o * (1 - tc * tc)
+            np.multiply(delta, o, out=dc)
+            np.multiply(dc, np.subtract(one, np.multiply(tc, tc, out=s), out=s), out=dc)
+            # dzi = dc * g * i * (1 - i)
+            np.multiply(np.multiply(dc, g, out=s), i, out=s)
+            np.multiply(s, np.subtract(one, i, out=s2), out=dzi)
+            # dzg = dc * i * (1 - g * g)
+            np.multiply(dc, i, out=s)
+            np.multiply(s, np.subtract(one, np.multiply(g, g, out=s2), out=s2), out=dzg)
+            # dzo = delta * tc * o * (1 - o)
+            np.multiply(np.multiply(delta, tc, out=s), o, out=s)
+            np.multiply(s, np.subtract(one, o, out=s2), out=dzo)
             # One product per gate, not dz @ w: this summation order gives,
             # bit for bit, the weights that format-v1 code trained.
             if pos:
-                delta = dzi @ w[:h] + dzg @ w[h : 2 * h] + dzo @ w[2 * h :]
-        else:  # a relu layer, or the sigmoid head fused with the loss above
-            dz = delta * (cache > 0) if layer.activation == "relu" else delta
+                delta = np.matmul(dzi, w[:h], out=lb.delta)
+                delta += np.matmul(dzg, w[h : 2 * h], out=lb.gate_delta)
+                delta += np.matmul(dzo, w[2 * h :], out=lb.gate_delta)
+        else:  # a relu layer, or the sigmoid head, whose dz is the delta above
+            if layer.activation == "relu":
+                np.multiply(delta, np.greater(lb.z, bufs.zero, out=dz), out=dz)
             if pos:  # the input layer passes no gradient on
-                delta = dz @ w
+                delta = np.matmul(dz, w, out=lb.delta)
         dw, db = views[pos]
-        np.matmul(dz.T, x, out=dw)
+        np.matmul(dz.T, lb.x, out=dw)
         np.add.reduce(dz, axis=0, out=db)
 
 
@@ -335,24 +413,36 @@ def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
     x = np.asarray(batch)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DataError("batch and labels shapes disagree")
-    probs, caches = _forward_cached(model, batch)
+    bufs = StepBuffers(model, x.shape[0])
+    probs = _forward_cached(model, x, bufs)
     grads = np.empty_like(model.params)
-    _backward_from_caches(model, caches, probs, labels, _param_views(model.layers, grads))
+    _backward_from_caches(model, bufs, probs, y, _param_views(model.layers, grads))
     return grads
 
 
 def adam_step(
     params: np.ndarray, grads: np.ndarray, state: AdamState, learning_rate: float
 ) -> None:
-    """One in-place Adam update with bias-corrected moment estimates."""
+    """One in-place Adam update with bias-corrected moment estimates.
+
+    grads is cast to the parameters' dtype first, so every operation runs in
+    that dtype. The step writes params, the moments and state's scratch
+    vectors, and allocates nothing else.
+    """
+    g = np.asarray(grads, dtype=params.dtype)
+    m, v, (a, b) = state.m, state.v, state.scratch
     state.t += 1
-    c1 = 1.0 - ADAM_BETA1 ** state.t
-    c2 = 1.0 - ADAM_BETA2 ** state.t
-    state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grads
-    state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * (grads * grads)
-    params -= learning_rate * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
+    state.c1[()] = 1.0 - ADAM_BETA1 ** state.t
+    state.c2[()] = 1.0 - ADAM_BETA2 ** state.t
+    # m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * (g * g)
+    np.multiply(m, state.beta1, out=m)
+    m += np.multiply(state.decay1, g, out=a)
+    np.multiply(v, state.beta2, out=v)
+    v += np.multiply(state.decay2, np.multiply(g, g, out=a), out=a)
+    # params -= learning_rate * (m / c1) / (sqrt(v / c2) + eps)
+    np.multiply(learning_rate, np.divide(m, state.c1, out=a), out=a)
+    np.add(np.sqrt(np.divide(v, state.c2, out=b), out=b), state.eps, out=b)
+    params -= np.divide(a, b, out=a)
 
 
 @dataclass
@@ -367,8 +457,9 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
     The dataset must already be scaled and reduced to the model's input
     features. It is cast once to the dtype of model.params, which every
     step buffer then follows, and train_ds is dropped (so are its rows, if
-    the caller held no other reference). Raises NumericError if the loss goes
-    non-finite.
+    the caller held no other reference). The steps write into two
+    StepBuffers at most, one for whole batches and one for a short last
+    batch. Raises NumericError if the loss goes non-finite.
     """
     if train_ds.row_count == 0:
         raise DataError("cannot train on an empty dataset")
@@ -388,6 +479,9 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
     xs, ys = np.empty_like(x), np.empty_like(y)  # the shuffled copy, one per call
     ps = np.empty_like(y)  # each step's probabilities, for the loss pass
     block = max(1, LOSS_BLOCK_ROWS // bs) * bs
+    batches, short = -(-n // bs), n % bs
+    whole_bufs = StepBuffers(model, min(bs, n))
+    last_bufs = StepBuffers(model, short) if short and n > bs else whole_bufs
     model.training_config = cfg
 
     history: list[EpochStats] = []
@@ -398,14 +492,16 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
         order = rng.permutation(n)
         np.take(x, order, axis=0, out=xs, mode="clip")
         np.take(y, order, out=ys, mode="clip")
-        for start in range(0, n, bs):
+        step_bufs = itertools.chain(itertools.repeat(whole_bufs, batches - 1), (last_bufs,))
+        for start, bufs in zip(range(0, n, bs), step_bufs):
             xb, yb = xs[start : start + bs], ys[start : start + bs]
-            probs, caches = _forward_cached(model, xb)
-            # The clamped loss is non-finite only when a probability is NaN.
-            if not math.isfinite(probs.sum()):
+            probs = _forward_cached(model, xb, bufs)
+            # The clamped loss is non-finite only when a probability is NaN,
+            # and so is probs . probs, as every other probability is in [0, 1].
+            if not math.isfinite(probs.dot(probs)):
                 raise NumericError(f"non-finite loss at epoch {epoch + 1}, batch {start // bs + 1}")
             ps[start : start + bs] = probs
-            _backward_from_caches(model, caches, probs, yb, grad_views)
+            _backward_from_caches(model, bufs, probs, yb, grad_views)
             adam_step(model.params, grads, state, cfg.learning_rate)
         # Each block's whole batches in one loss call, then a short last
         # batch; the sum still adds loss * size batch by batch.
@@ -427,11 +523,14 @@ def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
     """Attack probabilities for a dataset that contains the model's features.
 
     Columns are selected by name and scaled in float64 with the stored
-    ScalerParams, if the model has them; the forward pass casts them to the
-    model's dtype, which the probabilities have. This runs SCORE_BLOCK_ROWS
-    rows at a time into one output vector, so memory beyond it stays one
-    block's worth. Raises DataError if the scaled inputs or, once every block
-    is scored, the model's outputs are not finite.
+    ScalerParams, if the model has them, then cast to the model's dtype,
+    which the probabilities have. Rows are scored SCORE_BLOCK_ROWS at a time
+    into one output vector, so memory beyond it stays one block's worth.
+    Every block is forwarded at exactly that row count, the last one
+    zero-padded, so a row's score does not depend on the rows scored with
+    it. Raises DataError if the scaled inputs or, once every block is
+    scored, the model's outputs are not finite (the padding is neither
+    scaled nor kept).
     """
     columns = ds.feature_positions(model.input_features)
     if model.scaler is not None:
@@ -443,6 +542,8 @@ def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
                 raise DataError(f"scaler has no parameters for column '{name}'") from None
         means, stdevs = model.scaler.means[positions], model.scaler.stdevs[positions]
     probs = np.empty(ds.row_count, model.params.dtype)
+    block = np.empty((SCORE_BLOCK_ROWS, len(columns)), model.params.dtype)
+    bufs = StepBuffers(model, SCORE_BLOCK_ROWS, backward=False)
     for start in range(0, ds.row_count, SCORE_BLOCK_ROWS):
         rows = slice(start, start + SCORE_BLOCK_ROWS)
         x = np.take(ds.matrix[rows], columns, axis=1)
@@ -451,8 +552,11 @@ def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
                 x = scale_columns(x, means, stdevs)
             if not np.isfinite(x).all():
                 raise DataError("scaled inputs are not finite")
+        real = len(x)
         with np.errstate(over="ignore", invalid="ignore"):  # reported as the DataError below
-            probs[rows] = forward(model, x)
+            block[:real] = x
+            block[real:] = 0.0  # a short last block's padding
+            probs[rows] = _forward_cached(model, block, bufs)[:real]
     if not np.isfinite(probs).all():
         raise DataError("model outputs are not finite")
     return probs

@@ -165,13 +165,14 @@ def max_relative_gradient_error(model, x, y, h: float = 1e-5) -> float:
 
 def relu_kink_margin(model, x) -> float:
     """Smallest |pre-activation| over every ReLU unit; FD checks need it > h."""
-    from nfdlm.neuralnet import _forward_cached
+    from nfdlm.neuralnet import StepBuffers, _forward_cached
 
-    _, caches = _forward_cached(model, x)
+    bufs = StepBuffers(model, len(x), backward=False)
+    _forward_cached(model, x, bufs)
     margin = np.inf
-    for layer, (_, z) in zip(model.layers, caches):
-        if layer.activation == "relu" and z.size:
-            margin = min(margin, float(np.min(np.abs(z))))
+    for layer, lb in zip(model.layers, bufs.layers):
+        if layer.activation == "relu" and lb.z.size:
+            margin = min(margin, float(np.min(np.abs(lb.z))))
     return margin
 
 

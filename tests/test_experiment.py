@@ -243,10 +243,10 @@ class TestRunExperiment:
         # labels, step probabilities and permutation; not the float64 rows too.
         forward, live = neuralnet._forward_cached, []
 
-        def first_step(model, batch):
+        def first_step(*args):
             if not live:
                 live.append(tracemalloc.get_traced_memory()[0])
-            return forward(model, batch)
+            return forward(*args)
 
         monkeypatch.setattr(neuralnet, "_forward_cached", first_step)
         started = not tracemalloc.is_tracing()

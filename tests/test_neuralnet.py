@@ -14,7 +14,8 @@ import pytest
 import nfdlm as nf
 from nfdlm import neuralnet
 from nfdlm.neuralnet import (
-    BCE_EPS, SCORE_BLOCK_ROWS, AdamState, Layer, Model, _activate, _param_views,
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BCE_EPS, SCORE_BLOCK_ROWS, AdamState, Layer, Model,
+    StepBuffers, _param_views,
 )
 
 from conftest import (
@@ -89,8 +90,11 @@ class TestLstmForward:
         g = math.tanh(0.3 * x - 0.2)
         o = 1.0 / (1.0 + math.exp(-(-0.4 * x + 0.05)))
         expected = o * math.tanh(i * g)
-        h, _ = _activate(cell, np.array([[x]]) @ cell.weights.T + cell.bias)
-        assert abs(h[0, 0] - expected) < 1e-15
+        head = Layer(np.ones((1, 1)), np.zeros(1), "sigmoid")
+        model = Model(layers=[cell, head], input_features=["x"])
+        bufs = StepBuffers(model, 1)
+        neuralnet._forward_cached(model, np.array([[x]]), bufs)
+        assert abs(bufs.layers[0].out[0, 0] - expected) < 1e-15
 
     def test_zero_parameters_give_sigmoid_of_head_bias(self):
         model = nf.build_lstm(["a", "b"], hidden=(3, 2), seed=0)
@@ -231,6 +235,44 @@ class TestAdamStep:
         before = params.copy()
         nf.adam_step(params, np.full_like(params, 0.3), state, self.LEARNING_RATE)
         assert np.abs(np.abs(before - params) - self.LEARNING_RATE).max() < 1e-9
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_allocating_expression_bitwise(self, dtype):
+        # 200 seeded steps against the oracle's one expression per update,
+        # with zero, huge (their squares overflow) and subnormal gradients.
+        rng = np.random.default_rng(22)
+        info = np.finfo(dtype)
+        params = rng.standard_normal(64).astype(dtype)
+        (got, got_state), (want, want_state) = runs = [
+            (params.copy(), AdamState.for_params(params)) for _ in range(2)]
+        with np.errstate(over="ignore"):
+            for step in range(200):
+                grads = (rng.standard_normal(64) * 10.0 ** rng.integers(-4, 4, 64)).astype(dtype)
+                grads[rng.random(64) < 0.1] = 0.0
+                grads[rng.random(64) < 0.1] = info.smallest_subnormal * rng.integers(-9, 9)
+                if step % 20 == 0:
+                    grads[rng.integers(64)] = info.max / 8 * rng.choice([-1, 1])
+                nf.adam_step(got, grads, got_state, self.LEARNING_RATE)
+                oracle_adam_step(want, grads, want_state, self.LEARNING_RATE)
+        assert got.dtype == dtype
+        assert np.isinf(got_state.v).any()  # a huge gradient's square overflowed
+        assert got.tobytes() == want.tobytes()
+        assert got_state.m.tobytes() == want_state.m.tobytes()
+        assert got_state.v.tobytes() == want_state.v.tobytes()
+        assert got_state.t == want_state.t == 200
+
+    @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_gradients_are_cast_to_the_parameters_dtype(self, dtype, other):
+        rng = np.random.default_rng(5)
+        params = rng.standard_normal(8).astype(dtype)
+        given, cast = params.copy(), params.copy()
+        given_state, cast_state = AdamState.for_params(given), AdamState.for_params(cast)
+        for grads in rng.standard_normal((30, 8)).astype(other):
+            nf.adam_step(given, grads, given_state, 0.01)
+            nf.adam_step(cast, grads.astype(dtype), cast_state, 0.01)
+        assert given.dtype == given_state.m.dtype == dtype
+        assert given.tobytes() == cast.tobytes()
+        assert given_state.v.tobytes() == cast_state.v.tobytes()
 
     def test_deterministic_across_runs(self):
         results = []
@@ -374,7 +416,8 @@ class TestPredict:
         model.scaler = scaler
         nf.train(model, scaled, nf.TrainingConfig(epochs=5, batch_size=16, seed=7))
         via_raw = nf.predict_proba(model, raw)
-        via_scaled = nf.forward(model, scaled.matrix)
+        model.scaler = None  # scores rows as given, in the same padded blocks
+        via_scaled = nf.predict_proba(model, scaled)
         assert (via_raw == via_scaled).all()
 
     def test_feature_order_follows_model(self):
@@ -399,18 +442,32 @@ class TestPredict:
 
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
     def test_block_scores_match_whole_matrix_scores(self, kind):
+        # Every block is forwarded at SCORE_BLOCK_ROWS rows, the last one
+        # zero-padded, so a row's score has the same bits whichever rows are
+        # scored with it and wherever it sits in its block.
         rows = 3 * SCORE_BLOCK_ROWS + 77
         model, ds = self.scored_rows(kind, rows)
-        whole = nf.forward(model, nf.apply_scaler(model.scaler, ds).matrix)
-        blocks = nf.predict_proba(model, ds)
-        assert blocks.dtype == whole.dtype == np.float32
-        # A matrix product's bits depend on its row count, and on where BLAS
-        # threads split the rows: the head's (n, 6) @ (6, 1) product for the
-        # MLP, and the same for the LSTM wherever a thread's rows start. An
-        # untrained model's scores sit near 0.5, where that is a few ulp; a
-        # saturated score can move by more ulp of its tiny value.
-        np.testing.assert_array_max_ulp(blocks, whole, maxulp=2)
-        assert ((blocks > 0.5) == (whole > 0.5)).all()
+        whole = nf.predict_proba(model, ds)
+        assert whole.dtype == np.float32
+
+        def scores(matrix):
+            return nf.predict_proba(model, numeric_ds(matrix, names=ds.feature_names))
+
+        cuts = [0, 5, 1500, 2 * SCORE_BLOCK_ROWS, rows]  # in blocks of other sizes
+        in_blocks = np.concatenate([scores(ds.matrix[a:b]) for a, b in zip(cuts, cuts[1:])])
+        assert in_blocks.tobytes() == whole.tobytes()
+        shifted = scores(np.vstack([ds.matrix[-300:], ds.matrix]))[300:]
+        assert shifted.tobytes() == whole.tobytes()
+        picks = [0, 1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, rows - 1,
+                 *np.random.default_rng(3).choice(rows, 8, replace=False)]
+        alone = np.concatenate([scores(ds.matrix[[r]]) for r in picks])
+        assert alone.tobytes() == whole[picks].tobytes()
+        # One unpadded forward pass over all rows takes other products, whose
+        # bits depend on the row count: an untrained model's scores sit near
+        # 0.5, where that is a few ulp.
+        unpadded = nf.forward(model, nf.apply_scaler(model.scaler, ds).matrix)
+        np.testing.assert_array_max_ulp(whole, unpadded, maxulp=2)
+        assert ((whole > 0.5) == (unpadded > 0.5)).all()
 
     def test_scoring_memory_grows_by_the_output_alone(self):
         # Whole-matrix scoring kept every layer's temporaries for all rows:
@@ -580,10 +637,12 @@ class TestModelFile:
 
 
 # The training step as it was before it reused one gradient vector per train
-# call and cut its numpy calls: sigmoid over two np.where branches, bce_loss
-# through np.clip and np.mean, and a backward pass that returns a fresh vector
-# and stacks the LSTM gate gradients. Kept as an oracle for bitwise equality;
-# like the engine, it computes in float32 when given float32.
+# call and cut its numpy calls: sigmoid over two np.where branches, a forward
+# pass that allocates every layer's output and cache, bce_loss through
+# np.clip and np.mean, a backward pass that returns a fresh vector and stacks
+# the LSTM gate gradients, and Adam as one expression per moment and update.
+# It shares no code with the engine and is kept as an oracle for bitwise
+# equality; like the engine, it computes in float32 when given float32.
 def oracle_sigmoid(x):
     arr = np.asarray(x)
     if arr.dtype != np.float32:
@@ -591,6 +650,43 @@ def oracle_sigmoid(x):
     z = np.exp(-np.abs(arr))
     out = np.where(arr >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
     return float(out) if arr.ndim == 0 else out
+
+
+def oracle_activate(layer, z):
+    """A layer's output from its pre-activation z, and the cache backward
+    needs: z itself for relu and sigmoid, the gates (i, g, o, tanh(c)) for lstm."""
+    if layer.activation == "relu":
+        return np.maximum(0.0, z), z
+    if layer.activation == "sigmoid":
+        return oracle_sigmoid(z), z
+    n = layer.output_size
+    i = oracle_sigmoid(z[:, :n])
+    g = np.tanh(z[:, n : 2 * n])
+    o = oracle_sigmoid(z[:, 2 * n :])
+    tc = np.tanh(i * g)  # c = i * g from zero cell state
+    return o * tc, (i, g, o, tc)
+
+
+def oracle_forward(model, batch):
+    """(probabilities, [(layer input, cache), ...]) for a batch."""
+    x = np.asarray(batch, dtype=model.params.dtype)
+    caches = []
+    for layer in model.layers:
+        out, cache = oracle_activate(layer, x @ layer.weights.T + layer.bias)
+        caches.append((x, cache))
+        x = out
+    return x[:, 0], caches
+
+
+def oracle_adam_step(params, grads, state, learning_rate):
+    state.t += 1
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * (grads * grads)
+    params -= learning_rate * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
 
 
 def oracle_bce_loss(probs, labels):
@@ -628,26 +724,24 @@ def oracle_backward(model, caches, probs, labels):
     return grads
 
 
-def oracle_train(model, ds, cfg, monkeypatch):
+def oracle_train(model, ds, cfg):
     """train's loop stepped through the oracle; returns the per-epoch losses."""
     x, y = ds.matrix.astype(model.params.dtype), ds.labels.astype(model.params.dtype)
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.for_params(model.params)
     losses = []
-    with monkeypatch.context() as patch:
-        patch.setattr(neuralnet, "sigmoid", oracle_sigmoid)  # the forward pass's activation
-        for _ in range(cfg.epochs):
-            order = rng.permutation(len(y))
-            xs, ys = x[order], y[order]
-            loss_sum = 0.0
-            for start in range(0, len(y), cfg.batch_size):
-                xb, yb = xs[start : start + cfg.batch_size], ys[start : start + cfg.batch_size]
-                probs, caches = neuralnet._forward_cached(model, xb)
-                loss = oracle_bce_loss(probs, yb)
-                grads = oracle_backward(model, caches, probs, yb)
-                nf.adam_step(model.params, grads, state, cfg.learning_rate)
-                loss_sum += loss * yb.size
-            losses.append(loss_sum / len(y))
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        xs, ys = x[order], y[order]
+        loss_sum = 0.0
+        for start in range(0, len(y), cfg.batch_size):
+            xb, yb = xs[start : start + cfg.batch_size], ys[start : start + cfg.batch_size]
+            probs, caches = oracle_forward(model, xb)
+            loss = oracle_bce_loss(probs, yb)
+            grads = oracle_backward(model, caches, probs, yb)
+            oracle_adam_step(model.params, grads, state, cfg.learning_rate)
+            loss_sum += loss * yb.size
+        losses.append(loss_sum / len(y))
     return losses
 
 
@@ -671,12 +765,12 @@ def build_at(dtype, kind, features, seed):
 
 class TestTrainMatchesOracle:
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
-    def test_params_and_losses_bitwise_equal(self, kind, monkeypatch):
-        self.check_bitwise_equal(kind, np.float64, monkeypatch)
+    def test_params_and_losses_bitwise_equal(self, kind):
+        self.check_bitwise_equal(kind, np.float64)
 
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
-    def test_float32_params_and_losses_bitwise_equal(self, kind, monkeypatch):
-        self.check_bitwise_equal(kind, np.float32, monkeypatch)
+    def test_float32_params_and_losses_bitwise_equal(self, kind):
+        self.check_bitwise_equal(kind, np.float32)
 
     # train's loss pass sees a short last batch (16, above), whole batches
     # only (1 and 137, which divide the 137 rows) and a batch larger than
@@ -684,23 +778,23 @@ class TestTrainMatchesOracle:
     @pytest.mark.parametrize("batch_size", [1, 137, 500])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
-    def test_every_batch_shape_bitwise_equal(self, kind, dtype, batch_size, monkeypatch):
-        self.check_bitwise_equal(kind, dtype, monkeypatch, batch_size)
+    def test_every_batch_shape_bitwise_equal(self, kind, dtype, batch_size):
+        self.check_bitwise_equal(kind, dtype, batch_size)
 
     @pytest.mark.parametrize("block_rows", [40, 50])
     def test_loss_blocks_bitwise_equal(self, block_rows, monkeypatch):
         # Blocks of 32 or 48 rows at batch 16: several loss calls per epoch,
         # with the short last batch alone in its block or after whole batches.
         monkeypatch.setattr(neuralnet, "LOSS_BLOCK_ROWS", block_rows)
-        self.check_bitwise_equal("mlp", np.float32, monkeypatch)
+        self.check_bitwise_equal("mlp", np.float32)
 
-    def check_bitwise_equal(self, kind, dtype, monkeypatch, batch_size=16):
+    def check_bitwise_equal(self, kind, dtype, batch_size=16):
         ds = odd_sized_blobs()
         assert ds.row_count == 137  # the batch shapes named above
         cfg = nf.TrainingConfig(epochs=3, batch_size=batch_size, learning_rate=0.01, seed=6)
         model, history = nf.train(build_at(dtype, kind, ds.feature_names, 6), ds, cfg)
         oracle = build_at(dtype, kind, ds.feature_names, 6)
-        losses = oracle_train(oracle, ds, cfg, monkeypatch)
+        losses = oracle_train(oracle, ds, cfg)
         assert model.params.dtype == oracle.params.dtype == dtype
         assert model.params.tobytes() == oracle.params.tobytes()
         assert np.array([h.loss for h in history]).tobytes() == np.array(losses).tobytes()
@@ -766,9 +860,10 @@ class TestGradientBuffer:
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
     def test_stale_gradient_is_fully_overwritten(self, kind):
         model, x, y = random_checkable_model(kind, 4)
-        probs, caches = neuralnet._forward_cached(model, x)
+        bufs = StepBuffers(model, len(x))
+        probs = neuralnet._forward_cached(model, x, bufs)
         grads = np.full_like(model.params, np.nan)
-        neuralnet._backward_from_caches(model, caches, probs, y, _param_views(model.layers, grads))
+        neuralnet._backward_from_caches(model, bufs, probs, y, _param_views(model.layers, grads))
         assert np.isfinite(grads).all()
         assert grads.tobytes() == nf.backward(model, x, y).tobytes()
 
@@ -822,3 +917,61 @@ class TestGradientBuffer:
         # Per epoch, one loss call for the 8 whole batches (one block) and one
         # for the short last batch of 9 rows.
         assert calls == {**{name: steps for name in STEP_FUNCTIONS}, "bce_loss": 2 * cfg.epochs}
+
+
+class TestStepBuffers:
+    @pytest.mark.parametrize("batch_size, sizes", [(16, [16, 9]), (1, [1]), (137, [137]),
+                                                   (500, [137])])
+    @pytest.mark.parametrize("build", [nf.build_mlp, nf.build_lstm])
+    def test_train_builds_buffers_once_per_batch_shape(self, build, batch_size, sizes,
+                                                       monkeypatch):
+        # The 137 rows in batches of 16 leave a short last batch of 9; 1 and
+        # 137 divide them, and 500 exceeds them. Two epochs, one set each.
+        built = []
+
+        def counted(model, rows, *args, _cls=StepBuffers):
+            built.append(rows)
+            return _cls(model, rows, *args)
+
+        monkeypatch.setattr(neuralnet, "StepBuffers", counted)
+        ds = odd_sized_blobs()
+        nf.train(build(ds.feature_names, hidden=HIDDEN[build is nf.build_lstm and "lstm" or "mlp"],
+                       seed=1), ds, nf.TrainingConfig(epochs=2, batch_size=batch_size, seed=1))
+        assert built == sizes
+
+    @pytest.mark.parametrize("rows", [0, 1, SCORE_BLOCK_ROWS, 2 * SCORE_BLOCK_ROWS + 3])
+    def test_predict_proba_builds_one_set_per_call(self, rows, monkeypatch):
+        built = []
+
+        def counted(model, rows, *args, **kwargs):
+            built.append(rows)
+            return StepBuffers(model, rows, *args, **kwargs)
+
+        monkeypatch.setattr(neuralnet, "StepBuffers", counted)
+        model = nf.build_lstm(["a", "b"], hidden=(4, 3), seed=2)
+        probs = nf.predict_proba(model, numeric_ds(np.ones((rows, 2)), names=["a", "b"]))
+        assert probs.shape == (rows,)
+        assert built == [SCORE_BLOCK_ROWS]
+
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_consecutive_steps_share_their_buffers(self, kind, monkeypatch):
+        # Each step's probabilities and every layer's cache are views into
+        # the one set of whole-batch buffers, overwritten step by step.
+        steps, forward = [], neuralnet._forward_cached
+
+        def recorded(model, batch, bufs):
+            probs = forward(model, batch, bufs)
+            caches = [a for lb in bufs.layers for a in (lb.x, lb.z, lb.out, *lb.gates)]
+            steps.append((probs, bufs, caches, probs.copy()))
+            return probs
+
+        monkeypatch.setattr(neuralnet, "_forward_cached", recorded)
+        ds = odd_sized_blobs()
+        model = build_at(np.float32, kind, ds.feature_names, 4)
+        nf.train(model, ds, nf.TrainingConfig(epochs=1, batch_size=16, seed=4))
+        (p1, bufs1, caches1, values1), (p2, bufs2, caches2, values2) = steps[:2]
+        assert bufs1 is bufs2 and steps[-1][1] is not bufs1  # the short last batch has its own
+        assert np.shares_memory(p1, p2) and np.shares_memory(p2, bufs1.layers[-1].out)
+        assert (values1 != values2).any() and (p1 == steps[-2][3]).all()  # the last whole batch
+        assert all(np.shares_memory(a, b) for a, b in zip(caches1[1:], caches2[1:]))
+        assert not np.shares_memory(caches1[0], caches2[0])  # the batches themselves
