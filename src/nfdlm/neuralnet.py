@@ -7,10 +7,15 @@ gradients share its layout, so Adam updates a model with a few ufunc calls.
 The vector has its layers' dtype: new models are float32, and the step
 functions compute in the dtype they are given, so models loaded from older
 float64 files train and score in float64 through the same code.
-A step allocates nothing: every array a forward and backward pass writes
-lives in one StepBuffers, built once per model and batch row count, and
-Adam's scratch and constants live in its AdamState. Each operation keeps the
-order and operand dtypes of the allocating form, so the bits are the same.
+A step allocates nothing: every array a forward and backward pass writes,
+and every view of it or of the parameters that a step reads, lives in one
+StepBuffers, built once per model and batch row count, and Adam's scratch
+and constants live in its AdamState. Callers hand the step functions
+batches already in the parameters' dtype and of the model's width.
+Products go through np.dot, which makes np.matmul's BLAS call with less
+dispatch, except the LSTM's per-gate products on strided column blocks,
+which np.dot would copy first. Each operation keeps the order and operand
+dtypes of the allocating form, so the bits are the same.
 Every layer is one Layer: x @ weights.T + bias, then its activation. Hidden
 dense layers are relu and the head is one sigmoid unit. Flows are independent
 records, so the LSTM consumes each row as a length-1 sequence with zero
@@ -266,81 +271,115 @@ def build_lstm(
 
 
 class _LayerBuffers:
-    """One layer's arrays in a StepBuffers, each (rows, width).
+    """One layer's arrays in a StepBuffers, each (rows, width), and every
+    view of them and of the layer's parameters that a step reads.
 
-    Forward records the layer's input x and writes z (the pre-activation)
-    and out; an lstm layer also writes its gates i, g, o and tanh(i * g).
-    Backward writes dz (the head's is the loss delta it starts from) and
-    delta, the gradient passed to the layer below; an lstm layer also writes
-    dc and gate_delta, one gate's share of delta. scratch and scratch2 hold
-    nothing between calls.
+    Forward records the layer's input x (below's out) and writes z (the
+    pre-activation) and out; an lstm layer also writes its gates i, g, o and
+    tanh(i * g). Backward writes dz (the head's is the loss delta it starts
+    from) from up, the gradient passed to this layer (the head's own dz),
+    and delta, the up of the layer below; an lstm layer also writes dc and
+    gate_delta, one gate's share of delta. scratch and scratch2 hold nothing
+    between calls. Forward-only buffers pass shared, one flat array that
+    every layer's scratch and gates view as contiguous rows, as a layer
+    needs them only while it runs.
     """
 
-    def __init__(self, layer: Layer, rows: int, dtype, first: bool, backward: bool) -> None:
+    def __init__(self, layer: Layer, rows: int, dtype, below: _LayerBuffers | None,
+                 backward: bool, shared: np.ndarray | None) -> None:
         def new(width: int) -> np.ndarray:
             return np.empty((rows, width), dtype)
 
-        lstm, n = layer.activation == "lstm", layer.output_size
-        self.x = None
-        self.z, self.out = new(layer.weights.shape[0]), new(n)
-        self.scratch = None if layer.activation == "relu" else new(n)
-        self.gates = tuple(new(n) for _ in range(4)) if lstm else ()
-        self.dz = new(layer.weights.shape[0]) if backward else None
-        self.delta = new(layer.input_size) if backward and not first else None
+        def transient(k: int) -> np.ndarray:
+            if shared is None:
+                return new(n)
+            return shared[k * rows * n : (k + 1) * rows * n].reshape(rows, n)
+
+        n, w, lstm = layer.output_size, layer.weights, layer.activation == "lstm"
+        self.relu, self.lstm = layer.activation == "relu", lstm
+        self.w, self.wt, self.b = w, w.T, layer.bias
+        self.x = None if below is None else below.out
+        self.z, self.out = new(len(w)), new(n)
+        self.scratch = None if self.relu else transient(0)
+        self.gates = [transient(k) for k in range(1, 5)] if lstm else ()
+        # The input, candidate and output gates' blocks: columns of z and dz, rows of w.
+        self.gate_z = np.split(self.z, 3, axis=1) if lstm else ()
+        self.gate_w = np.split(w, 3) if lstm else ()
+        # up is dz for the head; the layer above points any other layer's at its delta.
+        self.up = self.dz = new(len(w)) if backward else None
+        self.dzt = self.dz.T if backward else None
+        self.gate_dz = np.split(self.dz, 3, axis=1) if backward and lstm else ()
+        self.delta = new(layer.input_size) if backward and below is not None else None
         self.dc, self.scratch2 = (new(n), new(n)) if backward and lstm else (None, None)
-        self.gate_delta = new(layer.input_size) if backward and lstm and not first else None
+        self.gate_delta = new(layer.input_size) if self.delta is not None and lstm else None
+        if below is not None:
+            below.up = self.delta
 
 
 class StepBuffers:
     """Every array that one forward pass, and with backward=True one backward
     pass, writes for a model at one batch row count, with 0, 1 and the row
-    count as 0-d arrays in the parameters' dtype. Each pass overwrites the
-    last one's arrays: probabilities and caches last until the next pass.
+    count as 0-d arrays in the parameters' dtype, and every view of them
+    that a step reads. Each pass overwrites the last one's arrays:
+    probabilities and caches last until the next pass. The parameter views
+    stay valid while steps update model.params in place.
     """
 
     def __init__(self, model: Model, rows: int, backward: bool = True) -> None:
         dtype = model.params.dtype
         self.zero, self.one, self.count = (np.array(v, dtype) for v in (0, 1, rows))
-        self.layers = [_LayerBuffers(layer, rows, dtype, pos == 0, backward)
-                       for pos, layer in enumerate(model.layers)]
+        widest = max(l.output_size for l in model.layers if l.activation != "relu")
+        shared = None if backward else np.empty(5 * rows * widest, dtype)
+        self.layers, below = [], None
+        for layer in model.layers:
+            below = _LayerBuffers(layer, rows, dtype, below, backward, shared)
+            self.layers.append(below)
+        self.probs = below.out[:, 0]
+        self.loss_delta = below.dz[:, 0] if backward else None
 
 
-def _forward_cached(model: Model, batch: np.ndarray, bufs: StepBuffers) -> np.ndarray:
-    """Probabilities for a batch of the row count bufs was built for, as a
-    view into bufs, where every layer's input and cache stay for
-    _backward_from_caches."""
+def _checked_batch(model: Model, batch) -> np.ndarray:
+    """batch in the parameters' dtype, as the step functions take it; a
+    DataError if it is not 2-D with the model's input width."""
     x = np.asarray(batch, dtype=model.params.dtype)
     if x.ndim != 2 or x.shape[1] != model.layers[0].input_size:
         raise DataError(
             f"batch width {x.shape[1] if x.ndim == 2 else '?'} does not match "
             f"model input width {model.layers[0].input_size}"
         )
+    return x
+
+
+def _forward_cached(model: Model, batch: np.ndarray, bufs: StepBuffers) -> np.ndarray:
+    """Probabilities for a batch in the parameters' dtype, of the model's
+    input width and of the row count bufs was built for, as a view into
+    bufs, where every layer's input and cache stay for _backward_from_caches."""
     zero, one = bufs.zero, bufs.one
-    for layer, lb in zip(model.layers, bufs.layers):
-        lb.x, z, out = x, lb.z, lb.out
-        np.matmul(x, layer.weights.T, out=z)
-        z += layer.bias
-        if layer.activation == "relu":
+    bufs.layers[0].x = batch
+    for lb in bufs.layers:
+        z, out = lb.z, lb.out
+        np.dot(lb.x, lb.wt, out=z)
+        np.add(z, lb.b, out=z)
+        if lb.relu:
             np.maximum(zero, z, out=out)
-        elif layer.activation == "sigmoid":
-            _sigmoid_into(z, lb.scratch, out, zero, one)
-        else:
-            n = layer.output_size
+        elif lb.lstm:
             i, g, o, tc = lb.gates
-            _sigmoid_into(z[:, :n], lb.scratch, i, zero, one)
-            np.tanh(z[:, n : 2 * n], out=g)
-            _sigmoid_into(z[:, 2 * n :], lb.scratch, o, zero, one)
+            zi, zg, zo = lb.gate_z
+            _sigmoid_into(zi, lb.scratch, i, zero, one)
+            np.tanh(zg, out=g)
+            _sigmoid_into(zo, lb.scratch, o, zero, one)
             np.tanh(np.multiply(i, g, out=lb.scratch), out=tc)  # c = i * g from zero cell state
             np.multiply(o, tc, out=out)
-        x = out
-    return x[:, 0]
+        else:
+            _sigmoid_into(z, lb.scratch, out, zero, one)
+    return bufs.probs
 
 
 def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Per-row attack probabilities, in the model's dtype, for an already
     scaled (rows, features) batch."""
-    x = np.asarray(batch)
-    return _forward_cached(model, x, StepBuffers(model, len(x) if x.ndim else 0, backward=False))
+    x = _checked_batch(model, batch)
+    return _forward_cached(model, x, StepBuffers(model, len(x), backward=False))
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray):
@@ -365,22 +404,19 @@ def _backward_from_caches(model: Model, bufs: StepBuffers, probs: np.ndarray,
                           labels: np.ndarray, views: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Overwrite every entry of the gradient that views (from _param_views)
     lay out with the gradient of bce_loss, in the dtype of probs, from the
-    caches that the last _forward_cached call left in bufs."""
-    y = np.asarray(labels, dtype=probs.dtype)
+    caches that the last _forward_cached call left in bufs. labels are in
+    the dtype of probs."""
     one = bufs.one
     # Sigmoid head fused with BCE: dL/dz = (p - y) / n.
-    delta = bufs.layers[-1].dz
-    np.divide(np.subtract(probs, y, out=delta[:, 0]), bufs.count, out=delta[:, 0])
-    for pos in range(len(model.layers) - 1, -1, -1):
-        layer, lb = model.layers[pos], bufs.layers[pos]
-        w, dz = layer.weights, lb.dz
-        if layer.activation == "lstm":
+    np.divide(np.subtract(probs, labels, out=bufs.loss_delta), bufs.count, out=bufs.loss_delta)
+    for lb, (dw, db) in zip(reversed(bufs.layers), reversed(views)):
+        dz, delta, up = lb.dz, lb.delta, lb.up
+        if lb.lstm:
             i, g, o, tc = lb.gates
-            h = i.shape[1]
-            dzi, dzg, dzo = dz[:, :h], dz[:, h : 2 * h], dz[:, 2 * h :]
+            dzi, dzg, dzo = lb.gate_dz
             dc, s, s2 = lb.dc, lb.scratch, lb.scratch2
-            # dc = delta * o * (1 - tc * tc)
-            np.multiply(delta, o, out=dc)
+            # dc = up * o * (1 - tc * tc)
+            np.multiply(up, o, out=dc)
             np.multiply(dc, np.subtract(one, np.multiply(tc, tc, out=s), out=s), out=dc)
             # dzi = dc * g * i * (1 - i)
             np.multiply(np.multiply(dc, g, out=s), i, out=s)
@@ -388,35 +424,36 @@ def _backward_from_caches(model: Model, bufs: StepBuffers, probs: np.ndarray,
             # dzg = dc * i * (1 - g * g)
             np.multiply(dc, i, out=s)
             np.multiply(s, np.subtract(one, np.multiply(g, g, out=s2), out=s2), out=dzg)
-            # dzo = delta * tc * o * (1 - o)
-            np.multiply(np.multiply(delta, tc, out=s), o, out=s)
+            # dzo = up * tc * o * (1 - o)
+            np.multiply(np.multiply(up, tc, out=s), o, out=s)
             np.multiply(s, np.subtract(one, o, out=s2), out=dzo)
             # One product per gate, not dz @ w: this summation order gives,
-            # bit for bit, the weights that format-v1 code trained.
-            if pos:
-                delta = np.matmul(dzi, w[:h], out=lb.delta)
-                delta += np.matmul(dzg, w[h : 2 * h], out=lb.gate_delta)
-                delta += np.matmul(dzo, w[2 * h :], out=lb.gate_delta)
-        else:  # a relu layer, or the sigmoid head, whose dz is the delta above
-            if layer.activation == "relu":
-                np.multiply(delta, np.greater(lb.z, bufs.zero, out=dz), out=dz)
-            if pos:  # the input layer passes no gradient on
-                delta = np.matmul(dz, w, out=lb.delta)
-        dw, db = views[pos]
-        np.matmul(dz.T, lb.x, out=dw)
+            # bit for bit, the weights that format-v1 code trained. matmul,
+            # as np.dot would copy each strided gate block first.
+            if delta is not None:
+                wi, wg, wo = lb.gate_w
+                np.matmul(dzi, wi, out=delta)
+                np.add(delta, np.matmul(dzg, wg, out=lb.gate_delta), out=delta)
+                np.add(delta, np.matmul(dzo, wo, out=lb.gate_delta), out=delta)
+        else:  # a relu layer, or the sigmoid head, whose dz is its up
+            if lb.relu:
+                np.multiply(up, np.greater(lb.z, bufs.zero, out=dz), out=dz)
+            if delta is not None:  # the input layer passes no gradient on
+                np.dot(dz, lb.w, out=delta)
+        np.dot(lb.dzt, lb.x, out=dw)
         np.add.reduce(dz, axis=0, out=db)
 
 
 def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Exact gradient of bce_loss, laid out like model.params."""
-    y = np.asarray(labels)
-    x = np.asarray(batch)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
+    x, y = _checked_batch(model, batch), np.asarray(labels)
+    if y.shape != (len(x),):
         raise DataError("batch and labels shapes disagree")
-    bufs = StepBuffers(model, x.shape[0])
+    bufs = StepBuffers(model, len(x))
     probs = _forward_cached(model, x, bufs)
     grads = np.empty_like(model.params)
-    _backward_from_caches(model, bufs, probs, y, _param_views(model.layers, grads))
+    _backward_from_caches(model, bufs, probs, y.astype(probs.dtype),
+                          _param_views(model.layers, grads))
     return grads
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 import math
 import tracemalloc
@@ -77,8 +78,28 @@ class TestMlpForward:
 
     def test_width_mismatch(self):
         model = nf.build_mlp(["a", "b"], seed=0)
-        with pytest.raises(nf.DataError, match="width"):
+        with pytest.raises(nf.DataError,
+                           match="^batch width 3 does not match model input width 2$"):
             nf.forward(model, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 2), ()])
+    def test_batch_that_is_not_2d(self, shape):
+        model = nf.build_mlp(["a", "b"], seed=0)
+        with pytest.raises(nf.DataError,
+                           match=r"^batch width \? does not match model input width 2$"):
+            nf.forward(model, np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_float64_rows_score_as_the_rows_cast_first(self, kind):
+        model = build_at(np.float32, kind, ["a", "b", "c"], 2)
+        x = np.random.default_rng(2).standard_normal((33, 3)) * 3.0
+        assert x.dtype == np.float64
+        probs = nf.forward(model, x)
+        assert probs.dtype == np.float32
+        assert probs.tobytes() == nf.forward(model, x.astype(np.float32)).tobytes()
+        y = np.arange(33) % 2
+        assert (nf.backward(model, x, y).tobytes()
+                == nf.backward(model, x.astype(np.float32), y).tobytes())
 
 
 class TestLstmForward:
@@ -212,8 +233,21 @@ class TestBackward:
 
     def test_shape_mismatch(self):
         model = nf.build_mlp(["a", "b"], seed=0)
-        with pytest.raises(nf.DataError, match="disagree"):
+        with pytest.raises(nf.DataError, match="^batch and labels shapes disagree$"):
             nf.backward(model, np.zeros((3, 2)), np.zeros(4))
+
+    @pytest.mark.parametrize("labels", [(2,), (3, 1), ()])
+    def test_labels_that_are_not_one_per_row(self, labels):
+        model = nf.build_mlp(["a", "b"], seed=0)
+        with pytest.raises(nf.DataError, match="^batch and labels shapes disagree$"):
+            nf.backward(model, np.zeros((3, 2)), np.zeros(labels))
+
+    @pytest.mark.parametrize("shape, width", [((3, 5), "5"), ((3,), r"\?"), ((3, 1, 2), r"\?")])
+    def test_batch_that_is_not_rows_of_the_input_width(self, shape, width):
+        model = nf.build_lstm(["a", "b"], hidden=(3,), seed=0)
+        with pytest.raises(nf.DataError,
+                           match=f"^batch width {width} does not match model input width 2$"):
+            nf.backward(model, np.zeros(shape), np.zeros(3))
 
 
 class TestAdamStep:
@@ -856,6 +890,31 @@ class TestTrainMatchesOracle:
             assert np.isnan(losses).any() and np.isfinite(losses).any()
 
 
+# (inputs, weight rows) of the engine's products: the 6-6 MLP's three
+# layers, the FS4 LSTM's two layers (3 gates of 64 and 128 units) and its head.
+PRODUCT_SHAPES = [(11, 6), (6, 6), (6, 1), (11, 192), (64, 384), (128, 1)]
+
+
+class TestProductsMatchMatmul:
+    # The steps make their forward, delta and weight-gradient products with
+    # np.dot and out=, the oracle with @. Both make the same BLAS call today;
+    # a numpy or BLAS build that splits them would change every trained
+    # model's bits, and fails here first. (The LSTM's per-gate products on
+    # strided dz blocks stay with matmul, so they need no pin.)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 20, 32, 137, 1024])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dot_gives_the_bytes_of_matmul(self, dtype, rows):
+        rng = np.random.default_rng(rows)
+        for inputs, outputs in PRODUCT_SHAPES:
+            x = rng.standard_normal((rows, inputs)).astype(dtype)
+            w = rng.standard_normal((outputs, inputs)).astype(dtype)
+            dz = rng.standard_normal((rows, outputs)).astype(dtype)
+            for a, b in [(x, w.T), (dz, w), (dz.T, x)]:
+                out = np.empty((a.shape[0], b.shape[1]), dtype)
+                assert np.dot(a, b, out=out) is out
+                assert out.tobytes() == (a @ b).tobytes(), (inputs, outputs, a.shape, b.shape)
+
+
 class TestGradientBuffer:
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
     def test_stale_gradient_is_fully_overwritten(self, kind):
@@ -952,6 +1011,62 @@ class TestStepBuffers:
         probs = nf.predict_proba(model, numeric_ds(np.ones((rows, 2)), names=["a", "b"]))
         assert probs.shape == (rows,)
         assert built == [SCORE_BLOCK_ROWS]
+
+    @pytest.mark.parametrize("rows", [20, 1000])
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_a_step_allocates_nothing(self, kind, rows):
+        # 200 steps on one StepBuffers, each on its own slice of the rows as
+        # in train: a per-step copy, cast or temporary of a batch's size would
+        # lift the traced peak by at least rows * 4 bytes. ufuncs on strided
+        # or broadcast operands allocate iterator buffers of up to bufsize
+        # elements, 32 KB at the default; at 16 they stay under 2 KB.
+        rng = np.random.default_rng(rows)
+        model = build_at(np.float32, kind, ["a", "b", "c", "d"], 5)
+        x = rng.standard_normal((2 * rows, 4)).astype(np.float32)
+        y = (rng.random(2 * rows) < 0.5).astype(np.float32)
+        bufs, state = StepBuffers(model, rows), AdamState.for_params(model.params)
+        grads = np.empty_like(model.params)
+        views = _param_views(model.layers, grads)
+
+        def step(k):
+            xb, yb = x[k % 2 * rows :][:rows], y[k % 2 * rows :][:rows]
+            probs = neuralnet._forward_cached(model, xb, bufs)
+            neuralnet._backward_from_caches(model, bufs, probs, yb, views)
+            neuralnet.adam_step(model.params, grads, state, 1e-3)
+
+        step(0)  # numpy's first-call caches
+        with np.errstate():  # restores the bufsize on exit
+            np.setbufsize(16)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for k in range(200):
+                    step(k)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert peak < 4096
+        assert np.isfinite(model.params).all()
+
+    def test_forward_only_buffers_share_gates_and_scratch(self):
+        # Scoring keeps each layer's z and out, but every layer's scratch and
+        # gates are contiguous rows of one flat array, sized for the widest
+        # layer; the scores keep the bits of buffers that give each its own.
+        model = nf.build_lstm(["a", "b", "c"], hidden=(6, 4), seed=3)
+        x = np.random.default_rng(3).standard_normal((50, 3)).astype(np.float32)
+        lean = StepBuffers(model, 50, backward=False)
+        flat = lean.layers[0].scratch.base
+        assert flat.shape == (5 * 50 * 6,)
+        for lb, n in zip(lean.layers, (6, 4, 1)):
+            transients = [lb.scratch, *lb.gates]
+            assert all(a.base is flat and a.shape == (50, n) and a.flags.c_contiguous
+                       for a in transients)
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(transients, 2))
+        arrays = [flat, *(a for lb in lean.layers for a in (lb.z, lb.out))]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+        probs = neuralnet._forward_cached(model, x, lean).copy()
+        whole = neuralnet._forward_cached(model, x, StepBuffers(model, 50))
+        assert probs.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
     def test_consecutive_steps_share_their_buffers(self, kind, monkeypatch):
