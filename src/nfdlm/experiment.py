@@ -12,6 +12,7 @@ The five presets cross two filter selectors with two classifier families:
 from __future__ import annotations
 
 import json
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -351,6 +352,14 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
+# compare's accuracy is a fraction and its training time a finite, non-negative
+# count of seconds. The bounds are compared, not converted, so a huge JSON
+# integer fails the rule instead of raising OverflowError.
+_FRACTION = ("a number in [0, 1]", lambda v: NUMBER[1](v) and 0 <= v <= 1)
+_SECONDS = ("a finite non-negative number",
+            lambda v: NUMBER[1](v) and 0 <= v <= sys.float_info.max)
+
+
 def _comparison_row(doc: dict, what: str) -> ComparisonRow:
     rules = {"method": STRING, "threshold": or_null(NUMBER), "k": or_null(INTEGER)}
     spec = {k: json_field(doc, f"config.selector.{k}", r, what) for k, r in rules.items()}
@@ -360,8 +369,8 @@ def _comparison_row(doc: dict, what: str) -> ComparisonRow:
         raise DataError(f"{what} 'config.selector': {exc}") from None
     return ComparisonRow(
         name=json_field(doc, "config.name", STRING, what),
-        accuracy=json_field(doc, "metrics.accuracy", NUMBER, what),
-        train_seconds=json_field(doc, "phase_seconds.training", NUMBER, what),
+        accuracy=json_field(doc, "metrics.accuracy", _FRACTION, what),
+        train_seconds=json_field(doc, "phase_seconds.training", _SECONDS, what),
         features=json_field(doc, "feature_count", INTEGER, what),
         classifier=json_field(doc, "config.classifier", STRING, what),
         selector=selector,

@@ -7,10 +7,11 @@ gradients share its layout, so Adam updates a model with a few ufunc calls.
 The vector has its layers' dtype: new models are float32, and the step
 functions compute in the dtype they are given, so models loaded from older
 float64 files train and score in float64 through the same code.
-A step allocates nothing: every array a forward and backward pass writes,
-and every view of it or of the parameters that a step reads, lives in one
-StepBuffers, built once per model and batch row count, and Adam's scratch
-and constants live in its AdamState. Callers hand the step functions
+A step allocates nothing: every array a forward and backward pass writes
+lives in one StepBuffers, built once per model and batch row count, and
+Adam's scratch and constants live in its AdamState. Both hold their passes
+as lists of numpy calls built once (see nfdlm.steps), so the step functions
+here pass the per-step operands and replay a list. Callers hand them
 batches already in the parameters' dtype and of the model's width.
 Products go through np.dot, which makes np.matmul's BLAS call with less
 dispatch, except the LSTM's per-gate products on strided column blocks,
@@ -29,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -41,6 +43,7 @@ from .flow_data import (
     atomic_write_text, json_field, json_object, one_of, or_null,
 )
 from .preprocess import ScalerParams, scale_columns
+from .steps import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, StepBuffers, _sigmoid_calls
 
 MODEL_FORMAT = "nfdlm.model"
 MODEL_FORMAT_VERSION = 3
@@ -53,9 +56,8 @@ LOSS_BLOCK_ROWS = 16384
 # temporaries stay a few MB at any dataset size.
 SCORE_BLOCK_ROWS = 1024
 
-# Adam's moment decays and denominator guard, at the usual defaults. Older
-# model files also store them, and "shuffle", in their training_config.
-ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Older model files store Adam's moment decays and denominator guard, and
+# "shuffle", in their training_config.
 _FIXED_TRAINING_KEYS = {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
                         "shuffle": True}
 
@@ -67,17 +69,6 @@ def _floats(values) -> np.ndarray:
     return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
 
 
-def _sigmoid_into(x, e, out, zero, one) -> np.ndarray:
-    """sigmoid(x) written to out, with e as scratch: arrays of x's shape and
-    dtype that do not overlap x. zero and one are 0 and 1 in any form that
-    converts to x's dtype."""
-    np.abs(x, out=e)
-    np.exp(np.negative(e, out=e), out=e)
-    np.greater_equal(x, zero, out=out)
-    np.maximum(out, e, out=out)
-    return np.divide(out, np.add(e, one, out=e), out=out)
-
-
 def sigmoid(x):
     """1 / (1 + e^-x), computed from e = exp(-|x|) so large |x| cannot overflow.
 
@@ -85,8 +76,9 @@ def sigmoid(x):
     e elsewhere, so one unmasked divide gives both branches, NaN included.
     """
     arr = _floats(x)
-    out = _sigmoid_into(arr, np.empty(arr.shape, arr.dtype), np.empty(arr.shape, arr.dtype),
-                        0.0, 1.0)  # arrays of our own, 0-d too
+    out = np.empty(arr.shape, arr.dtype)  # arrays of our own, 0-d too
+    for call in _sigmoid_calls(arr, np.empty(arr.shape, arr.dtype), out, 0.0, 1.0):
+        call()
     return float(out) if arr.ndim == 0 else out
 
 
@@ -188,8 +180,9 @@ class TrainingConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        # Compared, not converted: a huge JSON integer fails here, not in a cast.
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            raise ValueError("learning_rate must be positive and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -204,28 +197,6 @@ class TrainingConfig:
                 raise DataError(f"training_config has unknown key '{key}'")
             json_field(d, key, one_of(_FIXED_TRAINING_KEYS[key]), "training_config")
         return cls(**{k: json_field(d, k, r, "training_config") for k, r in rules.items()})
-
-
-@dataclass
-class AdamState:
-    """Adam's moments and step count, plus what a step writes besides them:
-    two scratch vectors, and beta1, beta2, 1 - beta1, 1 - beta2, eps and the
-    two bias corrections as 0-d arrays, all in the moments' dtype."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    def __post_init__(self) -> None:
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
-        self.beta1, self.beta2, self.decay1, self.decay2, self.eps, self.c1, self.c2 = (
-            np.array(value, self.m.dtype)
-            for value in (ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2, ADAM_EPS,
-                          1.0, 1.0))
-
-    @classmethod
-    def for_params(cls, params: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -270,74 +241,6 @@ def build_lstm(
     return Model(layers=layers, input_features=list(input_features), init_seed=seed)
 
 
-class _LayerBuffers:
-    """One layer's arrays in a StepBuffers, each (rows, width), and every
-    view of them and of the layer's parameters that a step reads.
-
-    Forward records the layer's input x (below's out) and writes z (the
-    pre-activation) and out; an lstm layer also writes its gates i, g, o and
-    tanh(i * g). Backward writes dz (the head's is the loss delta it starts
-    from) from up, the gradient passed to this layer (the head's own dz),
-    and delta, the up of the layer below; an lstm layer also writes dc and
-    gate_delta, one gate's share of delta. scratch and scratch2 hold nothing
-    between calls. Forward-only buffers pass shared, one flat array that
-    every layer's scratch and gates view as contiguous rows, as a layer
-    needs them only while it runs.
-    """
-
-    def __init__(self, layer: Layer, rows: int, dtype, below: _LayerBuffers | None,
-                 backward: bool, shared: np.ndarray | None) -> None:
-        def new(width: int) -> np.ndarray:
-            return np.empty((rows, width), dtype)
-
-        def transient(k: int) -> np.ndarray:
-            if shared is None:
-                return new(n)
-            return shared[k * rows * n : (k + 1) * rows * n].reshape(rows, n)
-
-        n, w, lstm = layer.output_size, layer.weights, layer.activation == "lstm"
-        self.relu, self.lstm = layer.activation == "relu", lstm
-        self.w, self.wt, self.b = w, w.T, layer.bias
-        self.x = None if below is None else below.out
-        self.z, self.out = new(len(w)), new(n)
-        self.scratch = None if self.relu else transient(0)
-        self.gates = [transient(k) for k in range(1, 5)] if lstm else ()
-        # The input, candidate and output gates' blocks: columns of z and dz, rows of w.
-        self.gate_z = np.split(self.z, 3, axis=1) if lstm else ()
-        self.gate_w = np.split(w, 3) if lstm else ()
-        # up is dz for the head; the layer above points any other layer's at its delta.
-        self.up = self.dz = new(len(w)) if backward else None
-        self.dzt = self.dz.T if backward else None
-        self.gate_dz = np.split(self.dz, 3, axis=1) if backward and lstm else ()
-        self.delta = new(layer.input_size) if backward and below is not None else None
-        self.dc, self.scratch2 = (new(n), new(n)) if backward and lstm else (None, None)
-        self.gate_delta = new(layer.input_size) if self.delta is not None and lstm else None
-        if below is not None:
-            below.up = self.delta
-
-
-class StepBuffers:
-    """Every array that one forward pass, and with backward=True one backward
-    pass, writes for a model at one batch row count, with 0, 1 and the row
-    count as 0-d arrays in the parameters' dtype, and every view of them
-    that a step reads. Each pass overwrites the last one's arrays:
-    probabilities and caches last until the next pass. The parameter views
-    stay valid while steps update model.params in place.
-    """
-
-    def __init__(self, model: Model, rows: int, backward: bool = True) -> None:
-        dtype = model.params.dtype
-        self.zero, self.one, self.count = (np.array(v, dtype) for v in (0, 1, rows))
-        widest = max(l.output_size for l in model.layers if l.activation != "relu")
-        shared = None if backward else np.empty(5 * rows * widest, dtype)
-        self.layers, below = [], None
-        for layer in model.layers:
-            below = _LayerBuffers(layer, rows, dtype, below, backward, shared)
-            self.layers.append(below)
-        self.probs = below.out[:, 0]
-        self.loss_delta = below.dz[:, 0] if backward else None
-
-
 def _checked_batch(model: Model, batch) -> np.ndarray:
     """batch in the parameters' dtype, as the step functions take it; a
     DataError if it is not 2-D with the model's input width."""
@@ -354,24 +257,11 @@ def _forward_cached(model: Model, batch: np.ndarray, bufs: StepBuffers) -> np.nd
     """Probabilities for a batch in the parameters' dtype, of the model's
     input width and of the row count bufs was built for, as a view into
     bufs, where every layer's input and cache stay for _backward_from_caches."""
-    zero, one = bufs.zero, bufs.one
-    bufs.layers[0].x = batch
-    for lb in bufs.layers:
-        z, out = lb.z, lb.out
-        np.dot(lb.x, lb.wt, out=z)
-        np.add(z, lb.b, out=z)
-        if lb.relu:
-            np.maximum(zero, z, out=out)
-        elif lb.lstm:
-            i, g, o, tc = lb.gates
-            zi, zg, zo = lb.gate_z
-            _sigmoid_into(zi, lb.scratch, i, zero, one)
-            np.tanh(zg, out=g)
-            _sigmoid_into(zo, lb.scratch, o, zero, one)
-            np.tanh(np.multiply(i, g, out=lb.scratch), out=tc)  # c = i * g from zero cell state
-            np.multiply(o, tc, out=out)
-        else:
-            _sigmoid_into(z, lb.scratch, out, zero, one)
+    first = bufs.first
+    first.x = batch
+    np.dot(batch, first.wt, first.z)
+    for call in bufs.forward_calls:
+        call()
     return bufs.probs
 
 
@@ -405,43 +295,14 @@ def _backward_from_caches(model: Model, bufs: StepBuffers, probs: np.ndarray,
     """Overwrite every entry of the gradient that views (from _param_views)
     lay out with the gradient of bce_loss, in the dtype of probs, from the
     caches that the last _forward_cached call left in bufs. labels are in
-    the dtype of probs."""
-    one = bufs.one
-    # Sigmoid head fused with BCE: dL/dz = (p - y) / n.
-    np.divide(np.subtract(probs, labels, out=bufs.loss_delta), bufs.count, out=bufs.loss_delta)
-    for lb, (dw, db) in zip(reversed(bufs.layers), reversed(views)):
-        dz, delta, up = lb.dz, lb.delta, lb.up
-        if lb.lstm:
-            i, g, o, tc = lb.gates
-            dzi, dzg, dzo = lb.gate_dz
-            dc, s, s2 = lb.dc, lb.scratch, lb.scratch2
-            # dc = up * o * (1 - tc * tc)
-            np.multiply(up, o, out=dc)
-            np.multiply(dc, np.subtract(one, np.multiply(tc, tc, out=s), out=s), out=dc)
-            # dzi = dc * g * i * (1 - i)
-            np.multiply(np.multiply(dc, g, out=s), i, out=s)
-            np.multiply(s, np.subtract(one, i, out=s2), out=dzi)
-            # dzg = dc * i * (1 - g * g)
-            np.multiply(dc, i, out=s)
-            np.multiply(s, np.subtract(one, np.multiply(g, g, out=s2), out=s2), out=dzg)
-            # dzo = up * tc * o * (1 - o)
-            np.multiply(np.multiply(up, tc, out=s), o, out=s)
-            np.multiply(s, np.subtract(one, o, out=s2), out=dzo)
-            # One product per gate, not dz @ w: this summation order gives,
-            # bit for bit, the weights that format-v1 code trained. matmul,
-            # as np.dot would copy each strided gate block first.
-            if delta is not None:
-                wi, wg, wo = lb.gate_w
-                np.matmul(dzi, wi, out=delta)
-                np.add(delta, np.matmul(dzg, wg, out=lb.gate_delta), out=delta)
-                np.add(delta, np.matmul(dzo, wo, out=lb.gate_delta), out=delta)
-        else:  # a relu layer, or the sigmoid head, whose dz is its up
-            if lb.relu:
-                np.multiply(up, np.greater(lb.z, bufs.zero, out=dz), out=dz)
-            if delta is not None:  # the input layer passes no gradient on
-                np.dot(dz, lb.w, out=delta)
-        np.dot(lb.dzt, lb.x, out=dw)
-        np.add.reduce(dz, axis=0, out=db)
+    the dtype of probs. bufs' backward calls are rebound if they were built
+    for another views list."""
+    if views is not bufs.grad_views:
+        bufs.bind_gradient(views)
+    np.subtract(probs, labels, bufs.loss_delta)
+    for call in bufs.backward_calls:
+        call()
+    np.dot(bufs.first.dzt, bufs.first.x, bufs.first_dw)
 
 
 def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -463,23 +324,19 @@ def adam_step(
     """One in-place Adam update with bias-corrected moment estimates.
 
     grads is cast to the parameters' dtype first, so every operation runs in
-    that dtype. The step writes params, the moments and state's scratch
-    vectors, and allocates nothing else.
+    that dtype. The step writes the bias corrections, rebinds state's calls
+    if they were built for other arrays or another learning rate, and
+    replays them: they write params, the moments and state's scratch
+    vectors, and allocate nothing.
     """
     g = np.asarray(grads, dtype=params.dtype)
-    m, v, (a, b) = state.m, state.v, state.scratch
+    if params is not state.params or g is not state.grads or learning_rate != state.learning_rate:
+        state.bind(params, g, learning_rate)
     state.t += 1
     state.c1[()] = 1.0 - ADAM_BETA1 ** state.t
     state.c2[()] = 1.0 - ADAM_BETA2 ** state.t
-    # m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * (g * g)
-    np.multiply(m, state.beta1, out=m)
-    m += np.multiply(state.decay1, g, out=a)
-    np.multiply(v, state.beta2, out=v)
-    v += np.multiply(state.decay2, np.multiply(g, g, out=a), out=a)
-    # params -= learning_rate * (m / c1) / (sqrt(v / c2) + eps)
-    np.multiply(learning_rate, np.divide(m, state.c1, out=a), out=a)
-    np.add(np.sqrt(np.divide(v, state.c2, out=b), out=b), state.eps, out=b)
-    params -= np.divide(a, b, out=a)
+    for call in state.calls:
+        call()
 
 
 @dataclass

@@ -460,13 +460,15 @@ class TestCli:
         ("dense_lstm_activation", "layer 1 'activation' must be \"relu\" or \"sigmoid\""),
         ("dense_tanh_activation", "layer 1 'activation' must be \"relu\" or \"sigmoid\""),
         ("lstm_hidden_size_mismatch", "layer 2 weights must have 3 * hidden_size = 9 rows, not 6"),
+        ("infinite_learning_rate", "bad model file: learning_rate must be positive and finite"),
+        ("huge_learning_rate", "bad model file: learning_rate must be positive and finite"),
     ], ids=["missing_kind", "narrow_middle_layer", "nan_scaler_mean", "subnormal_scaler_stdev",
             "hidden_sigmoid_layer", "string_input_features", "string_init_seed",
             "mlp_kind_on_lstm", "fractional_hidden_size", "boolean_hidden_size", "boolean_weight",
             "string_column_names", "fractional_epochs", "boolean_batch_size",
             "unknown_training_key", "huge_weights", "missing_dtype", "float16_dtype",
             "numeric_dtype", "float32_overflow", "dense_lstm_activation", "dense_tanh_activation",
-            "lstm_hidden_size_mismatch"])
+            "lstm_hidden_size_mismatch", "infinite_learning_rate", "huge_learning_rate"])
     def test_hostile_model_file_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data, model = tmp_path / "flows.ds", tmp_path / "m.json"
         nf.save_dataset(small_ds, data)
@@ -504,6 +506,10 @@ class TestCli:
             doc["training_config"] = {**training, "batch_size": True}
         elif breakage == "unknown_training_key":
             doc["training_config"] = {**training, "momentum": 0.5}
+        elif breakage == "infinite_learning_rate":  # json writes it as Infinity
+            doc["training_config"] = {**training, "learning_rate": float("inf")}
+        elif breakage == "huge_learning_rate":  # an integer beyond any float
+            doc["training_config"] = {**training, "learning_rate": 10**400}
         elif breakage in ("nan_scaler_mean", "subnormal_scaler_stdev"):
             # A 1e-320 stdev loads, but scales every nonzero value to +-inf.
             nan_mean = breakage == "nan_scaler_mean"
@@ -611,10 +617,33 @@ class TestCli:
         ("json_list", "must hold a JSON object"),
         ("deep_nesting", "report file is not valid JSON"),
         ("long_integer", "report file is not valid JSON"),
-    ], ids=["missing_selector", "json_list", "deep_nesting", "long_integer"])
+        ("nan_accuracy", "'metrics.accuracy' must be a number in [0, 1]"),
+        ("accuracy_above_one", "'metrics.accuracy' must be a number in [0, 1]"),
+        ("infinite_seconds", "'phase_seconds.training' must be a finite non-negative number"),
+        ("negative_seconds", "'phase_seconds.training' must be a finite non-negative number"),
+        ("huge_integer_seconds",
+         "'phase_seconds.training' must be a finite non-negative number"),
+    ], ids=["missing_selector", "json_list", "deep_nesting", "long_integer", "nan_accuracy",
+            "accuracy_above_one", "infinite_seconds", "negative_seconds", "huge_integer_seconds"])
     def test_unreadable_report_exits_2(self, tmp_path, capsys, breakage, reason):
         report = tmp_path / "r.json"
-        if breakage == "missing_selector":
+        # Every key compare reads, each valid, for the breakages of one value.
+        valid = {"config": {"name": "FS2", "classifier": "mlp",
+                            "selector": {"method": "mutual_information", "threshold": None,
+                                         "k": 11}},
+                 "metrics": {"accuracy": 0.99}, "phase_seconds": {"training": 1.5},
+                 "feature_count": 11}
+        values = {"nan_accuracy": ("metrics", "accuracy", float("nan")),
+                  "accuracy_above_one": ("metrics", "accuracy", 1.5),
+                  "infinite_seconds": ("phase_seconds", "training", float("inf")),
+                  "negative_seconds": ("phase_seconds", "training", -0.5),
+                  # Beyond any float: compared as it is, since float() of it overflows.
+                  "huge_integer_seconds": ("phase_seconds", "training", 10**400)}
+        if breakage in values:
+            section, key, value = values[breakage]
+            valid[section][key] = value
+            text = json.dumps(valid)  # NaN and Infinity, as Python's json writes them
+        elif breakage == "missing_selector":
             text = json.dumps({"config": {"name": "FS2"}, "metrics": {"accuracy": 0.99}})
         elif breakage == "json_list":
             text = json.dumps([{"config": {"name": "FS2"}}])

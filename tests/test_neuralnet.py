@@ -249,6 +249,39 @@ class TestBackward:
                            match=f"^batch width {width} does not match model input width 2$"):
             nf.backward(model, np.zeros(shape), np.zeros(3))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_mask_at_edge_values(self, dtype):
+        # The engine takes the relu mask as sign(relu(z)), the oracle as
+        # z > 0. A one-input relu layer with unit weights makes each row's z
+        # its input (-0.0 arrives as +0.0: a product sums from +0.0, so the
+        # mask's own -0.0 case is checked at the end). The head's positive
+        # weights keep an inf input from becoming inf - inf, and the labels
+        # give up both signs. Batches: all rows, each row alone, all rows
+        # with the first twice, and all rows with a NaN row.
+        info = np.finfo(dtype)
+        edges = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                          info.max / 8, -info.max / 8, np.inf, -np.inf], dtype)
+        labels = (np.arange(edges.size) % 2).astype(dtype)
+        model = Model([Layer(np.ones((3, 1), dtype), np.zeros(3), "relu"),
+                       Layer(np.array([[0.5, 1.0, 2.0]], dtype), np.zeros(1), "sigmoid")], ["a"])
+        batches = [slice(None), *(slice(k, k + 1) for k in range(edges.size)),
+                   [0, 1, 2, 3, 4, 5, 6, 7, 0]]
+        with np.errstate(all="ignore"):  # inf and NaN products are the point
+            with_nan = np.append(edges, dtype(np.nan))  # its row's gradient terms are all NaN
+            for x, y in [*((edges[rows], labels[rows]) for rows in batches),
+                         (with_nan, np.append(labels, dtype(1)))]:
+                got = nf.backward(model, x[:, None], y)
+                probs, caches = oracle_forward(model, x[:, None])
+                want = oracle_backward(model, caches, probs, y)
+                nan = np.isnan(got)
+                assert got.dtype == want.dtype == dtype
+                assert (nan == np.isnan(want)).all()
+                assert got[~nan].tobytes() == want[~nan].tobytes()
+            assert nan.any()
+        mask = np.sign(np.maximum(np.zeros((), dtype), with_nan))
+        assert mask[:-1].tobytes() == (edges > 0).astype(dtype).tobytes()
+        assert np.isnan(mask[-1])
+
 
 class TestAdamStep:
     LEARNING_RATE = 1e-3
@@ -307,6 +340,31 @@ class TestAdamStep:
         assert given.dtype == given_state.m.dtype == dtype
         assert given.tobytes() == cast.tobytes()
         assert given_state.v.tobytes() == cast_state.v.tobytes()
+
+    @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_rebinds_to_other_arrays_and_learning_rates(self, dtype, other):
+        # One state handed two parameter vectors, two gradient vectors (the
+        # second of the other dtype, so cast afresh each step) and two
+        # learning rates in turn rebinds its calls when one of them changes,
+        # and keeps the bytes of a state built afresh for every step.
+        rng = np.random.default_rng(9)
+        start = [rng.standard_normal(8).astype(dtype) for _ in range(2)]
+        grads = [rng.standard_normal(8).astype(dtype), rng.standard_normal(8).astype(other)]
+        got, want = [p.copy() for p in start], [p.copy() for p in start]
+        state, fresh = AdamState.for_params(got[0]), AdamState.for_params(want[0])
+        schedule = [(0, 0, 1e-3), (0, 0, 1e-3), (1, 0, 1e-3), (1, 0, 2e-3), (1, 1, 2e-3),
+                    (1, 1, 2e-3), (0, 0, 2e-3), (0, 0, 1e-3), (0, 0, 1e-3)]
+        last = None
+        for p, g, lr in schedule:
+            calls = state.calls
+            nf.adam_step(got[p], grads[g], state, lr)
+            assert (state.calls is not calls) == ((p, g, lr) != last or g == 1)
+            fresh = AdamState(fresh.m, fresh.v, fresh.t)  # binds on its first step
+            nf.adam_step(want[p], grads[g].astype(dtype), fresh, lr)
+            last = p, g, lr
+        assert got[0].dtype == got[1].dtype == dtype
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+        assert state.m.tobytes() == fresh.m.tobytes() and state.v.tobytes() == fresh.v.tobytes()
 
     def test_deterministic_across_runs(self):
         results = []
@@ -371,6 +429,11 @@ class TestTrain:
         model = nf.build_mlp(["a", "b"], seed=0)
         with pytest.raises(nf.DataError, match="empty"):
             nf.train(model, ds, nf.TrainingConfig(epochs=1, batch_size=4))
+
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, math.nan, math.inf, 10**400])
+    def test_learning_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="^learning_rate must be positive and finite$"):
+            nf.TrainingConfig(epochs=1, batch_size=1, learning_rate=rate)
 
     def test_nan_loss_raises_numeric_error(self):
         ds = separable_blobs(seed=24, n_per_class=40)
@@ -997,6 +1060,52 @@ class TestStepBuffers:
         nf.train(build(ds.feature_names, hidden=HIDDEN[build is nf.build_lstm and "lstm" or "mlp"],
                        seed=1), ds, nf.TrainingConfig(epochs=2, batch_size=batch_size, seed=1))
         assert built == sizes
+
+    @pytest.mark.parametrize("build", [nf.build_mlp, nf.build_lstm])
+    def test_train_binds_each_call_list_once(self, build, monkeypatch):
+        # Two epochs with a short last batch: the whole-batch and short-batch
+        # buffers bind their backward calls once each, and the AdamState its
+        # update once, and every step replays the same list objects.
+        binds, owners, lists = [], [], collections.defaultdict(set)
+        for cls, name in [(StepBuffers, "bind_gradient"), (AdamState, "bind")]:
+            def counted(self, *args, _fn=getattr(cls, name)):
+                binds.append(self)
+                return _fn(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+        for name, at, attr in [("_forward_cached", 2, "forward_calls"),
+                               ("_backward_from_caches", 1, "backward_calls"),
+                               ("adam_step", 2, "calls")]:
+            def recorded(*args, _fn=getattr(neuralnet, name), _at=at, _attr=attr):
+                result = _fn(*args)
+                owners.append(args[_at])  # kept alive, so ids stay unique
+                lists[id(args[_at]), _attr].add(id(getattr(args[_at], _attr)))
+                return result
+            monkeypatch.setattr(neuralnet, name, recorded)
+        ds = odd_sized_blobs()
+        kind = "lstm" if build is nf.build_lstm else "mlp"
+        nf.train(build(ds.feature_names, hidden=HIDDEN[kind], seed=1), ds,
+                 nf.TrainingConfig(epochs=2, batch_size=16, seed=1))
+        assert sorted(type(b).__name__ for b in binds) == ["AdamState", "StepBuffers",
+                                                            "StepBuffers"]
+        assert len({id(b) for b in binds}) == 3
+        # forward and backward lists of both buffers, and Adam's: one object each
+        assert len(lists) == 5 and all(len(ids) == 1 for ids in lists.values())
+
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_backward_rebinds_to_other_gradient_views(self, kind):
+        # One StepBuffers handed a second gradient vector's views, then the
+        # first's again, rebinds each time and writes the bytes of buffers
+        # built afresh, all of each vector.
+        model, x, y = random_checkable_model(kind, 6)
+        bufs = StepBuffers(model, len(x))
+        probs = neuralnet._forward_cached(model, x, bufs)
+        grads = [np.full_like(model.params, np.nan) for _ in range(2)]
+        views = [_param_views(model.layers, g) for g in grads]
+        for k in (0, 1, 0):
+            grads[k][:] = np.nan
+            neuralnet._backward_from_caches(model, bufs, probs, y, views[k])
+            assert bufs.grad_views is views[k]
+            assert grads[k].tobytes() == nf.backward(model, x, y).tobytes()
 
     @pytest.mark.parametrize("rows", [0, 1, SCORE_BLOCK_ROWS, 2 * SCORE_BLOCK_ROWS + 3])
     def test_predict_proba_builds_one_set_per_call(self, rows, monkeypatch):
