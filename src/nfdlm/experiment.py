@@ -29,7 +29,7 @@ from .feature_select import (
     mi_rank_select,
 )
 from .flow_data import (
-    INTEGER, NUMBER, STRING, FlowDataset, _open_input, atomic_write_text, drop_columns,
+    COUNT, INTEGER, NUMBER, STRING, FlowDataset, _open_input, atomic_write_text, drop_columns,
     json_field, json_object, or_null, select_features, stratified_split,
 )
 from .neuralnet import (
@@ -352,16 +352,19 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
-# compare's accuracy is a fraction and its training time a finite, non-negative
-# count of seconds. The bounds are compared, not converted, so a huge JSON
-# integer fails the rule instead of raising OverflowError.
+# compare's accuracy is a fraction, its training time a finite, non-negative
+# count of seconds, and a threshold in correlation_filter's range. The bounds
+# are compared, not converted, so a huge JSON integer fails the rule instead
+# of raising OverflowError.
 _FRACTION = ("a number in [0, 1]", lambda v: NUMBER[1](v) and 0 <= v <= 1)
 _SECONDS = ("a finite non-negative number",
             lambda v: NUMBER[1](v) and 0 <= v <= sys.float_info.max)
+_THRESHOLD = ("a number in (0, 1)", lambda v: NUMBER[1](v) and 0 < v < 1)
+_K = ("an integer of at least 1", lambda v: INTEGER[1](v) and v >= 1)
 
 
 def _comparison_row(doc: dict, what: str) -> ComparisonRow:
-    rules = {"method": STRING, "threshold": or_null(NUMBER), "k": or_null(INTEGER)}
+    rules = {"method": STRING, "threshold": or_null(_THRESHOLD), "k": or_null(_K)}
     spec = {k: json_field(doc, f"config.selector.{k}", r, what) for k, r in rules.items()}
     try:
         selector = SelectorSpec(**spec).describe()
@@ -371,7 +374,7 @@ def _comparison_row(doc: dict, what: str) -> ComparisonRow:
         name=json_field(doc, "config.name", STRING, what),
         accuracy=json_field(doc, "metrics.accuracy", _FRACTION, what),
         train_seconds=json_field(doc, "phase_seconds.training", _SECONDS, what),
-        features=json_field(doc, "feature_count", INTEGER, what),
+        features=json_field(doc, "feature_count", COUNT, what),
         classifier=json_field(doc, "config.classifier", STRING, what),
         selector=selector,
     )

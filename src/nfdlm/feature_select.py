@@ -211,7 +211,7 @@ def mutual_information(x: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_MI
     return max(mi, 0.0)
 
 
-def mi_rank_select(ds: FlowDataset, k: int, bins: int = DEFAULT_MI_BINS) -> SelectedFeatures:
+def mi_rank_select(ds: FlowDataset, k: int) -> SelectedFeatures:
     """Keep the k features with the highest mutual information with the label.
 
     kept is in rank order; ties fall back to the original column order. The
@@ -221,9 +221,7 @@ def mi_rank_select(ds: FlowDataset, k: int, bins: int = DEFAULT_MI_BINS) -> Sele
     names = ds.feature_names
     if not 1 <= k <= len(names):
         raise DataError(f"k must be in [1, {len(names)}], got {k}")
-    scores = np.array(
-        [mutual_information(ds.matrix[:, j], ds.labels, bins) for j in range(len(names))]
-    )
+    scores = np.array([mutual_information(ds.matrix[:, j], ds.labels) for j in range(len(names))])
     order = np.argsort(-scores, kind="stable")
     kept = order[:k]
     rest = order[k:]

@@ -8,10 +8,10 @@ The vector has its layers' dtype: new models are float32, and the step
 functions compute in the dtype they are given, so models loaded from older
 float64 files train and score in float64 through the same code.
 A step allocates nothing: every array a forward and backward pass writes
-lives in one StepBuffers, built once per model and batch row count, and
-Adam's scratch and constants live in its AdamState. Both hold their passes
-as lists of numpy calls built once (see nfdlm.steps), so the step functions
-here pass the per-step operands and replay a list. Callers hand them
+lives in a StepBuffers built once per model, batch row count and gradient
+vector, and Adam's gradient, scratch and constants in its AdamState. Both
+hold their passes as numpy calls bound to those arrays once (nfdlm.steps),
+so the step functions here pass the per-step operands and replay them, on
 batches already in the parameters' dtype and of the model's width.
 Products go through np.dot, which makes np.matmul's BLAS call with less
 dispatch, except the LSTM's per-gate products on strided column blocks,
@@ -253,7 +253,7 @@ def _checked_batch(model: Model, batch) -> np.ndarray:
     return x
 
 
-def _forward_cached(model: Model, batch: np.ndarray, bufs: StepBuffers) -> np.ndarray:
+def _forward_cached(batch: np.ndarray, bufs: StepBuffers) -> np.ndarray:
     """Probabilities for a batch in the parameters' dtype, of the model's
     input width and of the row count bufs was built for, as a view into
     bufs, where every layer's input and cache stay for _backward_from_caches."""
@@ -269,7 +269,7 @@ def forward(model: Model, batch: np.ndarray) -> np.ndarray:
     """Per-row attack probabilities, in the model's dtype, for an already
     scaled (rows, features) batch."""
     x = _checked_batch(model, batch)
-    return _forward_cached(model, x, StepBuffers(model, len(x), backward=False))
+    return _forward_cached(x, StepBuffers(model, len(x)))
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray):
@@ -290,15 +290,11 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray):
     return float(loss) if p.ndim == 1 else loss
 
 
-def _backward_from_caches(model: Model, bufs: StepBuffers, probs: np.ndarray,
-                          labels: np.ndarray, views: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Overwrite every entry of the gradient that views (from _param_views)
-    lay out with the gradient of bce_loss, in the dtype of probs, from the
-    caches that the last _forward_cached call left in bufs. labels are in
-    the dtype of probs. bufs' backward calls are rebound if they were built
-    for another views list."""
-    if views is not bufs.grad_views:
-        bufs.bind_gradient(views)
+def _backward_from_caches(bufs: StepBuffers, probs: np.ndarray, labels: np.ndarray) -> None:
+    """Overwrite every entry of the gradient vector bufs was built for with
+    the gradient of bce_loss, in the dtype of probs, from the caches that
+    the last _forward_cached call left in bufs. labels are in the dtype of
+    probs."""
     np.subtract(probs, labels, bufs.loss_delta)
     for call in bufs.backward_calls:
         call()
@@ -310,11 +306,10 @@ def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
     x, y = _checked_batch(model, batch), np.asarray(labels)
     if y.shape != (len(x),):
         raise DataError("batch and labels shapes disagree")
-    bufs = StepBuffers(model, len(x))
-    probs = _forward_cached(model, x, bufs)
     grads = np.empty_like(model.params)
-    _backward_from_caches(model, bufs, probs, y.astype(probs.dtype),
-                          _param_views(model.layers, grads))
+    bufs = StepBuffers(model, len(x), _param_views(model.layers, grads))
+    probs = _forward_cached(x, bufs)
+    _backward_from_caches(bufs, probs, y.astype(probs.dtype))
     return grads
 
 
@@ -323,15 +318,16 @@ def adam_step(
 ) -> None:
     """One in-place Adam update with bias-corrected moment estimates.
 
-    grads is cast to the parameters' dtype first, so every operation runs in
-    that dtype. The step writes the bias corrections, rebinds state's calls
-    if they were built for other arrays or another learning rate, and
-    replays them: they write params, the moments and state's scratch
-    vectors, and allocate nothing.
+    grads is copied into state.grad, cast to the parameters' dtype, unless
+    it is state.grad itself. The step writes the bias corrections, rebinds
+    state's calls if they were built for other parameters or another
+    learning rate, and replays them: they write params, the moments and
+    state's scratch vectors, and allocate nothing.
     """
-    g = np.asarray(grads, dtype=params.dtype)
-    if params is not state.params or g is not state.grads or learning_rate != state.learning_rate:
-        state.bind(params, g, learning_rate)
+    if grads is not state.grad:
+        np.copyto(state.grad, grads)
+    if params is not state.params or learning_rate != state.learning_rate:
+        state.bind(params, learning_rate)
     state.t += 1
     state.c1[()] = 1.0 - ADAM_BETA1 ** state.t
     state.c2[()] = 1.0 - ADAM_BETA2 ** state.t
@@ -351,8 +347,8 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
     The dataset must already be scaled and reduced to the model's input
     features. It is cast once to the dtype of model.params, which every
     step buffer then follows, and train_ds is dropped (so are its rows, if
-    the caller held no other reference). The steps write into two
-    StepBuffers at most, one for whole batches and one for a short last
+    the caller held no other reference). Steps write Adam's gradient through
+    two StepBuffers at most, one for whole batches and one for a short last
     batch. Raises NumericError if the loss goes non-finite.
     """
     if train_ds.row_count == 0:
@@ -368,14 +364,13 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
     n, bs = x.shape[0], cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.for_params(model.params)
-    grads = np.empty_like(model.params)  # each step overwrites all of it
-    grad_views = _param_views(model.layers, grads)
+    grad_views = _param_views(model.layers, state.grad)  # each step overwrites all of it
     xs, ys = np.empty_like(x), np.empty_like(y)  # the shuffled copy, one per call
     ps = np.empty_like(y)  # each step's probabilities, for the loss pass
     block = max(1, LOSS_BLOCK_ROWS // bs) * bs
     batches, short = -(-n // bs), n % bs
-    whole_bufs = StepBuffers(model, min(bs, n))
-    last_bufs = StepBuffers(model, short) if short and n > bs else whole_bufs
+    whole_bufs = StepBuffers(model, min(bs, n), grad_views)
+    last_bufs = StepBuffers(model, short, grad_views) if short and n > bs else whole_bufs
     model.training_config = cfg
 
     history: list[EpochStats] = []
@@ -389,14 +384,14 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
         step_bufs = itertools.chain(itertools.repeat(whole_bufs, batches - 1), (last_bufs,))
         for start, bufs in zip(range(0, n, bs), step_bufs):
             xb, yb = xs[start : start + bs], ys[start : start + bs]
-            probs = _forward_cached(model, xb, bufs)
+            probs = _forward_cached(xb, bufs)
             # The clamped loss is non-finite only when a probability is NaN,
             # and so is probs . probs, as every other probability is in [0, 1].
             if not math.isfinite(probs.dot(probs)):
                 raise NumericError(f"non-finite loss at epoch {epoch + 1}, batch {start // bs + 1}")
             ps[start : start + bs] = probs
-            _backward_from_caches(model, bufs, probs, yb, grad_views)
-            adam_step(model.params, grads, state, cfg.learning_rate)
+            _backward_from_caches(bufs, probs, yb)
+            adam_step(model.params, state.grad, state, cfg.learning_rate)
         # Each block's whole batches in one loss call, then a short last
         # batch; the sum still adds loss * size batch by batch.
         loss_sum = 0.0
@@ -437,7 +432,7 @@ def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
         means, stdevs = model.scaler.means[positions], model.scaler.stdevs[positions]
     probs = np.empty(ds.row_count, model.params.dtype)
     block = np.empty((SCORE_BLOCK_ROWS, len(columns)), model.params.dtype)
-    bufs = StepBuffers(model, SCORE_BLOCK_ROWS, backward=False)
+    bufs = StepBuffers(model, SCORE_BLOCK_ROWS)
     for start in range(0, ds.row_count, SCORE_BLOCK_ROWS):
         rows = slice(start, start + SCORE_BLOCK_ROWS)
         x = np.take(ds.matrix[rows], columns, axis=1)
@@ -450,7 +445,7 @@ def predict_proba(model: Model, ds: FlowDataset) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # reported as the DataError below
             block[:real] = x
             block[real:] = 0.0  # a short last block's padding
-            probs[rows] = _forward_cached(model, block, bufs)[:real]
+            probs[rows] = _forward_cached(block, bufs)[:real]
     if not np.isfinite(probs).all():
         raise DataError("model outputs are not finite")
     return probs

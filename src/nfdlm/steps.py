@@ -2,13 +2,13 @@
 
 A step allocates nothing and does little but call numpy. Every array that a
 forward and a backward pass write, and every view of them or of a model's
-parameters that a step reads, lives in one StepBuffers, built once per model
-and batch row count; Adam's moments and scratch live in an AdamState. Each
-holds its passes as lists of functools.partial calls over those arrays,
-with their operands and out arrays bound, so nfdlm.neuralnet's step
-functions write the few per-step operands (the batch, the labels, Adam's
-bias corrections) and replay a list. Every call keeps the order and operand
-dtypes of the allocating form of the step, so the bits are the same.
+parameters that a step reads, lives in one StepBuffers, built once per model,
+batch row count and gradient vector; Adam's moments, gradient and scratch
+live in an AdamState. Each holds its passes as lists of functools.partial
+calls over those arrays, with operands and out arrays bound once, so
+nfdlm.neuralnet's step functions write the few per-step operands (the batch,
+the labels, Adam's bias corrections) and replay a list. Every call keeps the
+order and operand dtypes of the allocating form, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ def _sigmoid_calls(x, e, out, zero, one) -> list:
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count, and the two bias corrections as 0-d
-    arrays in the moments' dtype, which adam_step writes. calls is the
-    update as a list of numpy calls, which bind builds for the parameters,
-    gradient and learning rate that adam_step was last handed."""
+    """Adam's moments, step count and gradient vector grad, and the two bias
+    corrections as 0-d arrays in the moments' dtype, which adam_step writes.
+    calls is the update as a list of numpy calls, which bind builds for the
+    parameters and learning rate that adam_step was last handed."""
 
     m: np.ndarray
     v: np.ndarray
@@ -52,18 +52,18 @@ class AdamState:
 
     def __post_init__(self) -> None:
         self.c1, self.c2 = np.ones((), self.m.dtype), np.ones((), self.m.dtype)
-        self.params = self.grads = self.learning_rate = None
-        self.calls = []
+        self.params = self.learning_rate = None
+        self.grad, self.calls = np.empty_like(self.m), []
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
         return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
-    def bind(self, params: np.ndarray, g: np.ndarray, learning_rate: float) -> None:
-        """Build calls for params, the gradient g in their dtype, and
-        learning_rate, with two scratch vectors, and beta1, beta2, 1 - beta1,
-        1 - beta2, eps and the learning rate as 0-d arrays."""
-        m, v, a, b = self.m, self.v, np.empty_like(self.m), np.empty_like(self.m)
+    def bind(self, params: np.ndarray, learning_rate: float) -> None:
+        """Build calls for params and learning_rate, with two scratch vectors,
+        and beta1, beta2, 1 - beta1, 1 - beta2, eps and the learning rate as
+        0-d arrays."""
+        m, v, g, a, b = self.m, self.v, self.grad, np.empty_like(self.m), np.empty_like(self.m)
         beta1, beta2, decay1, decay2, eps, lr = (np.array(x, m.dtype) for x in (
             ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2, ADAM_EPS, learning_rate))
         mul, add, div = np.multiply, np.add, np.divide
@@ -76,7 +76,7 @@ class AdamState:
             partial(div, m, self.c1, a), partial(mul, lr, a, a), partial(div, v, self.c2, b),
             partial(np.sqrt, b, b), partial(add, b, eps, b), partial(div, a, b, a),
             partial(np.subtract, params, a, params)]
-        self.params, self.grads, self.learning_rate = params, g, learning_rate
+        self.params, self.learning_rate = params, learning_rate
 
 
 class _LayerBuffers:
@@ -91,10 +91,10 @@ class _LayerBuffers:
     head's own dz), and delta, the up of the layer below. scratch holds
     nothing between calls. Forward-only buffers pass shared, one flat array
     that every layer's scratch and gates view as contiguous rows, as a layer
-    needs them only while it runs.
+    needs them only while it runs, and make no dz or delta.
     """
 
-    def __init__(self, layer, rows: int, dtype, below: _LayerBuffers | None, backward: bool,
+    def __init__(self, layer, rows: int, dtype, below: _LayerBuffers | None,
                  shared: np.ndarray | None, zero, one) -> None:
         def new(width: int) -> np.ndarray:
             return np.empty((rows, width), dtype)
@@ -122,12 +122,13 @@ class _LayerBuffers:
         else:
             calls += _sigmoid_calls(z, s, out, zero, one)
         self.forward = calls if below is None else [partial(np.dot, self.x, self.wt, z), *calls]
+        if shared is not None:
+            return
         # up is dz for the head; the layer above points any other layer's at its delta.
-        self.up = self.dz = new(len(w)) if backward else None
-        self.dzt = self.dz.T if backward else None
-        self.delta = new(layer.input_size) if backward and below is not None else None
+        self.up = self.dz = new(len(w))
+        self.dzt, self.delta = self.dz.T, None
         if below is not None:
-            below.up = self.delta
+            below.up = self.delta = new(layer.input_size)
 
     def backward(self, dw: np.ndarray, db: np.ndarray, one) -> list:
         """The layer's calls in a backward pass that writes its gradient to
@@ -174,7 +175,7 @@ class _LayerBuffers:
 
 
 class StepBuffers:
-    """Every array that one forward pass, and with backward=True one backward
+    """Every array that one forward pass, and given grad_views one backward
     pass, writes for a model at one batch row count, with 0, 1 and the row
     count as 0-d arrays in the parameters' dtype, and every view of them
     that a step reads. Each pass overwrites the last one's arrays:
@@ -182,33 +183,28 @@ class StepBuffers:
     stay valid while steps update model.params in place.
 
     forward_calls holds a forward pass but for the input layer's product,
-    which takes the batch. backward_calls, which bind_gradient builds for
-    the gradient views it is handed, holds a backward pass but for the loss
-    delta's subtraction, which takes the labels, and the input layer's
-    weight-gradient product, which takes the batch.
+    which takes the batch. Given grad_views, per layer its weights' and
+    bias's views of one gradient vector, backward_calls holds a backward
+    pass into them but for the loss delta's subtraction, which takes the
+    labels, and the input product into first_dw, which takes the batch.
     """
 
-    def __init__(self, model, rows: int, backward: bool = True) -> None:
+    def __init__(self, model, rows: int, grad_views: list | None = None) -> None:
         dtype = model.params.dtype
         self.zero, self.one, self.count = (np.array(v, dtype) for v in (0, 1, rows))
         widest = max(l.output_size for l in model.layers if l.activation != "relu")
-        shared = None if backward else np.empty(5 * rows * widest, dtype)
+        shared = np.empty(5 * rows * widest, dtype) if grad_views is None else None
         self.layers, below = [], None
         for layer in model.layers:
-            below = _LayerBuffers(layer, rows, dtype, below, backward, shared, self.zero, self.one)
+            below = _LayerBuffers(layer, rows, dtype, below, shared, self.zero, self.one)
             self.layers.append(below)
         self.first = self.layers[0]
         self.probs = below.out[:, 0]
-        self.loss_delta = below.dz[:, 0] if backward else None
         self.forward_calls = [call for lb in self.layers for call in lb.forward]
-        self.grad_views = self.first_dw = None
-        self.backward_calls = []
-
-    def bind_gradient(self, views: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Build backward_calls to write the gradient that views (per layer,
-        its weights' and bias's views of one gradient vector) lay out."""
+        if grad_views is None:
+            return
+        self.loss_delta, self.first_dw = below.dz[:, 0], grad_views[0][0]
         # Sigmoid head fused with BCE: dL/dz = (p - y) / n.
         self.backward_calls = [partial(np.divide, self.loss_delta, self.count, self.loss_delta)]
-        for lb, (dw, db) in zip(reversed(self.layers), reversed(views)):
+        for lb, (dw, db) in zip(reversed(self.layers), reversed(grad_views)):
             self.backward_calls += lb.backward(dw, db, self.one)
-        self.grad_views, self.first_dw = views, views[0][0]

@@ -167,8 +167,8 @@ def relu_kink_margin(model, x) -> float:
     """Smallest |pre-activation| over every ReLU unit; FD checks need it > h."""
     from nfdlm.neuralnet import StepBuffers, _forward_cached
 
-    bufs = StepBuffers(model, len(x), backward=False)
-    _forward_cached(model, x, bufs)
+    bufs = StepBuffers(model, len(x))
+    _forward_cached(x, bufs)
     margin = np.inf
     for layer, lb in zip(model.layers, bufs.layers):
         if layer.activation == "relu" and lb.z.size:

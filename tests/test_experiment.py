@@ -659,6 +659,43 @@ class TestCli:
         assert reason in err
         assert f"{report}: report file" in err
 
+    @pytest.mark.parametrize("key, value, wanted", [
+        ("config.selector.threshold", float("nan"), "a number in (0, 1) or null"),
+        ("config.selector.threshold", 0.0, "a number in (0, 1) or null"),
+        ("config.selector.threshold", 1, "a number in (0, 1) or null"),
+        ("config.selector.threshold", -10**400, "a number in (0, 1) or null"),
+        ("config.selector.k", 0, "an integer of at least 1 or null"),
+        ("config.selector.k", -3, "an integer of at least 1 or null"),
+        ("feature_count", -3, "a non-negative integer"),
+        ("feature_count", -10**400, "a non-negative integer"),
+    ], ids=["nan_threshold", "zero_threshold", "threshold_one", "huge_negative_threshold",
+            "zero_k", "negative_k", "negative_feature_count", "huge_negative_feature_count"])
+    def test_out_of_range_selector_or_feature_count_exits_2(self, tmp_path, capsys, key, value,
+                                                            wanted):
+        # Thresholds are in correlation_filter's (0, 1), k is at least 1 and
+        # feature counts are not negative; a huge integer is compared as it is.
+        report = tmp_path / "r.json"
+        doc = {"config": {"name": "FS1", "classifier": "mlp",
+                          "selector": {"method": "correlation", "threshold": 0.9, "k": 1}},
+               "metrics": {"accuracy": 0.9}, "phase_seconds": {"training": 1.0},
+               "feature_count": 0}
+        report.write_text(json.dumps(doc), encoding="utf-8")
+        assert nf.load_report(report) == doc  # the edges that stay in range
+        *parents, last = key.split(".")
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[last] = value
+        report.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(nf.DataError, match=re.escape(f"'{key}' must be {wanted}")):
+            nf.load_report(report)
+        rc = main(["compare", "--reports", str(report), "--out", str(tmp_path / "t.md")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
+        assert f"{report}: report file '{key}' must be {wanted}" in err
+        assert not (tmp_path / "t.md").exists()
+
     def test_mutated_reports_load_or_fail_as_data_error(self, tmp_path, small_ds):
         path = tmp_path / "r.json"
         nf.save_report(nf.run_experiment(nf.preset("FS2", seed=1, epochs=1), small_ds), path)

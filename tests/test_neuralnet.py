@@ -114,7 +114,7 @@ class TestLstmForward:
         head = Layer(np.ones((1, 1)), np.zeros(1), "sigmoid")
         model = Model(layers=[cell, head], input_features=["x"])
         bufs = StepBuffers(model, 1)
-        neuralnet._forward_cached(model, np.array([[x]]), bufs)
+        neuralnet._forward_cached(np.array([[x]]), bufs)
         assert abs(bufs.layers[0].out[0, 0] - expected) < 1e-15
 
     def test_zero_parameters_give_sigmoid_of_head_bias(self):
@@ -343,28 +343,27 @@ class TestAdamStep:
 
     @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
     def test_rebinds_to_other_arrays_and_learning_rates(self, dtype, other):
-        # One state handed two parameter vectors, two gradient vectors (the
-        # second of the other dtype, so cast afresh each step) and two
-        # learning rates in turn rebinds its calls when one of them changes,
-        # and keeps the bytes of a state built afresh for every step.
+        # One state handed two parameter vectors and two learning rates in
+        # turn rebuilds its calls when either changes, and only then. Its
+        # gradients come from two other vectors (the second of the other
+        # dtype), which it copies in, and it keeps the oracle's bytes.
         rng = np.random.default_rng(9)
         start = [rng.standard_normal(8).astype(dtype) for _ in range(2)]
         grads = [rng.standard_normal(8).astype(dtype), rng.standard_normal(8).astype(other)]
         got, want = [p.copy() for p in start], [p.copy() for p in start]
-        state, fresh = AdamState.for_params(got[0]), AdamState.for_params(want[0])
+        state, oracle = AdamState.for_params(got[0]), AdamState.for_params(want[0])
         schedule = [(0, 0, 1e-3), (0, 0, 1e-3), (1, 0, 1e-3), (1, 0, 2e-3), (1, 1, 2e-3),
                     (1, 1, 2e-3), (0, 0, 2e-3), (0, 0, 1e-3), (0, 0, 1e-3)]
         last = None
         for p, g, lr in schedule:
             calls = state.calls
             nf.adam_step(got[p], grads[g], state, lr)
-            assert (state.calls is not calls) == ((p, g, lr) != last or g == 1)
-            fresh = AdamState(fresh.m, fresh.v, fresh.t)  # binds on its first step
-            nf.adam_step(want[p], grads[g].astype(dtype), fresh, lr)
-            last = p, g, lr
-        assert got[0].dtype == got[1].dtype == dtype
+            assert (state.calls is not calls) == ((p, lr) != last)
+            oracle_adam_step(want[p], grads[g].astype(dtype), oracle, lr)
+            last = p, lr
+        assert got[0].dtype == got[1].dtype == state.grad.dtype == dtype
         assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
-        assert state.m.tobytes() == fresh.m.tobytes() and state.v.tobytes() == fresh.v.tobytes()
+        assert state.m.tobytes() == oracle.m.tobytes() and state.v.tobytes() == oracle.v.tobytes()
 
     def test_deterministic_across_runs(self):
         results = []
@@ -852,12 +851,14 @@ HIDDEN = {"mlp": (6, 6), "lstm": (8, 5)}
 STEP_FUNCTIONS = ("_forward_cached", "bce_loss", "_backward_from_caches", "adam_step")
 
 
-def build_at(dtype, kind, features, seed):
-    """build_mlp/build_lstm (float32), or their float64 twin."""
+def build_at(dtype, kind, features, seed, hidden=None):
+    """build_mlp/build_lstm (float32), or their float64 twin, with HIDDEN's
+    layer widths unless given others."""
+    hidden = hidden or HIDDEN[kind]
     if dtype == np.float64:
-        return build_float64(kind, features, HIDDEN[kind], seed)
+        return build_float64(kind, features, hidden, seed)
     build = nf.build_mlp if kind == "mlp" else nf.build_lstm
-    return build(features, hidden=HIDDEN[kind], seed=seed)
+    return build(features, hidden=hidden, seed=seed)
 
 
 class TestTrainMatchesOracle:
@@ -877,6 +878,26 @@ class TestTrainMatchesOracle:
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
     def test_every_batch_shape_bitwise_equal(self, kind, dtype, batch_size):
         self.check_bitwise_equal(kind, dtype, batch_size)
+
+    @pytest.mark.parametrize("hidden", [(1,), (1, 1), (1, 6)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_input_one_unit_batch_one_bitwise_equal(self, dtype, hidden):
+        # Every first-layer product is then (1, 1) @ (1, 1), where np.dot
+        # keeps a zero's sign that @ drops (see TestProductsMatchMatmul): a
+        # row the ReLU masks off, with a negative input, gets a -0 weight
+        # gradient against the oracle's +0. Adam's moments start at +0, and
+        # +0 plus -0 is +0, so the sign should never reach a weight.
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((40, 1))
+        x[::7] = 0.0
+        ds = numeric_ds(x, labels=rng.random(40) < 0.5)
+        cfg = nf.TrainingConfig(epochs=3, batch_size=1, learning_rate=0.01, seed=8)
+        model, history = nf.train(build_at(dtype, "mlp", ds.feature_names, 8, hidden), ds, cfg)
+        oracle = build_at(dtype, "mlp", ds.feature_names, 8, hidden)
+        losses = oracle_train(oracle, ds, cfg)
+        assert model.params.dtype == oracle.params.dtype == dtype
+        assert model.params.tobytes() == oracle.params.tobytes()
+        assert np.array([h.loss for h in history]).tobytes() == np.array(losses).tobytes()
 
     @pytest.mark.parametrize("block_rows", [40, 50])
     def test_loss_blocks_bitwise_equal(self, block_rows, monkeypatch):
@@ -977,15 +998,29 @@ class TestProductsMatchMatmul:
                 assert np.dot(a, b, out=out) is out
                 assert out.tobytes() == (a @ b).tobytes(), (inputs, outputs, a.shape, b.shape)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_by_one_products_differ_only_in_a_zeros_sign(self, dtype):
+        # The one shape where they part: np.dot returns a (1, 1) @ (1, 1)
+        # product as it is, so [[-1]] @ [[0]] gives -0, where matmul sums
+        # from +0 and gives +0. A model with one input and a one-unit first
+        # layer reaches it at batch size 1 (TestTrainMatchesOracle).
+        values = [-2.5, -1.0, -0.0, 0.0, 1.0, 3.0]
+        for a, b in itertools.product(values, repeat=2):
+            x, w = np.array([[a]], dtype), np.array([[b]], dtype)
+            out, want = np.empty((1, 1), dtype), x @ w
+            assert np.dot(x, w, out=out) is out
+            assert out[0, 0] == want[0, 0]
+            assert out.tobytes() == want.tobytes() or want[0, 0] == 0, (a, b)
+
 
 class TestGradientBuffer:
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
     def test_stale_gradient_is_fully_overwritten(self, kind):
         model, x, y = random_checkable_model(kind, 4)
-        bufs = StepBuffers(model, len(x))
-        probs = neuralnet._forward_cached(model, x, bufs)
         grads = np.full_like(model.params, np.nan)
-        neuralnet._backward_from_caches(model, bufs, probs, y, _param_views(model.layers, grads))
+        bufs = StepBuffers(model, len(x), _param_views(model.layers, grads))
+        probs = neuralnet._forward_cached(x, bufs)
+        neuralnet._backward_from_caches(bufs, probs, y)
         assert np.isfinite(grads).all()
         assert grads.tobytes() == nf.backward(model, x, y).tobytes()
 
@@ -1064,16 +1099,16 @@ class TestStepBuffers:
     @pytest.mark.parametrize("build", [nf.build_mlp, nf.build_lstm])
     def test_train_binds_each_call_list_once(self, build, monkeypatch):
         # Two epochs with a short last batch: the whole-batch and short-batch
-        # buffers bind their backward calls once each, and the AdamState its
-        # update once, and every step replays the same list objects.
+        # buffers are built once each, and the AdamState binds its update
+        # once, and every step replays the same list objects.
         binds, owners, lists = [], [], collections.defaultdict(set)
-        for cls, name in [(StepBuffers, "bind_gradient"), (AdamState, "bind")]:
+        for cls, name in [(StepBuffers, "__init__"), (AdamState, "bind")]:
             def counted(self, *args, _fn=getattr(cls, name)):
                 binds.append(self)
                 return _fn(self, *args)
             monkeypatch.setattr(cls, name, counted)
-        for name, at, attr in [("_forward_cached", 2, "forward_calls"),
-                               ("_backward_from_caches", 1, "backward_calls"),
+        for name, at, attr in [("_forward_cached", 1, "forward_calls"),
+                               ("_backward_from_caches", 0, "backward_calls"),
                                ("adam_step", 2, "calls")]:
             def recorded(*args, _fn=getattr(neuralnet, name), _at=at, _attr=attr):
                 result = _fn(*args)
@@ -1090,22 +1125,6 @@ class TestStepBuffers:
         assert len({id(b) for b in binds}) == 3
         # forward and backward lists of both buffers, and Adam's: one object each
         assert len(lists) == 5 and all(len(ids) == 1 for ids in lists.values())
-
-    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
-    def test_backward_rebinds_to_other_gradient_views(self, kind):
-        # One StepBuffers handed a second gradient vector's views, then the
-        # first's again, rebinds each time and writes the bytes of buffers
-        # built afresh, all of each vector.
-        model, x, y = random_checkable_model(kind, 6)
-        bufs = StepBuffers(model, len(x))
-        probs = neuralnet._forward_cached(model, x, bufs)
-        grads = [np.full_like(model.params, np.nan) for _ in range(2)]
-        views = [_param_views(model.layers, g) for g in grads]
-        for k in (0, 1, 0):
-            grads[k][:] = np.nan
-            neuralnet._backward_from_caches(model, bufs, probs, y, views[k])
-            assert bufs.grad_views is views[k]
-            assert grads[k].tobytes() == nf.backward(model, x, y).tobytes()
 
     @pytest.mark.parametrize("rows", [0, 1, SCORE_BLOCK_ROWS, 2 * SCORE_BLOCK_ROWS + 3])
     def test_predict_proba_builds_one_set_per_call(self, rows, monkeypatch):
@@ -1133,15 +1152,14 @@ class TestStepBuffers:
         model = build_at(np.float32, kind, ["a", "b", "c", "d"], 5)
         x = rng.standard_normal((2 * rows, 4)).astype(np.float32)
         y = (rng.random(2 * rows) < 0.5).astype(np.float32)
-        bufs, state = StepBuffers(model, rows), AdamState.for_params(model.params)
-        grads = np.empty_like(model.params)
-        views = _param_views(model.layers, grads)
+        state = AdamState.for_params(model.params)
+        bufs = StepBuffers(model, rows, _param_views(model.layers, state.grad))
 
         def step(k):
             xb, yb = x[k % 2 * rows :][:rows], y[k % 2 * rows :][:rows]
-            probs = neuralnet._forward_cached(model, xb, bufs)
-            neuralnet._backward_from_caches(model, bufs, probs, yb, views)
-            neuralnet.adam_step(model.params, grads, state, 1e-3)
+            probs = neuralnet._forward_cached(xb, bufs)
+            neuralnet._backward_from_caches(bufs, probs, yb)
+            neuralnet.adam_step(model.params, state.grad, state, 1e-3)
 
         step(0)  # numpy's first-call caches
         with np.errstate():  # restores the bufsize on exit
@@ -1163,7 +1181,7 @@ class TestStepBuffers:
         # layer; the scores keep the bits of buffers that give each its own.
         model = nf.build_lstm(["a", "b", "c"], hidden=(6, 4), seed=3)
         x = np.random.default_rng(3).standard_normal((50, 3)).astype(np.float32)
-        lean = StepBuffers(model, 50, backward=False)
+        lean = StepBuffers(model, 50)
         flat = lean.layers[0].scratch.base
         assert flat.shape == (5 * 50 * 6,)
         for lb, n in zip(lean.layers, (6, 4, 1)):
@@ -1173,8 +1191,9 @@ class TestStepBuffers:
             assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(transients, 2))
         arrays = [flat, *(a for lb in lean.layers for a in (lb.z, lb.out))]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
-        probs = neuralnet._forward_cached(model, x, lean).copy()
-        whole = neuralnet._forward_cached(model, x, StepBuffers(model, 50))
+        probs = neuralnet._forward_cached(x, lean).copy()
+        views = _param_views(model.layers, np.empty_like(model.params))
+        whole = neuralnet._forward_cached(x, StepBuffers(model, 50, views))
         assert probs.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
@@ -1183,8 +1202,8 @@ class TestStepBuffers:
         # the one set of whole-batch buffers, overwritten step by step.
         steps, forward = [], neuralnet._forward_cached
 
-        def recorded(model, batch, bufs):
-            probs = forward(model, batch, bufs)
+        def recorded(batch, bufs):
+            probs = forward(batch, bufs)
             caches = [a for lb in bufs.layers for a in (lb.x, lb.z, lb.out, *lb.gates)]
             steps.append((probs, bufs, caches, probs.copy()))
             return probs
