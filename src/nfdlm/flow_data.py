@@ -2,8 +2,9 @@
 
 A FlowDataset is the currency passed between every pipeline stage: a numeric
 feature matrix plus column descriptors and bool labels (True = attack).
-Categorical columns are descriptors only; no cell of theirs is kept. A .ds
-cache file is a JSON header line, the matrix as it lies in memory, then one
+Categorical columns are descriptors only; no cell of theirs is kept, and the
+label column lives only as the labels. A .ds cache file is a JSON header line
+of row count and feature names, the matrix as it lies in memory, then one
 label byte per row.
 """
 
@@ -27,8 +28,6 @@ from .errors import DataError
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical-string"
-META = "meta"
-COLUMN_KINDS = (NUMERIC, CATEGORICAL, META)
 
 # Bot-IoT's label column and its two classes: nfdlm ingest's defaults, and
 # what write_flow_csv writes.
@@ -44,7 +43,7 @@ DEFAULT_DROP_COLUMNS = ("pkSeqID", "stime", "ltime")
 PARSE_CHUNK_ROWS = 4096
 
 DATASET_FORMAT = "nfdlm.dataset"
-DATASET_FORMAT_VERSION = 2
+DATASET_FORMAT_VERSION = 3
 
 # Up to this many independent feature columns carry the class-mean offset in
 # synthetic data; matches the depth of the mutual-information presets so that
@@ -54,8 +53,11 @@ SIGNAL_DIMS = 11
 
 @dataclass(frozen=True)
 class ColumnDescriptor:
+    """A feature column, or a categorical one that holds no cells. The label
+    column has no descriptor."""
+
     name: str
-    kind: str  # numeric | categorical-string | meta
+    kind: str  # numeric | categorical-string
 
 
 @dataclass
@@ -63,8 +65,8 @@ class FlowDataset:
     """Column-described flow records.
 
     matrix holds only the numeric columns (row-major, float64, one column per
-    kind=numeric descriptor, in descriptor order). Categorical columns and
-    meta columns (e.g. the consumed label column) are descriptors only.
+    kind=numeric descriptor, in descriptor order). Categorical columns are
+    descriptors only. The label column is no column: it is the labels.
 
     A C-contiguous float64 matrix is adopted, not copied, and frozen: the
     caller's array becomes read-only. Any other array-like is converted.
@@ -165,8 +167,8 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
     as a finite number the column is numeric, otherwise categorical. A
     categorical column is a descriptor only: its cells are checked for blanks
     and not kept. The label column is consumed into the 0/1 label vector (1
-    where the cell equals positive_label) and kept as a kind=meta descriptor
-    so it can never leak into a feature matrix.
+    where the cell equals positive_label) and leaves no descriptor, so it can
+    never leak into a feature matrix.
 
     Hard errors: missing file or label column, duplicate header names, bytes
     that are not UTF-8, ragged rows, empty cells, non-finite numeric cells,
@@ -307,8 +309,8 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
             _keep_columns(matrix, keep)
     labels = np.concatenate(label_parts) if label_parts else np.empty(0, bool)
     columns = [
-        ColumnDescriptor(name, META if j == label_idx else CATEGORICAL if j in categorical else NUMERIC)
-        for j, name in enumerate(header)
+        ColumnDescriptor(name, CATEGORICAL if j in categorical else NUMERIC)
+        for j, name in enumerate(header) if j != label_idx
     ]
     return FlowDataset(columns=columns, matrix=matrix, labels=labels)
 
@@ -667,18 +669,16 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 
 
 def save_dataset(ds: FlowDataset, path: str | os.PathLike) -> None:
-    """Cache a dataset: one JSON header line, then the matrix as it lies in
-    memory, written without a copy (little-endian float64 in C order, so values
-    round-trip bitwise), then the labels' own bool bytes. "strings" is always
-    empty and "labeled" always true: both stay in the header so that format 2
-    files keep their bytes."""
+    """Cache a dataset's features: one JSON header line of row count and
+    feature names, then the matrix as it lies in memory, written without a
+    copy (little-endian float64 in C order, so values round-trip bitwise),
+    then the labels' own bool bytes. Categorical descriptors, which hold no
+    cells, are not kept."""
     header = {
         "format": DATASET_FORMAT,
         "format_version": DATASET_FORMAT_VERSION,
         "row_count": ds.row_count,
-        "columns": [{"name": c.name, "kind": c.kind} for c in ds.columns],
-        "strings": {},
-        "labeled": True,
+        "feature_names": ds.feature_names,
     }
     with _atomic_open(path) as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
@@ -690,9 +690,9 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
     """Read a file save_dataset wrote: once the payload's size is checked, one
     readinto fills the matrix and one more the labels. A file that is not a
     regular file (a pipe, say) is read whole first, since its size is known
-    only then. Only format version 2 without categorical cells is read: a .ds
-    file is a cache, so an older one fails with a DataError that says to
-    rebuild it with nfdlm ingest."""
+    only then. Only format version 3 is read: a .ds file is a cache, so a
+    version 1 or 2 file fails with a DataError that says to rebuild it with
+    nfdlm ingest."""
     what = f"{path}: dataset header"
     with _open_input(path, "rb") as fh:
         line = fh.readline()
@@ -701,30 +701,22 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
         header = json_object(line.decode("utf-8"), what)
         if json_field(header, "format", STRING, what) != DATASET_FORMAT:
             raise DataError(f"{path}: not a {DATASET_FORMAT} file")
-        if one_of(1)[1](header.get("format_version")):
-            raise DataError(f"{path}: dataset format version 1 is no longer read; "
+        version = header.get("format_version")
+        if one_of(1, 2)[1](version):
+            raise DataError(f"{path}: dataset format version {version} is no longer read; "
                             "run nfdlm ingest again to rebuild it")
         json_field(header, "format_version", one_of(DATASET_FORMAT_VERSION), what)
-        columns = [
-            ColumnDescriptor(json_field(c, "name", STRING, f"{what} column {pos}"),
-                             json_field(c, "kind", one_of(*COLUMN_KINDS), f"{what} column {pos}"))
-            for pos, c in enumerate(json_field(header, "columns", OBJECTS, what), 1)
-        ]
         n = json_field(header, "row_count", ROW_COUNT, what)
-        json_field(header, "labeled", one_of(True), what)
-        if json_field(header, "strings", OBJECT, what):
-            raise DataError(f"{path}: dataset categorical cells are no longer read; "
-                            "run nfdlm ingest again to rebuild it")
-        n_numeric = sum(1 for c in columns if c.kind == NUMERIC)
+        names = json_field(header, "feature_names", STRINGS, what)
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode):
             payload, size = fh, info.st_size - len(line)
         else:
             data = fh.read()
             payload, size = io.BytesIO(data), len(data)
-        if size != 8 * n * n_numeric + n:
+        if size != 8 * n * len(names) + n:
             raise DataError(f"{path}: payload size mismatch")
-        matrix = np.empty((n, n_numeric), dtype="<f8")
+        matrix = np.empty((n, len(names)), dtype="<f8")
         labels = np.empty(n, dtype=np.uint8)
         if payload.readinto(matrix) + payload.readinto(labels) != size:
             raise DataError(f"{path}: payload size mismatch")
@@ -732,34 +724,25 @@ def load_dataset(path: str | os.PathLike) -> FlowDataset:
             raise DataError(f"{path}: bad dataset file: labels must be 0 or 1")
         labels = labels.view(bool)
     try:
-        return FlowDataset(columns=columns, matrix=matrix, labels=labels)
-    except (TypeError, ValueError) as exc:
+        return FlowDataset([ColumnDescriptor(name, NUMERIC) for name in names], matrix, labels)
+    except DataError as exc:
         raise DataError(f"{path}: bad dataset file: {exc}") from exc
 
 
 def write_flow_csv(ds: FlowDataset, path: str | os.PathLike) -> None:
-    """Write a dataset back to CSV.
+    """Write a dataset back to CSV: its numeric columns, then LABEL_COLUMN
+    holding POSITIVE_LABEL or NEGATIVE_LABEL. Categorical columns, which hold
+    no cells, are left out, and a feature named LABEL_COLUMN is a DataError.
 
     Numeric cells use shortest round-trip formatting, so parse -> write ->
-    parse is bitwise lossless on numeric columns. Meta columns are re-emitted
-    from the label vector as POSITIVE_LABEL or NEGATIVE_LABEL; a dataset with
-    no meta column gets a LABEL_COLUMN appended. Categorical columns, which
-    hold no cells, are left out.
+    parse is bitwise lossless on numeric columns.
     """
-    columns = [c for c in ds.columns if c.kind != CATEGORICAL]
-    if not any(c.kind == META for c in columns):
-        columns.append(ColumnDescriptor(LABEL_COLUMN, META))
-    numeric_index = {name: j for j, name in enumerate(ds.feature_names)}
-    header, getters = [], []
-    for c in columns:
-        if c.kind == NUMERIC:
-            getters.append(lambda i, j=numeric_index[c.name]: repr(float(ds.matrix[i, j])))
-        else:  # meta: regenerate from labels
-            getters.append(lambda i: POSITIVE_LABEL if ds.labels[i] else NEGATIVE_LABEL)
-        header.append(c.name)
-
+    if LABEL_COLUMN in ds.feature_names:
+        raise DataError(f"cannot write {path}: a feature is named '{LABEL_COLUMN}', "
+                        "the label column's name")
     with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.row_count):
-            writer.writerow([get(i) for get in getters])
+        writer.writerow([*ds.feature_names, LABEL_COLUMN])
+        for values, label in zip(ds.matrix, ds.labels.tolist()):
+            label_cell = POSITIVE_LABEL if label else NEGATIVE_LABEL
+            writer.writerow([*map(repr, values.tolist()), label_cell])

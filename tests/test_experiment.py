@@ -146,26 +146,24 @@ class TestRunExperiment:
         assert doc_a == doc_b
 
     def test_model_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        """FS2 and FS4, one epoch each, in a child process with NFDLM_THREADS=1
-        and in one with =2, the BLAS variables unset so that the package sets
-        them. The split holds 1,050 rows, so scoring runs a full block."""
+        """FS2 and FS4, one epoch each, in a child process with one BLAS thread
+        and in one with two. The split holds 1,050 rows, so scoring runs a
+        full block."""
         script = (
-            "import os\n"
             "import nfdlm as nf\n"
-            "assert os.environ['OPENBLAS_NUM_THREADS'] == os.environ['NFDLM_THREADS']\n"
             "ds = nf.generate_synthetic_flows(nf.SynthesisSpec(5000, 250, 30, 5, 6.0, seed=1))\n"
             "for name in ('FS2', 'FS4'):\n"
             "    cfg = nf.preset(name, seed=1, epochs=1)\n"
             "    report = nf.run_experiment(cfg, ds, model_path=name + '.model.json')\n"
             "    nf.save_report(report, name + '.report.json')\n"
         )
-        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        env = {key: value for key, value in os.environ.items() if key not in blas}
-        env["PYTHONPATH"] = str(Path(nf.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": str(Path(nf.__file__).parents[1])}
         for threads in ("1", "2"):
             (tmp_path / threads).mkdir()
+            blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 threads)
             subprocess.run([sys.executable, "-c", script], cwd=tmp_path / threads, check=True,
-                           env={**env, "NFDLM_THREADS": threads}, timeout=300)
+                           env={**env, **blas}, timeout=300)
         for name in ("FS2", "FS4"):
             model = f"{name}.model.json"
             assert (tmp_path / "1" / model).read_bytes() == (tmp_path / "2" / model).read_bytes()
@@ -422,8 +420,14 @@ class TestCli:
         assert rc == 2
 
     def test_version_1_dataset_file_says_to_ingest_again(self, tmp_path, capsys):
+        self.assert_says_to_ingest_again(tmp_path, capsys, 1)
+
+    def test_version_2_dataset_file_says_to_ingest_again(self, tmp_path, capsys):
+        self.assert_says_to_ingest_again(tmp_path, capsys, 2)
+
+    def assert_says_to_ingest_again(self, tmp_path, capsys, version):
         data = tmp_path / "flows.ds"
-        data.write_bytes((FIXTURES / "flows_v1.ds").read_bytes())
+        data.write_bytes((FIXTURES / f"flows_v{version}.ds").read_bytes())
         rc = main([
             "train", "--data", str(data), "--preset", "FS1", "--seed", "1",
             "--model-out", str(tmp_path / "m.json"),
@@ -431,7 +435,7 @@ class TestCli:
         ])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"nfdlm: data error: {data}: dataset format version 1 is no longer read; "
+            f"nfdlm: data error: {data}: dataset format version {version} is no longer read; "
             "run nfdlm ingest again to rebuild it\n"
         )
 
@@ -555,27 +559,22 @@ class TestCli:
         assert reason in err
 
     @pytest.mark.parametrize("breakage,reason", [
-        ("columns", "lacks key 'columns'"),
+        ("feature_names", "lacks key 'feature_names'"),
         ("row_count", "lacks key 'row_count'"),
-        ("strings", "lacks key 'strings'"),
-        ("categorical_cells", "dataset categorical cells are no longer read; "
-                              "run nfdlm ingest again to rebuild it"),
+        ("feature_names_not_strings", "'feature_names' must be a list of strings"),
+        ("duplicate_feature_name", "bad dataset file: duplicate column names"),
         ("negative_row_count", "'row_count' must be a non-negative integer"),
         ("huge_row_count", "'row_count' must be a non-negative integer below 2**60"),
-        ("format_version_3", "'format_version' must be 2"),
-        ("boolean_format_version", "'format_version' must be 2"),
-        ("unknown_column_kind", "column 1 'kind' must be \"numeric\" or"),
-        ("labeled", "lacks key 'labeled'"),
-        ("integer_labeled", "'labeled' must be true"),
-        ("null_labeled", "'labeled' must be true"),
-        ("false_labeled", "'labeled' must be true"),
+        ("format_version_2", "dataset format version 2 is no longer read; "
+                             "run nfdlm ingest again to rebuild it"),
+        ("format_version_4", "'format_version' must be 3"),
+        ("boolean_format_version", "'format_version' must be 3"),
         ("label_byte_2", "bad dataset file: labels must be 0 or 1"),
         ("short_labels", "payload size mismatch"),
         ("long_labels", "payload size mismatch"),
-    ], ids=["columns", "row_count", "strings", "categorical_cells", "negative_row_count",
-            "huge_row_count", "format_version_3", "boolean_format_version",
-            "unknown_column_kind", "labeled", "integer_labeled", "null_labeled", "false_labeled",
-            "label_byte_2", "short_labels", "long_labels"])
+    ], ids=["feature_names", "row_count", "feature_names_not_strings", "duplicate_feature_name",
+            "negative_row_count", "huge_row_count", "format_version_2", "format_version_4",
+            "boolean_format_version", "label_byte_2", "short_labels", "long_labels"])
     def test_bad_dataset_header_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data = tmp_path / "flows.ds"
         nf.save_dataset(small_ds, data)
@@ -583,18 +582,15 @@ class TestCli:
         header = json.loads(head)
         if breakage == "negative_row_count":
             header["row_count"] = -1
-        elif breakage == "huge_row_count":  # one meta column: only labels to size
-            header.update(row_count=10**30, strings={},
-                          columns=[{"name": "category", "kind": "meta"}])
+        elif breakage == "huge_row_count":  # no feature: only labels to size
+            header.update(row_count=10**30, feature_names=[])
             payload = b""
-        elif breakage == "categorical_cells":  # as datasets kept them before
-            header["strings"] = {"proto": ["tcp"] * header["row_count"]}
-        elif breakage in ("format_version_3", "boolean_format_version"):
-            header["format_version"] = 3 if breakage == "format_version_3" else True
-        elif breakage == "unknown_column_kind":
-            header["columns"][0]["kind"] = "text"
-        elif breakage.endswith("_labeled"):
-            header["labeled"] = {"integer": 1, "null": None, "false": False}[breakage[:-8]]
+        elif breakage == "feature_names_not_strings":
+            header["feature_names"][1] = 1
+        elif breakage == "duplicate_feature_name":
+            header["feature_names"][1] = header["feature_names"][0]
+        elif "format_version" in breakage:
+            header["format_version"] = {"format_version_2": 2, "format_version_4": 4}.get(breakage, True)
         elif breakage == "label_byte_2":
             payload = payload[:-1] + b"\x02"
         elif breakage == "short_labels":

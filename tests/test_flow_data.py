@@ -18,7 +18,6 @@ from nfdlm import flow_data
 from nfdlm.cli import main
 from nfdlm.flow_data import (
     CATEGORICAL,
-    META,
     NUMERIC,
     PARSE_CHUNK_ROWS,
     SIGNAL_DIMS,
@@ -50,8 +49,9 @@ class TestParseFlowCsv:
         ds = nf.parse_flow_csv(tiny_csv, "category", "DDoS")
         assert ds.row_count == 3
         assert (ds.labels == [1, 0, 1]).all()
+        # The label column becomes the labels and leaves no descriptor.
         kinds = {c.name: c.kind for c in ds.columns}
-        assert kinds == {"pkSeqID": NUMERIC, "bytes": NUMERIC, "category": META}
+        assert kinds == {"pkSeqID": NUMERIC, "bytes": NUMERIC}
         assert (ds.matrix[:, ds.feature_positions(["bytes"])[0]] == [100.0, 250.0, 90.0]).all()
 
     def test_label_sum_matches_positive_rows(self, tmp_path):
@@ -99,7 +99,7 @@ class TestParseFlowCsv:
         path = tmp_path / "header.csv"
         path.write_text("a,proto,category\n", encoding="utf-8")
         ds = nf.parse_flow_csv(path, "category", "DDoS")
-        assert [c.kind for c in ds.columns] == [NUMERIC, NUMERIC, META]
+        assert [c.kind for c in ds.columns] == [NUMERIC, NUMERIC]
         assert ds.matrix.shape == (0, 2) and ds.labels.shape == (0,)
 
     def test_missing_file(self, tmp_path):
@@ -142,7 +142,6 @@ def whole_file_parse(path, label_column, positive_label):
     kinds, numeric = {}, []
     for j, name in enumerate(header):
         if j == label_idx:
-            kinds[name] = META
             continue
         try:
             numeric.append([float(c) for c in cells[j]])
@@ -626,7 +625,7 @@ def botiot_like_csv(tmp_path, rows=12):
 class TestDropColumns:
     def test_default_drops_plus_strings_leave_30_features(self, tmp_path):
         ds = nf.parse_flow_csv(botiot_like_csv(tmp_path), "category", "DDoS")
-        assert len(ds.columns) == 43
+        assert len(ds.columns) == 42  # every CSV column but the label column
         out = nf.drop_columns(ds, drop_string_columns=True)
         assert len(out.feature_names) == 30
         assert out.labels is not None and (out.labels == ds.labels).all()
@@ -651,6 +650,11 @@ class TestDropColumns:
         ds = nf.parse_flow_csv(tiny_csv, "category", "DDoS")
         with pytest.raises(nf.DataError, match="nosuchcol"):
             nf.drop_columns(ds, ["nosuchcol"])
+
+    def test_the_label_column_is_no_column(self, tiny_csv):
+        ds = nf.parse_flow_csv(tiny_csv, "category", "DDoS")
+        with pytest.raises(nf.DataError, match=r"^unknown columns in drop list: \['category'\]$"):
+            nf.drop_columns(ds, ["category"])
 
     def test_idempotent(self, tmp_path):
         ds = nf.parse_flow_csv(botiot_like_csv(tmp_path), "category", "DDoS")
@@ -791,15 +795,10 @@ class TestGenerateSyntheticFlows:
 
 
 def fixture_dataset() -> nf.FlowDataset:
-    """Extreme values, a categorical and a meta column: the columns and values
-    of fixtures/flows_v1.ds, a file in the retired .ds format version 1, less
-    its categorical cells."""
-    cols = [
-        nf.ColumnDescriptor("a", NUMERIC),
-        nf.ColumnDescriptor("proto", CATEGORICAL),
-        nf.ColumnDescriptor("b", NUMERIC),
-        nf.ColumnDescriptor("category", META),
-    ]
+    """Extreme values: the features, values and labels of fixtures/flows_v1.ds
+    and fixtures/flows_v2.ds, files in the retired .ds format versions 1 and
+    2, which also describe a categorical column and the label column."""
+    cols = [nf.ColumnDescriptor("a", NUMERIC), nf.ColumnDescriptor("b", NUMERIC)]
     matrix = np.array([[1e300, 1e-300], [-1e300, -1e-300], [-0.0, 5e-324],
                        [1.7976931348623157e308, 0.1], [2.5, -3.0]])
     return nf.FlowDataset(cols, matrix, labels=np.array([1, 0, 1, 1, 0]))
@@ -838,10 +837,18 @@ class TestDatasetFile:
         path = tmp_path / "cache.ds"
         nf.save_dataset(ds, path)
         back = nf.load_dataset(path)
-        assert_datasets_equal(back, ds)
-        # The categorical column comes back as the descriptor it was.
-        assert back.columns[1] == nf.ColumnDescriptor("proto", CATEGORICAL)
-        assert back.feature_names == ["a", "b"] and back.strings == {}
+        # The cache keeps the features; a categorical descriptor holds no cell.
+        assert back.columns == [c for c in cols if c.kind == NUMERIC]
+        assert back.matrix.tobytes() == ds.matrix.tobytes()
+        assert (back.labels == ds.labels).all() and back.strings == {}
+
+    def test_header_holds_row_count_and_feature_names(self, tmp_path):
+        path = tmp_path / "cache.ds"
+        nf.save_dataset(fixture_dataset(), path)
+        assert path.read_bytes().split(b"\n", 1)[0] == (
+            b'{"format": "nfdlm.dataset", "format_version": 3, "row_count": 5, '
+            b'"feature_names": ["a", "b"]}'
+        )
 
     @pytest.mark.parametrize(
         "change, message",
@@ -944,6 +951,26 @@ class TestDatasetFile:
         assert (second.labels == first.labels).all()
         # Categorical columns hold no cells to write, so the CSV leaves them out.
         assert second.columns == [c for c in first.columns if c.kind != CATEGORICAL]
+
+    def test_label_column_mid_file_is_written_last(self, tmp_path):
+        path = write_csv(
+            tmp_path / "mid.csv", ["a", "category", "b"],
+            [[1.5, "DDoS", -2], [0.25, "Normal", 7], [-0.0, "DDoS", 1e300]],
+        )
+        first = nf.parse_flow_csv(path, "category", "DDoS")
+        nf.write_flow_csv(first, tmp_path / "again.csv")
+        header = (tmp_path / "again.csv").read_text(encoding="utf-8").split("\n", 1)[0]
+        assert header == "a,b,category"
+        second = nf.parse_flow_csv(tmp_path / "again.csv", "category", "DDoS")
+        assert second.feature_names == first.feature_names == ["a", "b"]
+        assert second.matrix.tobytes() == first.matrix.tobytes()
+        assert second.labels.tolist() == first.labels.tolist() == [True, False, True]
+
+    def test_a_feature_named_like_the_label_column_is_not_written(self, tmp_path):
+        ds = numeric_ds(np.zeros((2, 2)), labels=[1, 0], names=["a", "category"])
+        with pytest.raises(nf.DataError, match="a feature is named 'category'"):
+            nf.write_flow_csv(ds, tmp_path / "flows.csv")
+        assert os.listdir(tmp_path) == []
 
 
 class TestSelectFeatures:
