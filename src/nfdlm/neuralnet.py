@@ -9,10 +9,11 @@ functions compute in the dtype they are given, so models loaded from older
 float64 files train and score in float64 through the same code.
 A step allocates nothing: every array a forward and backward pass writes
 lives in a StepBuffers built once per model, batch row count and gradient
-vector, and Adam's gradient, scratch and constants in its AdamState. Both
-hold their passes as numpy calls bound to those arrays once (nfdlm.steps),
-so the step functions here pass the per-step operands and replay them, on
-batches already in the parameters' dtype and of the model's width.
+vector, and Adam's gradient, scratch and constants in an AdamState built
+once per parameter vector and learning rate. Both hold their passes as numpy
+calls bound to those arrays once (nfdlm.steps), so the step functions here
+take only the batch and labels, on batches already in the parameters' dtype
+and of the model's width, and replay them.
 Products go through np.dot, which makes np.matmul's BLAS call with less
 dispatch, except the LSTM's per-gate products on strided column blocks,
 which np.dot would copy first. Each operation keeps the order and operand
@@ -256,10 +257,8 @@ def _checked_batch(model: Model, batch) -> np.ndarray:
 def _forward_cached(batch: np.ndarray, bufs: StepBuffers) -> np.ndarray:
     """Probabilities for a batch in the parameters' dtype, of the model's
     input width and of the row count bufs was built for, as a view into
-    bufs, where every layer's input and cache stay for _backward_from_caches."""
-    first = bufs.first
-    first.x = batch
-    np.dot(batch, first.wt, first.z)
+    bufs, where every layer's cache stays for _backward_from_caches."""
+    np.dot(batch, bufs.first.wt, bufs.first.z)
     for call in bufs.forward_calls:
         call()
     return bufs.probs
@@ -290,15 +289,15 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray):
     return float(loss) if p.ndim == 1 else loss
 
 
-def _backward_from_caches(bufs: StepBuffers, probs: np.ndarray, labels: np.ndarray) -> None:
+def _backward_from_caches(bufs: StepBuffers, batch: np.ndarray, labels: np.ndarray) -> None:
     """Overwrite every entry of the gradient vector bufs was built for with
-    the gradient of bce_loss, in the dtype of probs, from the caches that
-    the last _forward_cached call left in bufs. labels are in the dtype of
-    probs."""
-    np.subtract(probs, labels, bufs.loss_delta)
+    the gradient of bce_loss, from the caches and probabilities that the
+    last _forward_cached call on batch left in bufs. labels are in the
+    parameters' dtype."""
+    np.subtract(bufs.probs, labels, bufs.loss_delta)
     for call in bufs.backward_calls:
         call()
-    np.dot(bufs.first.dzt, bufs.first.x, bufs.first_dw)
+    np.dot(bufs.first.dzt, batch, bufs.first_dw)
 
 
 def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -308,26 +307,16 @@ def backward(model: Model, batch: np.ndarray, labels: np.ndarray) -> np.ndarray:
         raise DataError("batch and labels shapes disagree")
     grads = np.empty_like(model.params)
     bufs = StepBuffers(model, len(x), _param_views(model.layers, grads))
-    probs = _forward_cached(x, bufs)
-    _backward_from_caches(bufs, probs, y.astype(probs.dtype))
+    _forward_cached(x, bufs)
+    _backward_from_caches(bufs, x, y.astype(grads.dtype))
     return grads
 
 
-def adam_step(
-    params: np.ndarray, grads: np.ndarray, state: AdamState, learning_rate: float
-) -> None:
-    """One in-place Adam update with bias-corrected moment estimates.
-
-    grads is copied into state.grad, cast to the parameters' dtype, unless
-    it is state.grad itself. The step writes the bias corrections, rebinds
-    state's calls if they were built for other parameters or another
-    learning rate, and replays them: they write params, the moments and
-    state's scratch vectors, and allocate nothing.
-    """
-    if grads is not state.grad:
-        np.copyto(state.grad, grads)
-    if params is not state.params or learning_rate != state.learning_rate:
-        state.bind(params, learning_rate)
+def adam_step(state: AdamState) -> None:
+    """One in-place Adam update with bias-corrected moment estimates, from
+    the gradient in state.grad, of the parameters and at the learning rate
+    state was built for. It counts the step, writes the bias corrections and
+    replays state's calls, which allocate nothing."""
     state.t += 1
     state.c1[()] = 1.0 - ADAM_BETA1 ** state.t
     state.c2[()] = 1.0 - ADAM_BETA2 ** state.t
@@ -363,7 +352,7 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
     del train_ds
     n, bs = x.shape[0], cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState.for_params(model.params)
+    state = AdamState(model.params, cfg.learning_rate)
     grad_views = _param_views(model.layers, state.grad)  # each step overwrites all of it
     xs, ys = np.empty_like(x), np.empty_like(y)  # the shuffled copy, one per call
     ps = np.empty_like(y)  # each step's probabilities, for the loss pass
@@ -390,8 +379,8 @@ def train(model: Model, train_ds: FlowDataset, cfg: TrainingConfig):
             if not math.isfinite(probs.dot(probs)):
                 raise NumericError(f"non-finite loss at epoch {epoch + 1}, batch {start // bs + 1}")
             ps[start : start + bs] = probs
-            _backward_from_caches(bufs, probs, yb)
-            adam_step(model.params, state.grad, state, cfg.learning_rate)
+            _backward_from_caches(bufs, xb, yb)
+            adam_step(state)
         # Each block's whole batches in one loss call, then a short last
         # batch; the sum still adds loss * size batch by batch.
         loss_sum = 0.0
@@ -542,6 +531,7 @@ def load_model(path) -> Model:
         )
         if kind != model.kind:
             raise DataError(f"model kind must be {model.kind!r} for these layers, not {kind!r}")
-    except (TypeError, ValueError, IndexError) as exc:  # DataError is a ValueError
+    # DataError is a ValueError; an OverflowError is a JSON integer beyond any float.
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DataError(f"{path}: bad model file: {exc}") from exc
     return model

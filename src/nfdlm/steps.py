@@ -4,16 +4,16 @@ A step allocates nothing and does little but call numpy. Every array that a
 forward and a backward pass write, and every view of them or of a model's
 parameters that a step reads, lives in one StepBuffers, built once per model,
 batch row count and gradient vector; Adam's moments, gradient and scratch
-live in an AdamState. Each holds its passes as lists of functools.partial
-calls over those arrays, with operands and out arrays bound once, so
-nfdlm.neuralnet's step functions write the few per-step operands (the batch,
-the labels, Adam's bias corrections) and replay a list. Every call keeps the
-order and operand dtypes of the allocating form, so the bits are the same.
+live in an AdamState, built once per parameter vector and learning rate.
+Each holds its passes as lists of functools.partial calls over those arrays,
+with operands and out arrays bound once, so nfdlm.neuralnet's step functions
+take only what changes per step (the batch and the labels, as arguments),
+write Adam's bias corrections, and replay a list. Every call keeps the order
+and operand dtypes of the allocating form, so the bits are the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -39,32 +39,22 @@ def _sigmoid_calls(x, e, out, zero, one) -> list:
             partial(np.add, e, one, e), partial(np.divide, out, e, out)]
 
 
-@dataclass
 class AdamState:
-    """Adam's moments, step count and gradient vector grad, and the two bias
-    corrections as 0-d arrays in the moments' dtype, which adam_step writes.
-    calls is the update as a list of numpy calls, which bind builds for the
-    parameters and learning rate that adam_step was last handed."""
+    """Adam bound once to a parameter vector and a learning rate: the
+    moments m and v, the step count t, the gradient vector grad that a
+    caller writes before each step, and the two bias corrections c1 and c2
+    as 0-d arrays in the parameters' dtype, which adam_step writes. calls is
+    the update as a list of numpy calls over these, two scratch vectors, and
+    beta1, beta2, 1 - beta1, 1 - beta2, eps and the learning rate as 0-d
+    arrays; they write params in place."""
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    def __post_init__(self) -> None:
-        self.c1, self.c2 = np.ones((), self.m.dtype), np.ones((), self.m.dtype)
-        self.params = self.learning_rate = None
-        self.grad, self.calls = np.empty_like(self.m), []
-
-    @classmethod
-    def for_params(cls, params: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
-
-    def bind(self, params: np.ndarray, learning_rate: float) -> None:
-        """Build calls for params and learning_rate, with two scratch vectors,
-        and beta1, beta2, 1 - beta1, 1 - beta2, eps and the learning rate as
-        0-d arrays."""
-        m, v, g, a, b = self.m, self.v, self.grad, np.empty_like(self.m), np.empty_like(self.m)
-        beta1, beta2, decay1, decay2, eps, lr = (np.array(x, m.dtype) for x in (
+    def __init__(self, params: np.ndarray, learning_rate: float) -> None:
+        dtype = params.dtype
+        self.m, self.v, self.grad = m, v, g = [np.zeros_like(params) for _ in range(3)]
+        self.t = 0
+        self.c1, self.c2 = np.ones((), dtype), np.ones((), dtype)
+        a, b = np.empty_like(params), np.empty_like(params)
+        beta1, beta2, decay1, decay2, eps, lr = (np.array(x, dtype) for x in (
             ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2, ADAM_EPS, learning_rate))
         mul, add, div = np.multiply, np.add, np.divide
         self.calls = [
@@ -76,7 +66,6 @@ class AdamState:
             partial(div, m, self.c1, a), partial(mul, lr, a, a), partial(div, v, self.c2, b),
             partial(np.sqrt, b, b), partial(add, b, eps, b), partial(div, a, b, a),
             partial(np.subtract, params, a, params)]
-        self.params, self.learning_rate = params, learning_rate
 
 
 class _LayerBuffers:
@@ -84,7 +73,8 @@ class _LayerBuffers:
     share of a step's calls.
 
     forward holds the layer's forward calls, but for the input layer's
-    product, which takes the batch. They read x (below's out) and write z
+    product, which takes the batch. They read x (below's out; None for the
+    input layer, whose input is each step's batch) and write z
     (the pre-activation) and out; an lstm layer also writes its gates i, g,
     o and tanh(i * g). A backward pass writes dz (the head's is the loss
     delta it starts from) from up, the gradient passed to this layer (the

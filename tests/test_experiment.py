@@ -558,6 +558,50 @@ class TestCli:
         assert err.startswith("nfdlm: data error: ") and err.count("\n") == 1
         assert reason in err
 
+    @pytest.mark.parametrize("field", ["weight", "bias", "scaler_mean", "scaler_stdev",
+                                       "selection_score", "v1_gate_weight", "v1_gate_bias"])
+    def test_huge_integer_in_model_file_exits_2(self, tmp_path, capsys, small_ds, field):
+        # JSON integers are exact, so 10**400 parses; every number the loader
+        # casts to a float must fail as a bad model file, not an OverflowError.
+        data, model = tmp_path / "flows.ds", tmp_path / "m.json"
+        nf.save_dataset(small_ds, data)
+        names = small_ds.feature_names
+        if field.startswith("v1_"):  # a v1 LSTM's gates are read without a dtype
+            doc = json.loads((FIXTURES / "lstm_v1.model.json").read_text(encoding="utf-8"))
+            gates = doc["layers"][0]
+            if field == "v1_gate_weight":
+                gates["w_in"][0][0] = 10**400
+            else:
+                gates["b_cand"][0] = 10**400
+        else:
+            nf.save_model(nf.build_mlp(names, seed=0), model)
+            doc = json.loads(model.read_text(encoding="utf-8"))
+            doc["scaler"] = {"column_names": names, "means": [0.0] * len(names),
+                             "stdevs": [1.0] * len(names)}
+            doc["selection"] = {"method": "mutual_information", "parameter": len(names),
+                                "kept": [{"name": n, "score": 0.5} for n in names],
+                                "dropped": []}
+            if field == "weight":
+                doc["layers"][0]["weights"][0][0] = 10**400
+            elif field == "bias":
+                doc["layers"][0]["bias"][0] = 10**400
+            elif field == "scaler_mean":
+                doc["scaler"]["means"][0] = 10**400
+            elif field == "scaler_stdev":
+                doc["scaler"]["stdevs"][0] = 10**400
+            else:
+                doc["selection"]["kept"][0]["score"] = 10**400
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main([
+            "evaluate", "--model", str(model), "--data", str(data),
+            "--report-out", str(tmp_path / "eval.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"nfdlm: data error: {model}: bad model file: ")
+        assert "too large" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("breakage,reason", [
         ("feature_names", "lacks key 'feature_names'"),
         ("row_count", "lacks key 'row_count'"),

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -288,19 +289,21 @@ class TestAdamStep:
 
     def setup_case(self):
         params = np.array([1.0, -2.0, 0.5])
-        return params, AdamState.for_params(params)
+        return params, AdamState(params, self.LEARNING_RATE)
 
     def test_zero_gradient_fixed_point(self):
         params, state = self.setup_case()
         before = params.copy()
-        nf.adam_step(params, np.zeros_like(params), state, self.LEARNING_RATE)
+        state.grad[...] = 0.0
+        nf.adam_step(state)
         assert (params == before).all()
         assert state.t == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
         params, state = self.setup_case()
         before = params.copy()
-        nf.adam_step(params, np.full_like(params, 0.3), state, self.LEARNING_RATE)
+        state.grad[...] = 0.3
+        nf.adam_step(state)
         assert np.abs(np.abs(before - params) - self.LEARNING_RATE).max() < 1e-9
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -310,8 +313,8 @@ class TestAdamStep:
         rng = np.random.default_rng(22)
         info = np.finfo(dtype)
         params = rng.standard_normal(64).astype(dtype)
-        (got, got_state), (want, want_state) = runs = [
-            (params.copy(), AdamState.for_params(params)) for _ in range(2)]
+        got, want = params.copy(), params.copy()
+        got_state, want_state = AdamState(got, self.LEARNING_RATE), oracle_adam_state(want)
         with np.errstate(over="ignore"):
             for step in range(200):
                 grads = (rng.standard_normal(64) * 10.0 ** rng.integers(-4, 4, 64)).astype(dtype)
@@ -319,7 +322,8 @@ class TestAdamStep:
                 grads[rng.random(64) < 0.1] = info.smallest_subnormal * rng.integers(-9, 9)
                 if step % 20 == 0:
                     grads[rng.integers(64)] = info.max / 8 * rng.choice([-1, 1])
-                nf.adam_step(got, grads, got_state, self.LEARNING_RATE)
+                got_state.grad[...] = grads
+                nf.adam_step(got_state)
                 oracle_adam_step(want, grads, want_state, self.LEARNING_RATE)
         assert got.dtype == dtype
         assert np.isinf(got_state.v).any()  # a huge gradient's square overflowed
@@ -328,50 +332,14 @@ class TestAdamStep:
         assert got_state.v.tobytes() == want_state.v.tobytes()
         assert got_state.t == want_state.t == 200
 
-    @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
-    def test_gradients_are_cast_to_the_parameters_dtype(self, dtype, other):
-        rng = np.random.default_rng(5)
-        params = rng.standard_normal(8).astype(dtype)
-        given, cast = params.copy(), params.copy()
-        given_state, cast_state = AdamState.for_params(given), AdamState.for_params(cast)
-        for grads in rng.standard_normal((30, 8)).astype(other):
-            nf.adam_step(given, grads, given_state, 0.01)
-            nf.adam_step(cast, grads.astype(dtype), cast_state, 0.01)
-        assert given.dtype == given_state.m.dtype == dtype
-        assert given.tobytes() == cast.tobytes()
-        assert given_state.v.tobytes() == cast_state.v.tobytes()
-
-    @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
-    def test_rebinds_to_other_arrays_and_learning_rates(self, dtype, other):
-        # One state handed two parameter vectors and two learning rates in
-        # turn rebuilds its calls when either changes, and only then. Its
-        # gradients come from two other vectors (the second of the other
-        # dtype), which it copies in, and it keeps the oracle's bytes.
-        rng = np.random.default_rng(9)
-        start = [rng.standard_normal(8).astype(dtype) for _ in range(2)]
-        grads = [rng.standard_normal(8).astype(dtype), rng.standard_normal(8).astype(other)]
-        got, want = [p.copy() for p in start], [p.copy() for p in start]
-        state, oracle = AdamState.for_params(got[0]), AdamState.for_params(want[0])
-        schedule = [(0, 0, 1e-3), (0, 0, 1e-3), (1, 0, 1e-3), (1, 0, 2e-3), (1, 1, 2e-3),
-                    (1, 1, 2e-3), (0, 0, 2e-3), (0, 0, 1e-3), (0, 0, 1e-3)]
-        last = None
-        for p, g, lr in schedule:
-            calls = state.calls
-            nf.adam_step(got[p], grads[g], state, lr)
-            assert (state.calls is not calls) == ((p, lr) != last)
-            oracle_adam_step(want[p], grads[g].astype(dtype), oracle, lr)
-            last = p, lr
-        assert got[0].dtype == got[1].dtype == state.grad.dtype == dtype
-        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
-        assert state.m.tobytes() == oracle.m.tobytes() and state.v.tobytes() == oracle.v.tobytes()
-
     def test_deterministic_across_runs(self):
         results = []
         for _ in range(2):
             params, state = self.setup_case()
             rng = np.random.default_rng(7)
             for _ in range(25):
-                nf.adam_step(params, rng.standard_normal(params.shape), state, self.LEARNING_RATE)
+                state.grad[...] = rng.standard_normal(params.shape)
+                nf.adam_step(state)
             results.append(params)
         assert (results[0] == results[1]).all()
 
@@ -774,6 +742,11 @@ def oracle_forward(model, batch):
     return x[:, 0], caches
 
 
+def oracle_adam_state(params):
+    """The oracle's Adam moments and step count, in a plain namespace."""
+    return types.SimpleNamespace(m=np.zeros_like(params), v=np.zeros_like(params), t=0)
+
+
 def oracle_adam_step(params, grads, state, learning_rate):
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
@@ -824,7 +797,7 @@ def oracle_train(model, ds, cfg):
     """train's loop stepped through the oracle; returns the per-epoch losses."""
     x, y = ds.matrix.astype(model.params.dtype), ds.labels.astype(model.params.dtype)
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState.for_params(model.params)
+    state = oracle_adam_state(model.params)
     losses = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(y))
@@ -1019,8 +992,8 @@ class TestGradientBuffer:
         model, x, y = random_checkable_model(kind, 4)
         grads = np.full_like(model.params, np.nan)
         bufs = StepBuffers(model, len(x), _param_views(model.layers, grads))
-        probs = neuralnet._forward_cached(x, bufs)
-        neuralnet._backward_from_caches(bufs, probs, y)
+        neuralnet._forward_cached(x, bufs)
+        neuralnet._backward_from_caches(bufs, x, y)
         assert np.isfinite(grads).all()
         assert grads.tobytes() == nf.backward(model, x, y).tobytes()
 
@@ -1099,17 +1072,17 @@ class TestStepBuffers:
     @pytest.mark.parametrize("build", [nf.build_mlp, nf.build_lstm])
     def test_train_binds_each_call_list_once(self, build, monkeypatch):
         # Two epochs with a short last batch: the whole-batch and short-batch
-        # buffers are built once each, and the AdamState binds its update
-        # once, and every step replays the same list objects.
+        # buffers are built once each, and so is the AdamState with its
+        # update, and every step replays the same list objects.
         binds, owners, lists = [], [], collections.defaultdict(set)
-        for cls, name in [(StepBuffers, "__init__"), (AdamState, "bind")]:
-            def counted(self, *args, _fn=getattr(cls, name)):
+        for cls in (StepBuffers, AdamState):
+            def counted(self, *args, _fn=cls.__init__):
                 binds.append(self)
                 return _fn(self, *args)
-            monkeypatch.setattr(cls, name, counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         for name, at, attr in [("_forward_cached", 1, "forward_calls"),
                                ("_backward_from_caches", 0, "backward_calls"),
-                               ("adam_step", 2, "calls")]:
+                               ("adam_step", 0, "calls")]:
             def recorded(*args, _fn=getattr(neuralnet, name), _at=at, _attr=attr):
                 result = _fn(*args)
                 owners.append(args[_at])  # kept alive, so ids stay unique
@@ -1125,6 +1098,32 @@ class TestStepBuffers:
         assert len({id(b) for b in binds}) == 3
         # forward and backward lists of both buffers, and Adam's: one object each
         assert len(lists) == 5 and all(len(ids) == 1 for ids in lists.values())
+
+    @pytest.mark.parametrize("build", [nf.build_mlp, nf.build_lstm])
+    def test_a_step_writes_no_attribute(self, build, monkeypatch):
+        # Two epochs with a short last batch. Steps write into the arrays
+        # their state was built with and rebind none of its attributes, but
+        # Adam's step count: the batch and labels come in as arguments.
+        built = []
+        for cls in (StepBuffers, AdamState):
+            def snapshot(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                built.extend((obj, dict(vars(obj))) for obj in [self, *getattr(self, "layers", ())])
+            monkeypatch.setattr(cls, "__init__", snapshot)
+        ds = odd_sized_blobs()
+        kind = "lstm" if build is nf.build_lstm else "mlp"
+        nf.train(build(ds.feature_names, hidden=HIDDEN[kind], seed=1), ds,
+                 nf.TrainingConfig(epochs=2, batch_size=16, seed=1))
+        assert sorted(type(obj).__name__ for obj, _ in built) == [
+            "AdamState", "StepBuffers", "StepBuffers", *["_LayerBuffers"] * 6]
+        rebound = []
+        for obj, before in built:
+            after = dict(vars(obj))
+            if isinstance(obj, AdamState):
+                assert (before.pop("t"), after.pop("t")) == (0, 18)
+            assert after.keys() == before.keys()
+            rebound += [(type(obj).__name__, k) for k in before if after[k] is not before[k]]
+        assert rebound == []
 
     @pytest.mark.parametrize("rows", [0, 1, SCORE_BLOCK_ROWS, 2 * SCORE_BLOCK_ROWS + 3])
     def test_predict_proba_builds_one_set_per_call(self, rows, monkeypatch):
@@ -1152,14 +1151,14 @@ class TestStepBuffers:
         model = build_at(np.float32, kind, ["a", "b", "c", "d"], 5)
         x = rng.standard_normal((2 * rows, 4)).astype(np.float32)
         y = (rng.random(2 * rows) < 0.5).astype(np.float32)
-        state = AdamState.for_params(model.params)
+        state = AdamState(model.params, 1e-3)
         bufs = StepBuffers(model, rows, _param_views(model.layers, state.grad))
 
         def step(k):
             xb, yb = x[k % 2 * rows :][:rows], y[k % 2 * rows :][:rows]
-            probs = neuralnet._forward_cached(xb, bufs)
-            neuralnet._backward_from_caches(bufs, probs, yb)
-            neuralnet.adam_step(model.params, state.grad, state, 1e-3)
+            neuralnet._forward_cached(xb, bufs)
+            neuralnet._backward_from_caches(bufs, xb, yb)
+            neuralnet.adam_step(state)
 
         step(0)  # numpy's first-call caches
         with np.errstate():  # restores the bufsize on exit
@@ -1204,7 +1203,7 @@ class TestStepBuffers:
 
         def recorded(batch, bufs):
             probs = forward(batch, bufs)
-            caches = [a for lb in bufs.layers for a in (lb.x, lb.z, lb.out, *lb.gates)]
+            caches = [batch, *(a for lb in bufs.layers for a in (lb.z, lb.out, *lb.gates))]
             steps.append((probs, bufs, caches, probs.copy()))
             return probs
 
