@@ -181,12 +181,13 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
 
     csv.reader reads the header. Each block of PARSE_CHUNK_ROWS lines after
     it that is plain (see _plain_block: ASCII, no quote, stray control byte
-    or blank line, every line with one cell per column) has its numeric
-    columns converted in C by np.loadtxt, which gives the bits float() gives.
-    A block that is not plain, or that holds a cell loadtxt refuses, is read
-    as PARSE_CHUNK_ROWS records by csv.reader and float(). The result, every
-    error message included, is the same as if csv.reader and float() had
-    read every block.
+    or blank line) is read in C by one np.loadtxt call, as records of one
+    field per column. It returns the numeric columns with the bits float()
+    gives and the label and categorical cells verbatim, as csv.reader gives
+    them, and refuses a line with another cell count. A block that is not
+    plain, or that loadtxt refuses, is read as PARSE_CHUNK_ROWS records by
+    csv.reader and float(). The result, every error message included, is the
+    same as if csv.reader and float() had read every block.
 
     A file with a single fault gives the same message as a whole-file parse.
     A file with several faults reports the first one in file order, a byte
@@ -225,12 +226,14 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
                 break
             # (row, rank, column); undecodable rows rank first, then labels
             faults: list[tuple[int, int, int]] = []
-            numeric = [j for j in slots if j not in categorical]
-            block = _plain_block(lines, width, numeric)
+            text = {label_idx, *categorical}  # columns kept as cells
+            kinds = [object if j in text else np.float64 for j in range(width)]
+            block = _plain_block(lines, kinds)
             if block is not None:
                 n, ragged = len(lines), None
-                cols = {j: _plain_cells(lines, j, width) for j in (label_idx, *categorical)}
-                values = {j: block[:, k] for k, j in enumerate(numeric)}
+                fields = [block[name] for name in block.dtype.names]
+                cols = {j: fields[j] for j in text}
+                values = {j: fields[j] for j in range(width) if j not in text}
             else:  # csv.reader reads one chunk of records from the block's first line
                 records = csv.reader(itertools.chain(lines, fh))
                 chunk = list(itertools.islice(records, PARSE_CHUNK_ROWS))
@@ -378,20 +381,21 @@ def _third_label_row(cells: tuple[str, ...], seen: set[str]) -> int | None:
 _PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)])
 
 
-def _plain_block(lines: list[str], width: int, slots: list[int]) -> np.ndarray | None:
-    """The cells of columns `slots` as float64 rows, or None if the lines are
-    not plain or np.loadtxt refuses a cell.
+def _plain_block(lines: list[str], kinds: list[type]) -> np.ndarray | None:
+    """The lines as records of one field per column, of kind np.float64 or
+    object (the text cell), or None if the lines are not plain or
+    np.loadtxt refuses one.
 
     Plain lines are ASCII; they hold no quote, no control byte but tab, and a
-    CR only in a CRLF ending; none is blank or longer than the csv field
-    limit; and each has width - 1 commas. On such lines loadtxt splits cells
-    where csv.reader does and converts each with PyOS_string_to_double, as
-    float() does: a cell it takes has the bits float() gives, and a cell
-    float() refuses it refuses too. (It also refuses some that float() takes,
-    such as 1_000.) Elsewhere they differ: loadtxt skips blank lines (which,
-    in a file of one column, have the right comma count: none), ignores
-    extra or missing fields, takes a number next to \\x1c-\\x1f and takes a
-    cell past the field limit.
+    CR only in a CRLF ending; and none is blank or longer than the csv field
+    limit. On such lines loadtxt splits cells where csv.reader does, refuses
+    a line with another cell count than len(kinds), and gives an object
+    field the cell csv.reader gives, spaces and tabs kept. It converts a
+    float64 field with PyOS_string_to_double, as float() does: a cell it
+    takes has the bits float() gives, and a cell float() refuses it refuses
+    too. (It also refuses some that float() takes, such as 1_000.) Elsewhere
+    they differ: loadtxt skips blank lines, takes a number next to
+    \\x1c-\\x1f and takes a cell past the field limit.
     """
     text = "".join(lines)
     if '"' in text or not text.isascii() or "\n" in lines or "\r\n" in lines:
@@ -403,22 +407,13 @@ def _plain_block(lines: list[str], width: int, slots: list[int]) -> np.ndarray |
         return None
     if max(map(len, lines)) > csv.field_size_limit():
         return None
-    if any(line.count(",") != width - 1 for line in lines):
-        return None
     try:
         return np.loadtxt(
-            lines, delimiter=",", comments=None, quotechar=None, usecols=slots,
-            dtype=np.float64, ndmin=2,
+            lines, delimiter=",", comments=None, quotechar=None,
+            dtype=np.dtype([("", kind) for kind in kinds]), ndmin=1,
         )
     except ValueError:
         return None
-
-
-def _plain_cells(lines: list[str], j: int, width: int) -> list[str]:
-    """Column j's cells of plain lines (see _plain_block), as csv.reader reads them."""
-    if j == width - 1:
-        return [line.rpartition(",")[2].rstrip("\r\n") for line in lines]
-    return [line.split(",", j + 1)[j] for line in lines]
 
 
 def drop_columns(
@@ -552,9 +547,10 @@ def generate_synthetic_flows(spec: SynthesisSpec) -> FlowDataset:
     signal = synthetic_signal_columns(spec)
     if signal and spec.class_separation > 0:
         shift = spec.class_separation / math.sqrt(len(signal))
+        attack = spec.attack_count  # attack rows are rows [0, attack)
         for j in signal:
-            matrix[labels, j] += shift / 2.0
-            matrix[~labels, j] -= shift / 2.0
+            matrix[:attack, j] += shift / 2.0
+            matrix[attack:, j] -= shift / 2.0
 
     for t in range(spec.planted_duplicate_pairs):
         src, dst = 2 * t, 2 * t + 1

@@ -26,15 +26,17 @@ CELLS = [
 TWEAKS = (
     [("id", cell) for cell in CELLS]
     + [("v", cell) for cell in CELLS]
-    + [("proto", cell) for cell in ('"udp"', '"u,dp"', "", "é", "a\x1fb")]
-    + [("category", label) for label in ("DoS", "", " DDoS", '"DDoS"')]
+    + [("proto", cell) for cell in ('"udp"', '"u,dp"', "", "é", "a\x1fb", " udp ", "\tudp")]
+    + [("category", label) for label in ("DoS", "", " DDoS", "DDoS\t", '"DDoS"')]
     + [("shape", shape) for shape in ("extra", "short", "blank")]
     + [("ending", "\r")]
 )
 HEADERS = [
     ["id", "v", "proto", "category"],  # loadtxt refuses block 1 for its proto cells
     ["id", "v", "category"],  # numeric-only: block 1 takes the C path too
-    ["category"],  # label-only: a blank line has the comma count of a whole one
+    ["category"],  # label-only: loadtxt would skip a blank line
+    ["category", "id", "v"],  # the label first
+    ["id", "category", "proto", "v"],  # text columns before a numeric one
 ]
 
 
