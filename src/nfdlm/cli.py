@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ingest, synth, select, train, evaluate, compare.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error or out of memory,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got '{text}'")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nfdlm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -70,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=int, required=True)
     p.add_argument("--dupes", type=int, default=0, help="planted near-duplicate column pairs")
     p.add_argument("--separation", type=float, default=0.0)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True, help="CSV file to write")
 
     p = sub.add_parser("select", help="run a feature selector and write its report")
@@ -83,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run a preset pipeline end to end")
     p.add_argument("--data", required=True, help="dataset file from ingest")
     p.add_argument("--preset", required=True, choices=list(PRESET_NAMES))
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--split", type=float, default=0.2, help="held-out test fraction")
     p.add_argument("--smote-k", type=int, default=5)
     p.add_argument(
@@ -221,6 +229,9 @@ def main(argv=None) -> int:
         return 3
     except DataError as exc:
         print(f"nfdlm: data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"nfdlm: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"nfdlm: error: {exc}", file=sys.stderr)

@@ -30,8 +30,9 @@ def _maximum(x1, x2, out):
 
 def _sigmoid_calls(x, e, out, zero, one) -> list:
     """The calls that write sigmoid(x) to out as nfdlm.neuralnet.sigmoid
-    describes, with e as scratch: arrays of x's shape and dtype that do not
-    overlap x. zero and one are 0 and 1 in any form that converts to x's
+    describes, with e as scratch: arrays of x's shape and dtype that overlap
+    neither x nor each other; e holds nothing the result needs once the
+    calls end. zero and one are 0 and 1 in any form that converts to x's
     dtype. np.sign(x) would serve for [x >= 0] in the numerator as well,
     but is slower than greater_equal on the LSTM's strided gate blocks."""
     return [partial(np.abs, x, e), partial(np.negative, e, e), partial(np.exp, e, e),
@@ -75,13 +76,19 @@ class _LayerBuffers:
     forward holds the layer's forward calls, but for the input layer's
     product, which takes the batch. They read x (below's out; None for the
     input layer, whose input is each step's batch) and write z
-    (the pre-activation) and out; an lstm layer also writes its gates i, g,
-    o and tanh(i * g). A backward pass writes dz (the head's is the loss
-    delta it starts from) from up, the gradient passed to this layer (the
-    head's own dz), and delta, the up of the layer below. scratch holds
-    nothing between calls. Forward-only buffers pass shared, one flat array
-    that every layer's scratch and gates view as contiguous rows, as a layer
-    needs them only while it runs, and make no dz or delta.
+    (the pre-activation) and out; an lstm layer writes its gates i, o and
+    g, in that order, then c = i * g, tc = tanh(c) and out = o * tc. A
+    backward pass writes dz (the head's is the loss delta it starts from)
+    from up, the gradient passed to this layer (the head's own dz), and
+    delta, the up of the layer below. scratch holds nothing between calls.
+    Forward-only buffers pass shared, 3 * rows * widest floats, and make no
+    dz or delta. As a layer needs its scratch and gates only while it runs,
+    they are its first three contiguous (rows, width) blocks of shared:
+    scratch, i and o. An lstm layer writes g, c and tc over scratch in
+    place, and out over o, which the layer above reads only in its first
+    product. The gates are elementwise independent, so the bits stay those
+    of training's separate g, tc and out. Gates written over z's strided
+    blocks would save more, but scored about 20% slower.
     """
 
     def __init__(self, layer, rows: int, dtype, below: _LayerBuffers | None,
@@ -97,20 +104,22 @@ class _LayerBuffers:
         n, w, kind = layer.output_size, layer.weights, layer.activation
         self.kind, self.w, self.wt = kind, w, w.T
         self.x = None if below is None else below.out
-        self.z, self.out = z, out = new(len(w)), new(n)
+        self.z = z = new(len(w))
         self.scratch = s = None if kind == "relu" else transient(0)
-        self.gates = [transient(k) for k in range(1, 5)] if kind == "lstm" else ()
-        calls = [partial(np.add, z, layer.bias, z)]
-        if kind == "relu":
-            calls.append(partial(_maximum, zero, z, out))
-        elif kind == "lstm":
-            (i, g, o, tc), (zi, zg, zo) = self.gates, np.split(z, 3, axis=1)
+        self.gates, calls = (), [partial(np.add, z, layer.bias, z)]
+        if kind == "lstm":
+            i, o = transient(1), transient(2)
+            g, tc, out = (s, s, o) if shared is not None else (new(n), new(n), new(n))
+            self.gates, (zi, zg, zo) = (i, g, o, tc), np.split(z, 3, axis=1)
             # c = i * g from zero cell state, and out = o * tanh(c)
-            calls += [*_sigmoid_calls(zi, s, i, zero, one), partial(np.tanh, zg, g),
-                      *_sigmoid_calls(zo, s, o, zero, one), partial(np.multiply, i, g, s),
+            calls += [*_sigmoid_calls(zi, s, i, zero, one), *_sigmoid_calls(zo, s, o, zero, one),
+                      partial(np.tanh, zg, g), partial(np.multiply, i, g, s),
                       partial(np.tanh, s, tc), partial(np.multiply, o, tc, out)]
         else:
-            calls += _sigmoid_calls(z, s, out, zero, one)
+            out = new(n)
+            calls += ([partial(_maximum, zero, z, out)] if kind == "relu"
+                      else _sigmoid_calls(z, s, out, zero, one))
+        self.out = out
         self.forward = calls if below is None else [partial(np.dot, self.x, self.wt, z), *calls]
         if shared is not None:
             return
@@ -183,7 +192,7 @@ class StepBuffers:
         dtype = model.params.dtype
         self.zero, self.one, self.count = (np.array(v, dtype) for v in (0, 1, rows))
         widest = max(l.output_size for l in model.layers if l.activation != "relu")
-        shared = np.empty(5 * rows * widest, dtype) if grad_views is None else None
+        shared = np.empty(3 * rows * widest, dtype) if grad_views is None else None
         self.layers, below = [], None
         for layer in model.layers:
             below = _LayerBuffers(layer, rows, dtype, below, shared, self.zero, self.one)

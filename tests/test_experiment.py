@@ -809,6 +809,47 @@ class TestCli:
         if case == "synth_onto_dir":
             assert list(target.iterdir()) == []
 
+    def test_out_of_memory_exits_2(self, tmp_path, capsys):
+        # 10^15 rows of 1,000 float64 features take 6.94 EiB, beyond any
+        # 57-bit address space, so the allocation is refused at once.
+        out = tmp_path / "flows.csv"
+        assert main(["synth", "--attack", "1000000000000000", "--benign", "1", "--features",
+                     "1000", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nfdlm: out of memory: Unable to allocate 6.94 EiB")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bare_memory_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("nfdlm.cli.load_dataset", exhausted)
+        assert main(["train", "--data", str(tmp_path / "flows.ds"), "--preset", "FS1",
+                     "--seed", "1", "--model-out", str(tmp_path / "m.json"),
+                     "--report-out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == "nfdlm: out of memory: an allocation failed\n"
+
+    @pytest.mark.parametrize("seed", ["-2", "1.5", "two"])
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_bad_seed_is_a_usage_error(self, tmp_path, capsys, command, seed):
+        # Refused while parsing: train's dataset file does not exist, and
+        # reading it would fail as a data error.
+        if command == "train":
+            argv = ["train", "--data", str(tmp_path / "absent.ds"), "--preset", "FS1",
+                    "--model-out", str(tmp_path / "m.json"),
+                    "--report-out", str(tmp_path / "r.json")]
+        else:
+            argv = ["synth", "--attack", "5", "--benign", "5", "--features", "2",
+                    "--out", str(tmp_path / "flows.csv")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", seed])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"error: argument --seed: expected a non-negative integer, got '{seed}'\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         ds_path = tmp_path / "flows.ds"
         nf.save_dataset(nf.generate_synthetic_flows(SMALL_SPEC), ds_path)

@@ -544,6 +544,15 @@ class TestPredict:
         assert large_peak <= small_peak + 20_000 * probs.itemsize + 2**16
         assert large_peak < 0.05 * 5508 * large.row_count
 
+    def test_one_row_scoring_peak(self):
+        # A block's buffers set the peak: 962 floats a row for this
+        # FS4-shaped float32 LSTM, 3.76 MiB at SCORE_BLOCK_ROWS rows. Five
+        # scratch and gate slots, not three, made it 1,410 floats a row, and
+        # the peak 5.6 MiB.
+        model, ds = self.scored_rows("lstm", 1)
+        _, peak = traced_peak(nf.predict_proba, model, ds)
+        assert peak < 4.0 * 2**20
+
 
 class TestModelFile:
     def trained_model(self, tmp_path, kind="mlp"):
@@ -1174,26 +1183,46 @@ class TestStepBuffers:
         assert peak < 4096
         assert np.isfinite(model.params).all()
 
-    def test_forward_only_buffers_share_gates_and_scratch(self):
-        # Scoring keeps each layer's z and out, but every layer's scratch and
-        # gates are contiguous rows of one flat array, sized for the widest
-        # layer; the scores keep the bits of buffers that give each its own.
-        model = nf.build_lstm(["a", "b", "c"], hidden=(6, 4), seed=3)
-        x = np.random.default_rng(3).standard_normal((50, 3)).astype(np.float32)
-        lean = StepBuffers(model, 50)
-        flat = lean.layers[0].scratch.base
-        assert flat.shape == (5 * 50 * 6,)
-        for lb, n in zip(lean.layers, (6, 4, 1)):
-            transients = [lb.scratch, *lb.gates]
-            assert all(a.base is flat and a.shape == (50, n) and a.flags.c_contiguous
-                       for a in transients)
-            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(transients, 2))
-        arrays = [flat, *(a for lb in lean.layers for a in (lb.z, lb.out))]
-        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+    @pytest.mark.parametrize("rows", [1, 7, 50])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["mlp", "lstm"])
+    def test_forward_only_buffers_score_in_three_slots(self, kind, dtype, rows):
+        # Scoring keeps each layer's z and the head's out, but every layer's
+        # scratch and gates are its first three contiguous (rows, width)
+        # blocks of one flat array, sized for the widest layer that uses
+        # them: scratch, then an lstm layer's input and output gates. That
+        # layer writes its candidate gate, c and tanh(c) over its scratch,
+        # and its output over its output gate. The scores keep the bits of
+        # training's buffers, which give each array its own memory.
+        model = build_at(dtype, kind, ["a", "b", "c"], 3, (6, 4) if kind == "lstm" else None)
+        x = np.random.default_rng(rows).standard_normal((rows, 3)).astype(dtype)
+        lean = StepBuffers(model, rows)
+        flat, widest = lean.layers[-1].scratch.base, 6 if kind == "lstm" else 1
+        assert flat.shape == (3 * rows * widest,) and flat.dtype == dtype
+
+        def at_slot(a, k, n):
+            offset = a.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+            return (a.base is flat and a.shape == (rows, n) and a.flags.c_contiguous
+                    and offset == k * rows * n * flat.itemsize)
+
+        own = [flat, lean.layers[-1].out]
+        for lb, layer in zip(lean.layers, model.layers):
+            own.append(lb.z)
+            n = layer.output_size
+            if layer.activation == "relu":
+                assert lb.scratch is None and lb.gates == ()
+                own.append(lb.out)
+            else:
+                assert at_slot(lb.scratch, 0, n)
+            if layer.activation == "lstm":
+                i, g, o, tc = lb.gates
+                assert at_slot(i, 1, n) and at_slot(o, 2, n)
+                assert g is lb.scratch and tc is lb.scratch and lb.out is o
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(own, 2))
         probs = neuralnet._forward_cached(x, lean).copy()
         views = _param_views(model.layers, np.empty_like(model.params))
-        whole = neuralnet._forward_cached(x, StepBuffers(model, 50, views))
-        assert probs.tobytes() == whole.tobytes()
+        whole = neuralnet._forward_cached(x, StepBuffers(model, rows, views))
+        assert probs.dtype == dtype and probs.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
     def test_consecutive_steps_share_their_buffers(self, kind, monkeypatch):
