@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import resource
 import sys
 import time
@@ -54,6 +55,19 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _between(kind, low: float, high: float, wanted: str):
+    """An argparse type: text read by kind, strictly between low and high."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got '{text}'")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nfdlm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -92,8 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset file from ingest")
     p.add_argument("--preset", required=True, choices=list(PRESET_NAMES))
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--split", type=float, default=0.2, help="held-out test fraction")
-    p.add_argument("--smote-k", type=int, default=5)
+    p.add_argument("--split", type=_between(float, 0, 1, "a number in (0, 1)"), default=0.2,
+                   help="held-out test fraction")
+    p.add_argument("--smote-k", type=_between(int, 0, math.inf, "a positive integer"), default=5)
     p.add_argument(
         "--smote-before-split",
         action="store_true",

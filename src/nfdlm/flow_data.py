@@ -71,7 +71,10 @@ class FlowDataset:
     A C-contiguous float64 matrix is adopted, not copied, and frozen: the
     caller's array becomes read-only. Any other array-like is converted.
     Labels, one per row, follow the same rule as a bool vector (see
-    as_labels), so stages that keep row order share one label array.
+    as_labels), so stages that keep row order share one label array. A NaN
+    or infinite value fails as "row R: non-finite value in column 'c'" for
+    the first in row-major order (rows count from 1), wherever a dataset is
+    built: from a CSV, a .ds file or a stage's output.
     """
 
     columns: list[ColumnDescriptor]
@@ -91,8 +94,12 @@ class FlowDataset:
                 f"expected {len(self.feature_names)} numeric columns"
             )
         flat = self.matrix.reshape(-1)  # checked in blocks: no bool copy of the matrix
-        if not all(np.isfinite(flat[i : i + 65536]).all() for i in range(0, flat.size, 65536)):
-            raise DataError("matrix contains NaN or Inf values")
+        for start in range(0, flat.size, 65536):
+            finite = np.isfinite(flat[start : start + 65536])
+            if not finite.all():
+                row, k = divmod(start + int(finite.argmin()), self.matrix.shape[1])
+                name = self.feature_names[k]
+                raise DataError(f"row {row + 1}: non-finite value in column '{name}'")
         self.labels = as_labels(self.labels)
         if self.labels.shape != (self.row_count,):
             raise DataError("labels length does not match row count")
@@ -191,11 +198,13 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
 
     A file with a single fault gives the same message as a whole-file parse.
     A file with several faults reports the first one in file order, a byte
-    that is not UTF-8 included, except that a non-finite cell is reported
-    only once the whole file is read: a later non-numeric cell would make
-    its column categorical, which is no fault. The matrix holds the columns
-    that were numeric through the first chunk; one that turns categorical
-    later is taken out of it at the end, in place (see _keep_columns).
+    that is not UTF-8 included, and within a row a bad byte, a third label,
+    a missing value (by column), then a wrong cell count. Non-finite cells
+    are found when the dataset is built, once the whole file is read: a later
+    non-numeric cell would make its column categorical, which is no fault.
+    The matrix holds the columns that were numeric through the first chunk;
+    one that turns categorical later is taken out of it at the end, in place
+    (see _keep_columns), before that check.
     """
     path = Path(path)
     # surrogateescape leaves a byte that is not UTF-8 for the block that holds
@@ -213,10 +222,9 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
         width = len(header)
         label_idx = header.index(label_column)
         categorical: set[int] = set()
-        non_finite: dict[int, int] = {}  # numeric column -> first row holding inf or nan
         # The matrix's columns; fixed once the first chunk is read.
         slots = [j for j in range(width) if j != label_idx]
-        matrix = None
+        matrix = np.empty((0, len(slots)))
         label_parts: list[np.ndarray] = []
         seen_labels: set[str] = set()
         done = 0
@@ -224,73 +232,54 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
             lines = list(itertools.islice(fh, PARSE_CHUNK_ROWS))
             if not lines:
                 break
-            # (row, rank, column); undecodable rows rank first, then labels
-            faults: list[tuple[int, int, int]] = []
+            # (row in chunk, rank, column, message after the row number),
+            # ranked within a row: bad byte, third label, missing value, cell count
+            faults: list[tuple[int, int, int, str]] = []
             text = {label_idx, *categorical}  # columns kept as cells
             kinds = [object if j in text else np.float64 for j in range(width)]
             block = _plain_block(lines, kinds)
             if block is not None:
-                n, ragged = len(lines), None
+                n = len(lines)
                 fields = [block[name] for name in block.dtype.names]
                 cols = {j: fields[j] for j in text}
                 values = {j: fields[j] for j in range(width) if j not in text}
             else:  # csv.reader reads one chunk of records from the block's first line
                 records = csv.reader(itertools.chain(lines, fh))
                 chunk = list(itertools.islice(records, PARSE_CHUNK_ROWS))
-                ragged = next((i for i, row in enumerate(chunk) if len(row) != width), None)
-                ragged_cells = None if ragged is None else len(chunk[ragged])
-                cols = dict(enumerate(zip(*chunk[:ragged])))
-                n = len(chunk) if ragged is None else ragged
+                n = next((i for i, row in enumerate(chunk) if len(row) != width), len(chunk))
+                if n < len(chunk):
+                    faults.append((n, 3, -1, f" has {len(chunk[n])} cells, expected {width}"))
+                cols = dict(enumerate(zip(*chunk[:n])))
                 undecodable = _first_undecodable(chunk[: n + 1])
                 if undecodable is not None:
-                    faults.append((done + undecodable + 1, -1, -1))
+                    faults.append((undecodable, 0, -1, ": not UTF-8 text"))
                 del chunk
                 values = {}
             for j, cells in cols.items():
-                if j == label_idx:
-                    blank = _first_blank(cells)
+                if j not in text:
+                    try:
+                        values[j] = np.fromiter(map(float, cells), dtype=np.float64, count=n)
+                        continue
+                    except ValueError:  # a blank is a fault; any other refusal: categorical
+                        categorical.add(j)
+                elif j == label_idx:
                     third = _third_label_row(cells, seen_labels)
                     if third is not None:
-                        faults.append((done + third + 1, 0, j))
+                        faults.append((third, 1, j, f": label column '{label_column}' has a third "
+                                       f"value {cells[third]!r}; filter to two classes before "
+                                       "ingesting"))
                     label_parts.append(
                         np.fromiter(map(positive_label.__eq__, cells), dtype=bool, count=n)
                     )
-                elif j in categorical:
-                    blank = _first_blank(cells)
-                else:
-                    try:
-                        values[j] = np.fromiter(map(float, cells), dtype=np.float64, count=n)
-                    except ValueError:
-                        bad = next(i for i, cell in enumerate(cells) if not _is_number(cell))
-                        if cells[bad].strip():  # a non-number: the column is categorical
-                            categorical.add(j)
-                            non_finite.pop(j, None)
-                        blank = _first_blank(cells)
-                    else:
-                        blank = None
+                blank = _first_blank(cells)
                 if blank is not None:
-                    faults.append((done + blank + 1, 1, j))
-            for j, column in values.items():
-                if j not in non_finite and not np.isfinite(column).all():
-                    non_finite[j] = done + int(np.argmin(np.isfinite(column))) + 1
+                    faults.append((blank, 2, j, f": missing value in column '{header[j]}'"))
             if faults:
-                row, rank, j = min(faults)
-                if rank == -1:
-                    raise DataError(f"{path}: row {row}: not UTF-8 text")
-                if rank == 0:
-                    raise DataError(
-                        f"{path}: row {row}: label column '{label_column}' has a third value "
-                        f"{cols[j][row - done - 1]!r}; filter to two classes before ingesting"
-                    )
-                raise DataError(f"{path}: row {row}: missing value in column '{header[j]}'")
-            if ragged is not None:
-                raise DataError(
-                    f"{path}: row {done + ragged + 1} has {ragged_cells} cells, expected {width}"
-                )
-            if matrix is None:
+                i, _, _, message = min(faults)
+                raise DataError(f"{path}: row {done + i + 1}{message}")
+            if not done:
                 slots = [j for j in slots if j not in categorical]
-                matrix = np.empty((max(n, PARSE_CHUNK_ROWS), len(slots)))
-            elif done + n > matrix.shape[0]:
+            if done + n > matrix.shape[0]:
                 # Growth reallocates in place where it can; the trim below
                 # gives back what the last growth overshot.
                 rows = max(done + n, matrix.shape[0] * 5 // 4)
@@ -300,22 +289,19 @@ def parse_flow_csv(path: str | os.PathLike, label_column: str, positive_label: s
                     matrix[done : done + n, k] = values[j]
             done += n
 
-    if non_finite:
-        row, j = min((row, j) for j, row in non_finite.items())
-        raise DataError(f"{path}: row {row}: non-finite value in column '{header[j]}'")
-    if matrix is None:
-        matrix = np.empty((0, len(slots)))
-    else:
-        matrix.resize((done, len(slots)), refcheck=False)
-        keep = [k for k, j in enumerate(slots) if j not in categorical]
-        if len(keep) < len(slots):  # a column turned categorical after the first chunk
-            _keep_columns(matrix, keep)
+    matrix.resize((done, len(slots)), refcheck=False)
+    keep = [k for k, j in enumerate(slots) if j not in categorical]
+    if len(keep) < len(slots):  # a column turned categorical after the first chunk
+        _keep_columns(matrix, keep)
     labels = np.concatenate(label_parts) if label_parts else np.empty(0, bool)
     columns = [
         ColumnDescriptor(name, CATEGORICAL if j in categorical else NUMERIC)
         for j, name in enumerate(header) if j != label_idx
     ]
-    return FlowDataset(columns=columns, matrix=matrix, labels=labels)
+    try:  # the dataset's own check finds the first non-finite cell
+        return FlowDataset(columns=columns, matrix=matrix, labels=labels)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _keep_columns(matrix: np.ndarray, keep: list[int]) -> None:
@@ -354,14 +340,6 @@ def _first_blank(cells: tuple[str, ...]) -> int | None:
     if all(value.strip() for value in set(cells)):
         return None
     return next(i for i, cell in enumerate(cells) if not cell.strip())
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
 
 
 def _third_label_row(cells: tuple[str, ...], seen: set[str]) -> int | None:

@@ -616,9 +616,10 @@ class TestCli:
         ("label_byte_2", "bad dataset file: labels must be 0 or 1"),
         ("short_labels", "payload size mismatch"),
         ("long_labels", "payload size mismatch"),
+        ("nan_cell", "bad dataset file: row 3: non-finite value in column 'f05'"),
     ], ids=["feature_names", "row_count", "feature_names_not_strings", "duplicate_feature_name",
             "negative_row_count", "huge_row_count", "format_version_2", "format_version_4",
-            "boolean_format_version", "label_byte_2", "short_labels", "long_labels"])
+            "boolean_format_version", "label_byte_2", "short_labels", "long_labels", "nan_cell"])
     def test_bad_dataset_header_exits_2(self, tmp_path, capsys, small_ds, breakage, reason):
         data = tmp_path / "flows.ds"
         nf.save_dataset(small_ds, data)
@@ -641,6 +642,9 @@ class TestCli:
             payload = payload[:-1]
         elif breakage == "long_labels":
             payload += b"\x00"
+        elif breakage == "nan_cell":  # row 3 of 12 features, column 5
+            at = 8 * (2 * 12 + 5)
+            payload = payload[:at] + np.array(np.nan, "<f8").tobytes() + payload[at + 8 :]
         else:
             del header[breakage]
         data.write_bytes(json.dumps(header).encode() + b"\n" + payload)
@@ -848,6 +852,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.endswith(
             f"error: argument --seed: expected a non-negative integer, got '{seed}'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option, value, wanted", [
+        ("--split", "0", "a number in (0, 1)"),
+        ("--split", "1", "a number in (0, 1)"),
+        ("--split", "nan", "a number in (0, 1)"),
+        ("--split", "-0.1", "a number in (0, 1)"),
+        ("--smote-k", "0", "a positive integer"),
+    ])
+    def test_bad_split_or_smote_k_is_a_usage_error(self, tmp_path, capsys, option, value, wanted):
+        # Refused while parsing, before the absent dataset file is read.
+        argv = ["train", "--data", str(tmp_path / "absent.ds"), "--preset", "FS1", "--seed", "1",
+                "--model-out", str(tmp_path / "m.json"), "--report-out", str(tmp_path / "r.json")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, option, value])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nfdlm train ")
+        assert err.endswith(f"error: argument {option}: expected {wanted}, got '{value}'\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch, capsys):

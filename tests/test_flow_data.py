@@ -300,6 +300,25 @@ class TestChunkedParse:
         with pytest.raises(nf.DataError, match=f": {message}$"):
             nf.parse_flow_csv(path, "category", "DDoS")
 
+    @pytest.mark.parametrize("rows, message", [
+        (["1,2,3,DDoS", "1,,,DDoS"], "row 2: missing value in column 'b'$"),
+        (["1,2,3,DDoS", "1,2,3,Normal", "1,,3,DoS"],
+         "row 3: label column 'category' has a third value 'DoS'; "),
+        (["1,2,3,DDoS", "1,\udcff"], "row 2: not UTF-8 text$"),
+        (["1,2,3,DDoS", "nan,2,inf,Normal", "1,-inf,3,DDoS"],
+         "row 2: non-finite value in column 'a'$"),
+        ([f"{'nan' if i == 3 else i},{'' if i == 10 else i},3,{('DDoS', 'Normal')[i % 2]}"
+          for i in range(1, 13)], "row 10: missing value in column 'b'$"),
+    ], ids=["missing_by_column", "third_label_before_missing", "bad_byte_before_cell_count",
+            "first_non_finite_cell", "missing_in_a_later_chunk_before_non_finite"])
+    def test_fault_precedence_in_small_chunks(self, tmp_path, monkeypatch, rows, message):
+        monkeypatch.setattr(flow_data, "PARSE_CHUNK_ROWS", 4)
+        path = tmp_path / "faults.csv"
+        text = "\n".join(["a,b,c,category", *rows]) + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
+        with pytest.raises(nf.DataError, match=f": {message}"):
+            nf.parse_flow_csv(path, "category", "DDoS")
+
     def test_byte_that_is_not_utf8_in_the_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"id,v\xff,category\n1,2,DDoS\n")
